@@ -1,0 +1,315 @@
+"""Catalan-family analogues: Catalan, Fuss-Catalan, Coxeter-Catalan, rational
+Catalan and Narayana polynomials in s and t.
+
+Each is a quotient of products of Lucas polynomials, evaluated by exact
+division.  For the Coxeter versions the degrees of the finite irreducible
+groups are hard-coded from the classification table; Cat W multiplies
+{h + d_i}/{d_i} over the degrees with h the Coxeter number (largest degree),
+and the Fuss version uses kh + d_i.
+
+Some nonnegativity statements are theorems (types A, B, D, I2 and all the
+plain Coxeter-Catalan numbers) and are asserted; others are open (rational
+Catalan, Narayana) and the sweeps report findings instead of failing.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from functools import lru_cache
+from math import gcd
+
+from .lucas import d_lucasnomial, lucas, lucasnomial
+from .polyring import NotDivisible, Poly2
+
+
+class NotCoprime(ValueError):
+    """Rational Catalan parameters must have gcd 1."""
+
+
+EXCEPTIONAL_DEGREES = {
+    "H3": (2, 6, 10),
+    "H4": (2, 12, 20, 30),
+    "F4": (2, 6, 8, 12),
+    "E6": (2, 5, 6, 8, 9, 12),
+    "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+}
+
+FAMILIES = ("A", "B", "D", "I2") + tuple(EXCEPTIONAL_DEGREES)
+
+
+@dataclass(frozen=True)
+class CoxeterType:
+    """A finite irreducible Coxeter group: family plus rank (or m for I2)."""
+
+    family: str
+    param: int | None = None
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        if self.family in EXCEPTIONAL_DEGREES:
+            if self.param is not None:
+                raise ValueError(f"{self.family} takes no parameter")
+        elif self.param is None:
+            raise ValueError(f"{self.family} needs a rank parameter")
+        elif self.family == "A" and self.param < 1:
+            raise ValueError("A_n needs n >= 1")
+        elif self.family == "B" and self.param < 1:
+            raise ValueError("B_n needs n >= 1")
+        elif self.family == "D" and self.param < 3:
+            raise ValueError("D_n needs n >= 3")
+        elif self.family == "I2" and self.param < 2:
+            raise ValueError("I_2(m) needs m >= 2")
+
+    def degrees(self) -> tuple[int, ...]:
+        n = self.param
+        if self.family == "A":
+            return tuple(range(2, n + 2))
+        if self.family == "B":
+            return tuple(2 * i for i in range(1, n + 1))
+        if self.family == "D":
+            # Listed as printed: 2, 4, ..., 2(n-1), n -- not sorted.
+            return tuple(2 * i for i in range(1, n)) + (n,)
+        if self.family == "I2":
+            return (2, n)
+        return EXCEPTIONAL_DEGREES[self.family]
+
+    def coxeter_number(self) -> int:
+        return max(self.degrees())
+
+    def __str__(self) -> str:
+        if self.family == "I2":
+            return f"I2({self.param})"
+        if self.param is not None:
+            return f"{self.family}{self.param}"
+        return self.family
+
+
+@lru_cache(maxsize=None)
+def lucas_catalan(n: int) -> Poly2:
+    """C_{n} = {2n brace n}/{n+1}; nonnegative by its tiling interpretation."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    value = lucasnomial(2 * n, n).exact_div(lucas(n + 1))
+    if not value.is_nonnegative():
+        raise AssertionError(f"Catalan analogue C_{n} has a negative coefficient")
+    return value
+
+
+def verify_catalan_identity(n: int) -> bool:
+    """C_{n} = {2n-1 brace n-1} + t {2n-1 brace n-2} for n >= 2."""
+    if n < 2:
+        raise ValueError("identity stated for n >= 2")
+    rhs = lucasnomial(2 * n - 1, n - 1) + Poly2.var_t() * lucasnomial(2 * n - 1, n - 2)
+    return lucas_catalan(n) == rhs
+
+
+@lru_cache(maxsize=None)
+def fuss_catalan(n: int, k: int) -> Poly2:
+    """C_{n,k} = {(k+1)n brace n}/{kn+1}; k = 1 is the Catalan case."""
+    if n < 0 or k < 1:
+        raise ValueError("need n >= 0 and k >= 1")
+    value = lucasnomial((k + 1) * n, n).exact_div(lucas(k * n + 1))
+    if not value.is_nonnegative():
+        raise AssertionError(f"Fuss-Catalan analogue C_{n},{k} has a negative coefficient")
+    return value
+
+
+def verify_fuss_identity(n: int, k: int) -> bool:
+    """C_{n,k} = {(k+1)n-1 brace n-1}
+              + sum_{m=1..k} t^m {n-1}^(m-1) {(k-m)n+1} {(k+1)n-1 brace n-2}.
+
+    The m-th summand collects the blocks whose first-row window index is m:
+    one deflecting domino plus m-1 further forced dominoes give t^m, the m-1
+    stretches between them weigh {n-1} each, and the tail of the first row
+    weighs {(k-m)n+1}.  At k = 1 this is the Catalan identity.
+    """
+    if n < 2 or k < 1:
+        raise ValueError("identity stated for n >= 2, k >= 1")
+    t = Poly2.var_t()
+    rhs = lucasnomial((k + 1) * n - 1, n - 1)
+    for m in range(1, k + 1):
+        rhs = rhs + (
+            t**m
+            * lucas(n - 1) ** (m - 1)
+            * lucas((k - m) * n + 1)
+            * lucasnomial((k + 1) * n - 1, n - 2)
+        )
+    return fuss_catalan(n, k) == rhs
+
+
+@lru_cache(maxsize=None)
+def coxeter_catalan(w: CoxeterType) -> Poly2:
+    """Cat {W} = prod {h + d_i} / prod {d_i}; a nonnegative polynomial."""
+    h = w.coxeter_number()
+    numerator = Poly2.one()
+    denominator = Poly2.one()
+    for d in w.degrees():
+        numerator = numerator * lucas(h + d)
+        denominator = denominator * lucas(d)
+    value = numerator.exact_div(denominator)
+    if not value.is_nonnegative():
+        raise AssertionError(f"Cat {w} has a negative coefficient")
+    return value
+
+
+@lru_cache(maxsize=None)
+def coxeter_fuss_catalan(w: CoxeterType, k: int) -> Poly2:
+    """Cat^(k) {W} = prod {kh + d_i} / prod {d_i}.
+
+    Polynomiality with nonnegative coefficients is a theorem for A, B, D and
+    I2 (asserted here); for the exceptional types the quotient is computed
+    and the caller decides what to do with negative coefficients.
+    """
+    if k < 1:
+        raise ValueError("need k >= 1")
+    h = w.coxeter_number()
+    numerator = Poly2.one()
+    denominator = Poly2.one()
+    for d in w.degrees():
+        numerator = numerator * lucas(k * h + d)
+        denominator = denominator * lucas(d)
+    value = numerator.exact_div(denominator)
+    if w.family in ("A", "B", "D", "I2") and not value.is_nonnegative():
+        raise AssertionError(f"Cat^({k}) {w} has a negative coefficient")
+    return value
+
+
+def verify_catD(n: int) -> bool:
+    """Cat D_{n} = ({3n-2}/{n}) {2(n-1):2 brace n-1:2}, as exact polynomials."""
+    if n < 3:
+        raise ValueError("D_n needs n >= 3")
+    rhs = (lucas(3 * n - 2) * d_lucasnomial(2 * (n - 1), n - 1, 2)).exact_div(lucas(n))
+    return coxeter_catalan(CoxeterType("D", n)) == rhs
+
+
+def genCatD(l: int, k: int, m: int, d: int, n: int) -> Poly2:
+    """({(dm-l)n - (m-1)d}/{gn}) {m(n-1):d brace kn-1:d} with g = gcd(kd, kd-l).
+
+    Defined for l < kd < md and n large enough that every index is in range.
+    """
+    if not 0 < l < k * d < m * d:
+        raise ValueError("need 0 < l < kd < md")
+    g = gcd(k * d, k * d - l)
+    top_index = (d * m - l) * n - (m - 1) * d
+    if top_index < 0 or k * n - 1 > m * (n - 1):
+        raise ValueError("degenerate parameters: index out of range at this n")
+    numerator = lucas(top_index) * d_lucasnomial(m * (n - 1), k * n - 1, d)
+    return numerator.exact_div(lucas(g * n))
+
+
+def genCatD_in_range(l: int, k: int, m: int, d: int, n: int) -> bool:
+    """True when the genCatD indices are all defined at this n."""
+    return (d * m - l) * n - (m - 1) * d >= 0 and k * n - 1 <= m * (n - 1)
+
+
+def verify_genCatD(l: int, k: int, m: int, d: int, n: int) -> bool:
+    """The generalized quotient divides exactly and has nonnegative coefficients."""
+    try:
+        return genCatD(l, k, m, d, n).is_nonnegative()
+    except NotDivisible:
+        return False
+
+
+@lru_cache(maxsize=None)
+def rational_catalan(a: int, b: int) -> Poly2:
+    """Cat {a,b} = {a+b brace a}/{a+b} for coprime a, b.
+
+    Polynomiality is a theorem (so NotDivisible escaping would signal a bug);
+    nonnegativity is only conjectured and is left to the caller to inspect.
+    """
+    if a < 1 or b < 1:
+        raise ValueError("need positive a, b")
+    if gcd(a, b) != 1:
+        raise NotCoprime(f"gcd({a},{b}) != 1")
+    return lucasnomial(a + b, a).exact_div(lucas(a + b))
+
+
+@lru_cache(maxsize=None)
+def narayana(n: int, k: int) -> Poly2:
+    """N_{n,k} = (1/{n}) {n brace k} {n brace k-1} for 1 <= k <= n.
+
+    Nonnegativity is conjectural; NotDivisible would be a counterexample to
+    polynomiality and is deliberately allowed to propagate.
+    """
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    return (lucasnomial(n, k) * lucasnomial(n, k - 1)).exact_div(lucas(n))
+
+
+# -- findings sweeps -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One line of a conjecture/consistency sweep report."""
+
+    op: str
+    params: dict
+    status: str  # pass | fail | finding
+    detail: str = ""
+
+    def to_json_line(self) -> str:
+        return json.dumps(
+            {"op": self.op, "params": self.params, "status": self.status, "detail": self.detail},
+            sort_keys=True,
+        )
+
+
+def narayana_findings(max_n: int) -> list[Finding]:
+    """Sweep the Narayana nonnegativity conjecture up to max_n."""
+    findings = []
+    for n in range(1, max_n + 1):
+        for k in range(1, n + 1):
+            params = {"n": n, "k": k}
+            try:
+                value = narayana(n, k)
+            except NotDivisible:
+                findings.append(Finding("narayana", params, "finding", "not a polynomial"))
+                continue
+            if value.is_nonnegative():
+                findings.append(Finding("narayana", params, "pass"))
+            else:
+                findings.append(Finding("narayana", params, "finding", "negative coefficient"))
+    return findings
+
+
+def rational_catalan_findings(max_ab: int) -> list[Finding]:
+    """Sweep rational Catalan polynomiality (theorem) and nonnegativity (open)."""
+    findings = []
+    for a in range(1, max_ab + 1):
+        for b in range(a + 1, max_ab + 1):
+            if gcd(a, b) != 1:
+                continue
+            params = {"a": a, "b": b}
+            try:
+                value = rational_catalan(a, b)
+            except NotDivisible:
+                findings.append(Finding("rational_catalan", params, "fail", "not a polynomial"))
+                continue
+            if value.is_nonnegative():
+                findings.append(Finding("rational_catalan", params, "pass"))
+            else:
+                findings.append(Finding("rational_catalan", params, "finding", "negative coefficient"))
+    return findings
+
+
+def exceptional_fuss_findings(max_k: int) -> list[Finding]:
+    """Check Cat^(k) of the exceptional groups: division and nonnegativity."""
+    findings = []
+    for family in EXCEPTIONAL_DEGREES:
+        w = CoxeterType(family)
+        for k in range(1, max_k + 1):
+            params = {"type": family, "k": k}
+            try:
+                value = coxeter_fuss_catalan(w, k)
+            except NotDivisible:
+                findings.append(Finding("coxeter_fuss_catalan", params, "finding", "not a polynomial"))
+                continue
+            if value.is_nonnegative():
+                findings.append(Finding("coxeter_fuss_catalan", params, "pass"))
+            else:
+                findings.append(Finding("coxeter_fuss_catalan", params, "finding", "negative coefficient"))
+    return findings

@@ -1,0 +1,192 @@
+"""The Lucas sequence {n} and the algebra built on it.
+
+{0} = 0, {1} = 1 and {n} = s*{n-1} + t*{n-2}.  From these one forms the
+Lucastorial {n}! = {1}{2}...{n}, the Lucasnomial {n}!/({k}!{n-k}!), their
+d-divisible analogues {n:d}! = {d}{2d}...{nd}, the divisibility facts
+({m} | {n} iff m | n, gcd behaviour), and the Chebyshev image {n} = U_{n-1}
+under s = 2x, t = -1.  Everything returns exact ``Poly2``/``Poly1`` values.
+
+Specializations worth remembering: (s,t) = (1,1) gives Fibonacci numbers,
+(2,-1) gives the integers, and s = 1+q, t = -q gives q-integers.
+"""
+
+from __future__ import annotations
+
+import threading
+from functools import lru_cache
+
+from .polyring import NotDivisible, Poly1, Poly2
+
+
+class LucasCache:
+    """Grow-only table of {0}, {1}, ... shared by every caller in a process.
+
+    Reads are lock-free once an index is cached; extension happens under a
+    lock, so concurrent callers at worst wait, never see a torn table.
+    """
+
+    def __init__(self) -> None:
+        self._memo: list[Poly2] = [Poly2.zero(), Poly2.one()]
+        self._lock = threading.Lock()
+
+    def get(self, n: int) -> Poly2:
+        if n < 0:
+            raise ValueError("Lucas polynomials are indexed by nonnegative integers")
+        memo = self._memo
+        if n < len(memo):
+            return memo[n]
+        with self._lock:
+            s, t = Poly2.var_s(), Poly2.var_t()
+            while len(self._memo) <= n:
+                m = len(self._memo)
+                self._memo.append(s * self._memo[m - 1] + t * self._memo[m - 2])
+            return self._memo[n]
+
+
+_CACHE = LucasCache()
+
+
+def lucas(n: int) -> Poly2:
+    """The n-th Lucas polynomial {n}."""
+    return _CACHE.get(n)
+
+
+@lru_cache(maxsize=None)
+def lucastorial(n: int) -> Poly2:
+    """{n}! = {1}{2}...{n}, with {0}! = 1 (empty product)."""
+    if n < 0:
+        raise ValueError("negative Lucastorial index")
+    if n == 0:
+        return Poly2.one()
+    return lucastorial(n - 1) * lucas(n)
+
+
+@lru_cache(maxsize=None)
+def lucasnomial(n: int, k: int) -> Poly2:
+    """{n brace k} = {n}!/({k}!{n-k}!); zero outside 0 <= k <= n.
+
+    The quotient is exact by construction; a division failure would mean the
+    arithmetic itself is broken, so NotDivisible is allowed to escape.
+    """
+    if n < 0:
+        raise ValueError("negative Lucasnomial index")
+    if k < 0 or k > n:
+        return Poly2.zero()
+    return lucastorial(n).exact_div(lucastorial(k) * lucastorial(n - k))
+
+
+@lru_cache(maxsize=None)
+def d_lucastorial(n: int, d: int) -> Poly2:
+    """{n:d}! = {d}{2d}...{nd}."""
+    if n < 0 or d < 1:
+        raise ValueError("need n >= 0 and d >= 1")
+    if n == 0:
+        return Poly2.one()
+    return d_lucastorial(n - 1, d) * lucas(n * d)
+
+
+@lru_cache(maxsize=None)
+def d_lucasnomial(n: int, k: int, d: int) -> Poly2:
+    """{n:d brace k:d} = {n:d}!/({k:d}!{n-k:d}!); zero outside 0 <= k <= n."""
+    if n < 0 or d < 1:
+        raise ValueError("need n >= 0 and d >= 1")
+    if k < 0 or k > n:
+        return Poly2.zero()
+    return d_lucastorial(n, d).exact_div(d_lucastorial(k, d) * d_lucastorial(n - k, d))
+
+
+def verify_lucasnomial_recursion(n: int, k: int) -> bool:
+    """{n brace k} = {k+1}{n-1 brace k} + t{n-k-1}{n-1 brace k-1}, 0 < k < n."""
+    if not 0 < k < n:
+        raise ValueError("recursion holds for 0 < k < n")
+    rhs = lucas(k + 1) * lucasnomial(n - 1, k) + Poly2.var_t() * lucas(n - k - 1) * lucasnomial(n - 1, k - 1)
+    return lucasnomial(n, k) == rhs
+
+
+def verify_symmetry_identity(n: int, k: int, r: int) -> bool:
+    """{k}...{k-r+1} {n brace k} = {n-k+r}...{n-k+1} {n brace n-k+r}.
+
+    r is the strip-count parameter (the source calls it t, which collides
+    with the indeterminate).  Requires 0 <= r <= k <= n.
+    """
+    if not 0 <= r <= k <= n:
+        raise ValueError("need 0 <= r <= k <= n")
+    lhs = lucasnomial(n, k)
+    for i in range(r):
+        lhs = lhs * lucas(k - i)
+    rhs = lucasnomial(n, n - k + r)
+    for j in range(1, r + 1):
+        rhs = rhs * lucas(n - k + j)
+    return lhs == rhs
+
+
+def lucas_divides(m: int, n: int) -> Poly2 | None:
+    """{n}/{m} when m | n, else None.
+
+    Mirrors the divisibility theorem: {m} | {n} iff m | n, and the quotient
+    has nonnegative integer coefficients.  Both clauses are asserted, so a
+    violation (impossible, per the theorem) surfaces loudly.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("need positive indices")
+    try:
+        quotient = lucas(n).exact_div(lucas(m))
+    except NotDivisible:
+        quotient = None
+    if n % m == 0:
+        if quotient is None:
+            raise AssertionError(f"{{{m}}} should divide {{{n}}}")
+        if not quotient.is_nonnegative():
+            raise AssertionError(f"quotient {{{n}}}/{{{m}}} has a negative coefficient")
+        return quotient
+    if quotient is not None:
+        raise AssertionError(f"{{{m}}} unexpectedly divides {{{n}}}")
+    return None
+
+
+def verify_gcd_lemma(m: int, n: int) -> bool:
+    """Divisibility restatement of ({m},{n}) = {(m,n)}.
+
+    For every e up to max(m,n): {e} divides both {m} and {n} iff e divides
+    gcd(m,n).  Stated through division attempts so no multivariate gcd is
+    ever needed.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("need positive indices")
+    import math
+
+    g = math.gcd(m, n)
+    for e in range(1, max(m, n) + 1):
+        divides_both = _poly_divides(lucas(e), lucas(m)) and _poly_divides(lucas(e), lucas(n))
+        if divides_both != (g % e == 0):
+            return False
+    return True
+
+
+def _poly_divides(d: Poly2, p: Poly2) -> bool:
+    try:
+        p.exact_div(d)
+        return True
+    except NotDivisible:
+        return False
+
+
+@lru_cache(maxsize=None)
+def chebyshev_U(n: int) -> Poly1:
+    """Chebyshev polynomial of the second kind: U_0 = 1, U_1 = 2x,
+    U_n = 2x U_{n-1} - U_{n-2}.  Exact integer coefficients."""
+    if n < 0:
+        raise ValueError("negative Chebyshev index")
+    if n == 0:
+        return Poly1.const(1)
+    if n == 1:
+        return Poly1({1: 2})
+    return Poly1({1: 2}) * chebyshev_U(n - 1) - chebyshev_U(n - 2)
+
+
+def verify_chebyshev_bridge(n: int) -> bool:
+    """{n} becomes U_{n-1}(x) under s -> 2x, t -> -1."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    image = lucas(n).substitute(Poly1({1: 2}), Poly1.const(-1))
+    return image == chebyshev_U(n - 1)

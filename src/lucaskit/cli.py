@@ -1,19 +1,22 @@
 """Command-line surface.
 
 Every subcommand is deterministic: the same argv and input files produce
-byte-identical output.  Exit codes: 0 success or verification pass, 1 usage
-error, 2 verification failure or conjecture counterexample.  Sweep commands
-honor LUCASKIT_THREADS as a cap on worker threads (default 1, serial); the
-results are merged in parameter order either way.
+byte-identical output.  Exit codes, and the exceptions that ``main`` maps to
+them (each printed as ``error: ...`` on stderr):
+
+    0  success or verification pass
+    1  usage error: bad arguments, ValueError (malformed input documents
+       included), KeyError, OSError, json.JSONDecodeError
+    2  verification failure or conjecture counterexample: a failed check,
+       AssertionError from a theorem guard, NotDivisible from a quotient
+       that is not a polynomial
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import analysis, coxcat, involution, render, shapes_tilings
 from .lucas import (
@@ -27,21 +30,9 @@ from .lucas import (
     verify_lucasnomial_recursion,
     verify_symmetry_identity,
 )
-from .polyring import Poly2
+from .polyring import NotDivisible, Poly2
 
 PASS, USAGE_ERROR, VERIFY_FAIL = 0, 1, 2
-
-
-def _pmap(fn, items):
-    items = list(items)
-    try:
-        workers = int(os.environ.get("LUCASKIT_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -268,7 +259,7 @@ def _verify_involution_types(args) -> int:
             for k in range(n + 1)
             for r in range(k + 1)
         ]
-    reports = _pmap(lambda t: involution.verify_involution(*t), types)
+    reports = [involution.verify_involution(*t) for t in types]
     lines = []
     ok = True
     for report in reports:
@@ -291,16 +282,19 @@ def _cmd_verify(args) -> int:
     checks: list[tuple[str, bool]] = []
     if what == "recursion":
         n_max = args.max_n or 12
-        pairs = [(n, k) for n in range(2, n_max + 1) for k in range(1, n)]
-        results = _pmap(lambda p: verify_lucasnomial_recursion(*p), pairs)
-        checks = [(f"recursion n={n} k={k}", ok) for (n, k), ok in zip(pairs, results)]
+        checks = [
+            (f"recursion n={n} k={k}", verify_lucasnomial_recursion(n, k))
+            for n in range(2, n_max + 1)
+            for k in range(1, n)
+        ]
     elif what == "symmetry":
         n_max = args.max_n or 10
-        triples = [
-            (n, k, r) for n in range(n_max + 1) for k in range(n + 1) for r in range(k + 1)
+        checks = [
+            (f"symmetry n={n} k={k} r={r}", verify_symmetry_identity(n, k, r))
+            for n in range(n_max + 1)
+            for k in range(n + 1)
+            for r in range(k + 1)
         ]
-        results = _pmap(lambda t: verify_symmetry_identity(*t), triples)
-        checks = [(f"symmetry n={n} k={k} r={r}", ok) for (n, k, r), ok in zip(triples, results)]
     elif what == "catalan-id":
         n_max = args.max_n or 12
         checks = [(f"catalan identity n={n}", coxcat.verify_catalan_identity(n)) for n in range(2, n_max + 1)]
@@ -333,9 +327,11 @@ def _cmd_verify(args) -> int:
                 checks.append((f"{{{m}}} | {{{n}}}: {present}", present == (n % m == 0)))
     elif what == "gcd-lemma":
         bound = args.max_n or 12
-        pairs = [(m, n) for m in range(1, bound + 1) for n in range(1, bound + 1)]
-        results = _pmap(lambda p: verify_gcd_lemma(*p), pairs)
-        checks = [(f"gcd lemma m={m} n={n}", ok) for (m, n), ok in zip(pairs, results)]
+        checks = [
+            (f"gcd lemma m={m} n={n}", verify_gcd_lemma(m, n))
+            for m in range(1, bound + 1)
+            for n in range(1, bound + 1)
+        ]
     elif what == "cheby":
         bound = args.max_n or 30
         checks = [(f"chebyshev bridge n={n}", verify_chebyshev_bridge(n)) for n in range(1, bound + 1)]
@@ -485,6 +481,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code else PASS
     try:
         return args.func(args)
+    except (AssertionError, NotDivisible) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return VERIFY_FAIL
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -21,14 +21,16 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .lucas import lucas, lucasnomial
+from .lucas import symmetry_sides
 from .polyring import Poly2
 from .shapes_tilings import (
     DOMINO,
     MONO,
     Binomial,
+    FixedRows,
     MalformedPartial,
     PartialTiling,
+    Run,
     Tiles,
     partial_from_fixed,
     enumerate_partials,
@@ -94,29 +96,28 @@ def _blocked(strip: Strip) -> set[int]:
     return out
 
 
+def _classify_bottom(row_len: int, runs: tuple[Run, ...], x: int) -> str:
+    """NI/NL of (x, 0) for a bottom row of ``row_len`` cells holding fixed ``runs``."""
+    if not 0 <= x <= row_len:
+        return "NL"
+    if any(x - start + 1 in _blocked(tiles) for start, tiles in runs):
+        return "NL"
+    return "NI"
+
+
 def classify_point(context: PartialTiling | Strip, x: int) -> str:
     """NI when a north step from (x, 0) stays inside and cuts no domino.
 
     Strips count as one-row partitions in the first quadrant; anything
-    outside the diagram (x < 0 or beyond the row) is an NL point.
+    outside the diagram (x < 0 or beyond the row) is an NL point.  A partial
+    tiling without rows admits only the north step at x = 0.
     """
     if isinstance(context, PartialTiling):
         shape = context.shape()
         if shape.n_rows == 0:
-            return "NI" if x == 0 else "NL"
-        if not 0 <= x <= shape.cells(1):
-            return "NL"
-        blocked: set[int] = set()
-        for start, tiles in context.fixed[0]:
-            pos = start - 1
-            for tile in tiles:
-                if tile == DOMINO:
-                    blocked.add(pos + 1)
-                pos += tile
-        return "NL" if x in blocked else "NI"
-    if not 0 <= x <= strip_cells(context):
-        return "NL"
-    return "NL" if x in _blocked(context) else "NI"
+            return _classify_bottom(0, (), x)
+        return _classify_bottom(shape.cells(1), context.fixed[0], x)
+    return _classify_bottom(strip_cells(context), ((1, context),), x)
 
 
 # -- extended tilings -------------------------------------------------------------
@@ -171,28 +172,17 @@ class ExtendedTiling:
         return ExtendedTiling(partial, strips)
 
 
-def _bottom_strip(partial: PartialTiling) -> Strip:
-    runs = partial.fixed[0] if partial.fixed else ()
-    return runs[0][1] if runs else ()
-
-
-def _drop_bottom(partial: PartialTiling, k_inner: int) -> PartialTiling:
-    n = partial.variant.n
-    return partial_from_fixed(Binomial(n - 1, k_inner), partial.fixed[1:])
-
-
-def _prepend_row(inner: PartialTiling, anchor: str, tiles: Strip, n: int, k_out: int) -> PartialTiling:
+def _prepend_row(rows: FixedRows, anchor: str, tiles: Strip, n: int) -> FixedRows:
+    """Attach ``tiles`` as the bottom row of delta_n, flush left or right."""
     if n == 1:
         # delta_1 has no rows; the "bottom row" being attached holds no cells.
         if tiles:
             raise MalformedPartial("a nonempty strip cannot enter an empty bottom row")
-        return partial_from_fixed(Binomial(1, k_out), ())
-    if tiles:
-        start = 1 if anchor == "left" else n - strip_cells(tiles)
-        bottom: tuple = ((start, tuple(tiles)),)
-    else:
-        bottom = ()
-    return partial_from_fixed(Binomial(n, k_out), (bottom,) + inner.fixed)
+        return ()
+    if not tiles:
+        return ((),) + rows
+    start = 1 if anchor == "left" else n - strip_cells(tiles)
+    return (((start, tiles),),) + rows
 
 
 def iota(extended: ExtendedTiling) -> ExtendedTiling:
@@ -201,45 +191,47 @@ def iota(extended: ExtendedTiling) -> ExtendedTiling:
 
 
 def iota_trace(extended: ExtendedTiling) -> tuple[ExtendedTiling, tuple[str, ...]]:
-    """The involution plus the case letter chosen at each recursion level."""
+    """The involution plus the case letter chosen at each recursion level.
+
+    The input is valid by construction, so the recursion runs on bare fixed
+    rows and strips; only the image is validated, once, as it is rebuilt.
+    """
+    n, k, r = extended.type_triple()
     trace: list[str] = []
     try:
-        result = _iota(extended, trace)
-    except (BrokenDomino, MalformedPartial, ValueError) as exc:
-        if isinstance(exc, Malformed):
-            raise
+        rows, strips = _iota(n, k, extended.partial.fixed, extended.strips, trace)
+        result = ExtendedTiling(partial_from_fixed(Binomial(n, n - k + r), rows), strips)
+    except ValueError as exc:
         raise Malformed(f"after cases {''.join(trace)}: {exc}") from exc
     return result, tuple(trace)
 
 
-def _iota(extended: ExtendedTiling, trace: list[str]) -> ExtendedTiling:
-    n, k, r = extended.type_triple()
+def _iota(
+    n: int, k: int, rows: FixedRows, strips: tuple[Strip, ...], trace: list[str]
+) -> tuple[FixedRows, tuple[Strip, ...]]:
+    """iota on type (n, k, len(strips)) given B's fixed rows; returns the image's."""
     if n == 0:
-        return extended
-    partial = extended.partial
-    strips = extended.strips
-    R = _bottom_strip(partial)
-    start_ni = classify_point(partial, k) == "NI"
+        return rows, strips
+    r = len(strips)
+    bottom = rows[0] if rows else ()
+    R = bottom[0][1] if bottom else ()
+    inner_rows = rows[1:]
 
-    if start_ni:
-        second_ni = classify_point(partial, k - r - 1) == "NI"
-        if second_ni:
+    if _classify_bottom(n - 1, bottom, k) == "NI":
+        if _classify_bottom(n - 1, bottom, k - r - 1) == "NI":
             trace.append("a")
             s_new = strip_first(R, k - r - 1)
-            inner = ExtendedTiling(_drop_bottom(partial, k), strips + (s_new,))
-            res = _iota(inner, trace)
-            row = strip_concat(res.strips[r], strip_reverse(strip_last(R, r + 1)))
-            out_partial = _prepend_row(res.partial, "left", row, n, n - k + r)
-            return ExtendedTiling(out_partial, res.strips[:r])
+            res_rows, res_strips = _iota(n - 1, k, inner_rows, strips + (s_new,), trace)
+            row = strip_concat(res_strips[r], strip_reverse(strip_last(R, r + 1)))
+            return _prepend_row(res_rows, "left", row, n), res_strips[:r]
         trace.append("b")
-        inner = ExtendedTiling(_drop_bottom(partial, k), strips)
-        res = _iota(inner, trace)
+        res_rows, res_strips = _iota(n - 1, k, inner_rows, strips, trace)
         row = strip_reverse(strip_first(R, k - r))
-        out_partial = _prepend_row(res.partial, "right", row, n, n - k + r)
+        out_rows = _prepend_row(res_rows, "right", row, n)
         if r == 0:
-            return ExtendedTiling(out_partial, ())
-        first = strip_concat(res.strips[r - 1], strip_reverse(strip_last(R, r)))
-        return ExtendedTiling(out_partial, (first,) + res.strips[: r - 1])
+            return out_rows, ()
+        first = strip_concat(res_strips[r - 1], strip_reverse(strip_last(R, r)))
+        return out_rows, (first,) + res_strips[: r - 1]
 
     s1 = strips[0] if r >= 1 else ()
     # With r = 0 there is no S_1 and the NI branch applies by convention.
@@ -249,18 +241,14 @@ def _iota(extended: ExtendedTiling, trace: list[str]) -> ExtendedTiling:
         trace.append("c")
         # With r = 0 there is no S_1 to cut, and the inner call carries no strips.
         inner_strips = strips[1:] + (strip_first(s1, k - r - 1),) if r >= 1 else ()
-        inner = ExtendedTiling(_drop_bottom(partial, k - 1), inner_strips)
-        res = _iota(inner, trace)
+        res_rows, res_strips = _iota(n - 1, k - 1, inner_rows, inner_strips, trace)
         row = strip_first(rs, n - k + r)
-        out_partial = _prepend_row(res.partial, "left", row, n, n - k + r)
-        return ExtendedTiling(out_partial, res.strips)
+        return _prepend_row(res_rows, "left", row, n), res_strips
     trace.append("d")
-    inner = ExtendedTiling(_drop_bottom(partial, k - 1), strips[1:])
-    res = _iota(inner, trace)
+    res_rows, res_strips = _iota(n - 1, k - 1, inner_rows, strips[1:], trace)
     row = strip_last(rs, k - r)
-    out_partial = _prepend_row(res.partial, "right", row, n, n - k + r)
     first = strip_first(rs, n - k + r - 1)
-    return ExtendedTiling(out_partial, (first,) + res.strips)
+    return _prepend_row(res_rows, "right", row, n), (first,) + res_strips
 
 
 # -- enumeration and verification -----------------------------------------------
@@ -306,17 +294,6 @@ class InvolutionReport:
             "failures": self.failures,
             "ok": self.ok,
         }
-
-
-def symmetry_sides(n: int, k: int, r: int) -> tuple[Poly2, Poly2]:
-    """LHS and RHS of the symmetry identity for type (n, k, r)."""
-    lhs = lucasnomial(n, k)
-    for i in range(r):
-        lhs = lhs * lucas(k - i)
-    rhs = lucasnomial(n, n - k + r)
-    for j in range(1, r + 1):
-        rhs = rhs * lucas(n - k + j)
-    return lhs, rhs
 
 
 def verify_involution(n: int, k: int, r: int) -> InvolutionReport:

@@ -103,8 +103,8 @@ def verify_lucasnomial_recursion(n: int, k: int) -> bool:
     return lucasnomial(n, k) == rhs
 
 
-def verify_symmetry_identity(n: int, k: int, r: int) -> bool:
-    """{k}...{k-r+1} {n brace k} = {n-k+r}...{n-k+1} {n brace n-k+r}.
+def symmetry_sides(n: int, k: int, r: int) -> tuple[Poly2, Poly2]:
+    """The two sides {k}...{k-r+1} {n brace k} and {n-k+r}...{n-k+1} {n brace n-k+r}.
 
     r is the strip-count parameter (the source calls it t, which collides
     with the indeterminate).  Requires 0 <= r <= k <= n.
@@ -117,6 +117,12 @@ def verify_symmetry_identity(n: int, k: int, r: int) -> bool:
     rhs = lucasnomial(n, n - k + r)
     for j in range(1, r + 1):
         rhs = rhs * lucas(n - k + j)
+    return lhs, rhs
+
+
+def verify_symmetry_identity(n: int, k: int, r: int) -> bool:
+    """{k}...{k-r+1} {n brace k} = {n-k+r}...{n-k+1} {n brace n-k+r}."""
+    lhs, rhs = symmetry_sides(n, k, r)
     return lhs == rhs
 
 

@@ -322,7 +322,7 @@ def _hom_exact_div(pp: tuple[int, tuple[int, ...]], pq: tuple[int, tuple[int, ..
     g0 = g[0]
     h = [0] * (deg_h + 1)
     for k in range(len(f)):
-        acc = f[k] if k < len(f) else 0
+        acc = f[k]
         for j in range(max(1, k - deg_h), min(k, len(g) - 1) + 1):
             acc -= g[j] * h[k - j]
         if k <= deg_h:

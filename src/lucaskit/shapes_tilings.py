@@ -478,7 +478,16 @@ class PartialTiling:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> PartialTiling:
+        """Parse strictly: the document must be the partial's own serialisation.
+
+        Unknown tokens, a wrong number of rows, and any field (``start``,
+        ``path``, row padding, extra keys) that differs from the rebuilt
+        partial's ``to_json_dict`` raise ``MalformedPartial``.
+        """
         variant = _variant_from_json(data["variant"])
+        n_rows = variant.shape().n_rows
+        if len(data["rows"]) != n_rows:
+            raise MalformedPartial(f"{len(data['rows'])} rows for a shape with {n_rows}")
         fixed = []
         for row in data["rows"]:
             runs: list[Run] = []
@@ -491,16 +500,23 @@ class PartialTiling:
                         runs.append((start, tuple(current)))
                         current = []
                     col += 1
-                else:
+                elif tok in ("M", "D"):
                     if not current:
                         start = col
                     tile = MONO if tok == "M" else DOMINO
                     current.append(tile)
                     col += tile
+                else:
+                    raise MalformedPartial(f"unknown tile token {tok!r}")
             if current:
                 runs.append((start, tuple(current)))
             fixed.append(tuple(runs))
-        return partial_from_fixed(variant, tuple(fixed))
+        partial = partial_from_fixed(variant, tuple(fixed))
+        canonical = partial.to_json_dict()
+        wrong = sorted(key for key in canonical.keys() | data.keys() if canonical.get(key) != data.get(key))
+        if wrong:
+            raise MalformedPartial(f"{', '.join(wrong)} disagree with the partial the rows describe")
+        return partial
 
 
 def _variant_to_json(v: Variant) -> dict:

@@ -3,7 +3,7 @@
 import json
 
 from lucaskit import cli
-from lucaskit.polyring import Poly2
+from lucaskit.polyring import NotDivisible, Poly2
 from lucaskit.shapes_tilings import Binomial, partial_from_tiling, staircase, Tiling
 
 
@@ -97,10 +97,26 @@ class TestVerifyCommands:
         assert code == 2
         assert "forced" in out
 
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("LUCASKIT_THREADS", "2")
+    def test_gcd_lemma(self, capsys):
         code, out = run(capsys, "verify", "gcd-lemma", "--max-n", "6")
         assert code == 0
+        assert out.strip() == "gcd-lemma: 36/36 pass"
+
+    def test_theorem_guard_exit_code(self, capsys, monkeypatch):
+        def violated(m, n):
+            raise AssertionError(f"{{{m}}} should divide {{{n}}}")
+
+        monkeypatch.setattr(cli, "lucas_divides", violated)
+        assert cli.main(["verify", "hoggatt-long", "--max-n", "3"]) == 2
+        assert capsys.readouterr().err == "error: {1} should divide {1}\n"
+
+    def test_counterexample_exit_code(self, capsys, monkeypatch):
+        def counterexample(n, k):
+            raise NotDivisible("nonzero remainder")
+
+        monkeypatch.setattr(cli.coxcat, "narayana", counterexample)
+        assert cli.main(["narayana", "--n", "4", "--k", "2"]) == 2
+        assert capsys.readouterr().err == "error: nonzero remainder\n"
 
 
 class TestTilings:

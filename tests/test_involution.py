@@ -131,6 +131,34 @@ class TestIotaBaseCases:
             assert iota(iota(example)) == example
 
 
+class TestIotaInnerInputs:
+    def test_first_level_inner_input_is_extended_tiling(self):
+        # iota validates only its image; this checks that each recursion level
+        # hands the next one a well-formed extended tiling of type (n-1, k', r').
+        # Smaller types stand for the deeper levels, so every level to n = 6 is covered.
+        checked = 0
+        for n in range(1, 7):
+            for k in range(n + 1):
+                for r in range(k + 1):
+                    for ext in enumerate_extended(n, k, r):
+                        fixed, strips = ext.partial.fixed, ext.strips
+                        R = fixed[0][0][1] if fixed and fixed[0] else ()
+                        case = iota_trace(ext)[1][0]
+                        if case == "a":
+                            inner_k, inner_strips = k, strips + (strip_first(R, k - r - 1),)
+                        elif case == "b":
+                            inner_k, inner_strips = k, strips
+                        elif case == "c":
+                            cut = (strip_first(strips[0], k - r - 1),) if r else ()
+                            inner_k, inner_strips = k - 1, strips[1:] + cut
+                        else:
+                            inner_k, inner_strips = k - 1, strips[1:]
+                        inner = partial_from_fixed(Binomial(n - 1, inner_k), fixed[1:])
+                        ExtendedTiling(inner, inner_strips)
+                        checked += 1
+        assert checked == 3691
+
+
 class TestVerifyInvolution:
     def test_4_2_1(self):
         report = verify_involution(4, 2, 1)

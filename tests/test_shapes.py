@@ -40,6 +40,11 @@ EXAMPLE_TILING = Tiling(staircase(6), ((1, 1, 2, 1), (2, 1, 1), (1, 2), (1, 1), 
 DDIV_TILING = Tiling(d_staircase(4, 2), ((2, 1, 2, 1, 1), (1, 2, 2), (1, 1, 1), (1,)))
 
 
+def binomial_4_2_document() -> dict:
+    """JSON of the Binomial(4,2) partial with rows [D .], [D], [.]."""
+    return partial_from_tiling(Tiling(staircase(4), ((2, 1), (2,), (1,))), Binomial(4, 2)).to_json_dict()
+
+
 class TestShape:
     def test_staircases(self):
         assert staircase(6).outer == (5, 4, 3, 2, 1)
@@ -218,6 +223,41 @@ class TestPartials:
         assert data["rows"][0] == [".", ".", "D", "M"]
         assert data["path"] == "WNNWNNNWN"
         assert PartialTiling.from_json_dict(data) == partial
+
+    def test_json_rejects_unknown_token(self):
+        data = binomial_4_2_document()
+        assert data["rows"][0] == ["D", "."]
+        data["rows"][0][0] = "X"
+        with pytest.raises(MalformedPartial, match="'X'"):
+            PartialTiling.from_json_dict(data)
+
+    def test_json_rejects_foreign_start_and_path(self):
+        data = binomial_4_2_document()
+        data["start"], data["path"] = [0, 0], "WWWW"
+        with pytest.raises(MalformedPartial, match="path, start"):
+            PartialTiling.from_json_dict(data)
+
+    def test_json_rejects_missing_row(self):
+        data = binomial_4_2_document()
+        data["rows"].pop()
+        with pytest.raises(MalformedPartial, match="2 rows"):
+            PartialTiling.from_json_dict(data)
+
+    def test_json_one_token_mutations(self):
+        # Every single-token edit is either rejected or is itself a canonical document.
+        for variant in (Binomial(4, 2), Catalan(3), FussCatalan(2, 2), DDivisible(3, 1, 2)):
+            for partial in enumerate_partials(variant):
+                data = partial.to_json_dict()
+                for r, row in enumerate(data["rows"]):
+                    for i in range(len(row)):
+                        for token in ("M", "D", ".", "X"):
+                            mutated = {**data, "rows": [list(x) for x in data["rows"]]}
+                            mutated["rows"][r][i] = token
+                            try:
+                                parsed = PartialTiling.from_json_dict(mutated)
+                            except MalformedPartial:
+                                continue
+                            assert parsed.to_json_dict() == mutated
 
 
 class TestBlockPartition:

@@ -1,0 +1,94 @@
+"""Pinned CLI output: the exit code and the exact stdout of fixed commands.
+
+Each file under ``tests/golden/`` holds ``exit <code>`` on its first line and
+the command's stdout after it.  After an intended output change, regenerate
+them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff.
+"""
+
+import contextlib
+import io
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from lucaskit import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = {"{extended}": str(GOLDEN / "extended-7-5-2.json")}
+
+QUANTITY_COMMANDS = [
+    ["lucas", "--n", "6"],
+    ["lucastorial", "--n", "4"],
+    ["lucasnomial", "--n", "6", "--k", "3"],
+    ["dlucasnomial", "--n", "4", "--k", "2", "--d", "2"],
+    ["catalan", "--n", "4"],
+    ["fuss", "--n", "3", "--k", "2"],
+    ["narayana", "--n", "6", "--k", "3"],
+    ["rational", "--a", "3", "--b", "5"],
+]
+
+COMMANDS = [
+    *([*command, "--format", fmt] for command in QUANTITY_COMMANDS for fmt in ("pretty", "json", "csv")),
+    ["rational", "--a", "4", "--b", "6"],
+    ["coxeter", "--type", "A", "--n", "3"],
+    ["coxeter", "--type", "B", "--n", "3", "--fuss-k", "2"],
+    ["coxeter", "--type", "D", "--n", "4", "--format", "json"],
+    ["coxeter", "--type", "I2", "--m", "5"],
+    ["coxeter", "--type", "I2", "--m", "5", "--fuss-k", "3", "--format", "csv"],
+    ["coxeter", "--type", "H3"],
+    ["coxeter", "--type", "F4", "--fuss-k", "2"],
+    ["coxeter", "--type", "B"],
+    ["coxeter", "--type", "I2", "--n", "5"],
+    ["analyze", "--expr", "lucas:6"],
+    ["analyze", "--expr", "lucastorial:4"],
+    ["analyze", "--expr", "lucasnomial:6:3"],
+    ["analyze", "--expr", "dlucasnomial:4:2:2"],
+    ["analyze", "--expr", "catalan:4", "--format", "json"],
+    ["analyze", "--expr", "fuss:3:2"],
+    ["analyze", "--expr", "narayana:6:3", "--format", "csv"],
+    ["analyze", "--expr", "rational:3:5"],
+    ["analyze", "--expr", "coxeter:H3"],
+    ["analyze", "--expr", "coxeter:B:3"],
+    ["analyze", "--expr", "coxeter:I2:5:2"],
+    ["analyze", "--expr", "coxeter:F4:2"],
+    ["analyze", "--expr", "nonsense:3"],
+    ["tilings", "partition", "--variant", "binomial", "--n", "5", "--k", "2", "--format", "json"],
+    ["tilings", "partition", "--variant", "catalan", "--n", "3", "--format", "json"],
+    ["tilings", "partition", "--variant", "fuss", "--n", "2", "--k", "2", "--format", "json"],
+    ["tilings", "partition", "--variant", "ddivisible", "--n", "3", "--k", "1", "--d", "2", "--format", "json"],
+    ["tilings", "partition", "--variant", "catalan", "--n", "3"],
+    ["involution", "apply", "--input", "{extended}"],
+    ["involution", "apply", "--input", "{extended}", "--format", "json"],
+    ["findings", "narayana", "--max-n", "12"],
+    ["findings", "rational", "--max-ab", "12"],
+    ["findings", "exceptional-fuss", "--max-k", "2"],
+]
+
+
+def golden_path(argv: list[str]) -> Path:
+    return GOLDEN / (re.sub(r"[^A-Za-z0-9]+", "-", " ".join(argv)).strip("-") + ".txt")
+
+
+def run(argv: list[str]) -> str:
+    """``exit <code>`` and then the command's stdout, as the golden files hold them."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([INPUTS.get(arg, arg) for arg in argv])
+    return f"exit {code}\n{out.getvalue()}"
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_cli_matches_golden(argv):
+    assert run(argv) == golden_path(argv).read_bytes().decode()
+
+
+if __name__ == "__main__":
+    for argv in COMMANDS:
+        golden_path(argv).write_bytes(run(argv).encode())
+    print(f"wrote {len(COMMANDS)} files to {GOLDEN}", file=sys.stderr)

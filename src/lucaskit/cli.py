@@ -15,16 +15,13 @@ them (each printed as ``error: ...`` on stderr):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from . import analysis, coxcat, involution, render, shapes_tilings
+from . import analysis, coxcat, involution, lucas, render, shapes_tilings
 from .lucas import (
-    d_lucasnomial,
-    lucas,
     lucas_divides,
-    lucasnomial,
-    lucastorial,
     verify_chebyshev_bridge,
     verify_gcd_lemma,
     verify_lucasnomial_recursion,
@@ -33,6 +30,19 @@ from .lucas import (
 from .polyring import NotDivisible, Poly2
 
 PASS, USAGE_ERROR, VERIFY_FAIL = 0, 1, 2
+
+# Subcommand -> (module, function name, its integer flags in argument order).
+# The function is looked up at call time, so a patched module attribute is used.
+QUANTITIES = {
+    "lucas": (lucas, "lucas", ("n",)),
+    "lucastorial": (lucas, "lucastorial", ("n",)),
+    "lucasnomial": (lucas, "lucasnomial", ("n", "k")),
+    "dlucasnomial": (lucas, "d_lucasnomial", ("n", "k", "d")),
+    "catalan": (coxcat, "lucas_catalan", ("n",)),
+    "fuss": (coxcat, "fuss_catalan", ("n", "k")),
+    "narayana": (coxcat, "narayana", ("n", "k")),
+    "rational": (coxcat, "rational_catalan", ("a", "b")),
+}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -80,29 +90,24 @@ def _require(args, *names: str) -> list[int]:
 
 
 def _parse_variant(args) -> shapes_tilings.Variant:
-    kind = args.variant
-    if kind == "binomial":
-        return shapes_tilings.Binomial(*_require(args, "n", "k"))
-    if kind == "catalan":
-        return shapes_tilings.Catalan(*_require(args, "n"))
-    if kind == "fuss":
-        return shapes_tilings.FussCatalan(*_require(args, "n", "k"))
-    if kind == "ddivisible":
-        return shapes_tilings.DDivisible(*_require(args, "n", "k", "d"))
-    raise ValueError("--variant is required for partition (binomial|catalan|fuss|ddivisible)")
+    if args.variant is None:
+        raise ValueError(f"--variant is required for partition ({'|'.join(shapes_tilings.VARIANTS)})")
+    cls = shapes_tilings.VARIANTS[args.variant]
+    return cls(*_require(args, *(f.name for f in dataclasses.fields(cls))))
 
 
-def _coxeter_type(args) -> coxcat.CoxeterType:
-    family = args.type
-    if family in ("A", "B", "D"):
-        if args.n is None:
-            raise ValueError(f"--type {family} needs --n")
-        return coxcat.CoxeterType(family, args.n)
-    if family == "I2":
-        if args.m is None:
-            raise ValueError("--type I2 needs --m")
-        return coxcat.CoxeterType("I2", args.m)
-    return coxcat.CoxeterType(family)
+def _coxeter(family: str, param: int | None, fuss_k: int | None) -> Poly2:
+    """Cat W, or Cat^(fuss_k) W, for the group of this family.
+
+    ``param`` is the rank of A, B, D or the m of I2; the exceptional types
+    take none and ignore it.
+    """
+    if family in coxcat.EXCEPTIONAL_DEGREES:
+        param = None
+    elif param is None:
+        raise ValueError(f"--type {family} needs --{'m' if family == 'I2' else 'n'}")
+    w = coxcat.CoxeterType(family, param)
+    return coxcat.coxeter_catalan(w) if fuss_k is None else coxcat.coxeter_fuss_catalan(w, fuss_k)
 
 
 def _read_json_input(path: str) -> dict:
@@ -113,65 +118,44 @@ def _read_json_input(path: str) -> dict:
 
 
 def _named_quantity(expr: str) -> Poly2:
-    """Mini grammar for analyze: name:arg[:arg...]."""
-    parts = expr.split(":")
-    name, args = parts[0], parts[1:]
-    if name == "lucas":
-        return lucas(int(args[0]))
-    if name == "lucastorial":
-        return lucastorial(int(args[0]))
-    if name == "lucasnomial":
-        return lucasnomial(int(args[0]), int(args[1]))
-    if name == "dlucasnomial":
-        return d_lucasnomial(int(args[0]), int(args[1]), int(args[2]))
-    if name == "catalan":
-        return coxcat.lucas_catalan(int(args[0]))
-    if name == "fuss":
-        return coxcat.fuss_catalan(int(args[0]), int(args[1]))
-    if name == "rational":
-        return coxcat.rational_catalan(int(args[0]), int(args[1]))
-    if name == "narayana":
-        return coxcat.narayana(int(args[0]), int(args[1]))
-    if name == "coxeter":
-        family = args[0]
-        if family in coxcat.EXCEPTIONAL_DEGREES:
-            w = coxcat.CoxeterType(family)
-            rest = args[1:]
-        else:
-            w = coxcat.CoxeterType(family, int(args[1]))
-            rest = args[2:]
-        if rest:
-            return coxcat.coxeter_fuss_catalan(w, int(rest[0]))
-        return coxcat.coxeter_catalan(w)
-    raise ValueError(f"unknown quantity {expr!r}")
+    """Mini grammar for analyze, colon-separated:
+
+        <quantity>:<int>...         a quantity subcommand with one integer per
+                                    flag, in flag order: lucasnomial:6:3 is
+                                    ``lucasnomial --n 6 --k 3``
+        coxeter:<family>[:<param>][:<k>]
+                                    Cat W, or Cat^(k) W; <param> is the rank of
+                                    A, B, D or the m of I2, and absent for the
+                                    exceptional types: coxeter:H3, coxeter:B:3:2
+
+    Any other count of integers is an error.
+    """
+    name, *parts = expr.split(":")
+    if name == "coxeter" and parts:
+        family, *parts = parts
+        arity = 0 if family in coxcat.EXCEPTIONAL_DEGREES else 1
+        if len(parts) not in (arity, arity + 1):
+            raise ValueError(f"{expr!r}: want coxeter:{family}{':<param>' * arity}[:<k>]")
+        param = int(parts.pop(0)) if arity else None
+        return _coxeter(family, param, int(parts[0]) if parts else None)
+    if name not in QUANTITIES:
+        raise ValueError(f"unknown quantity {expr!r}")
+    module, function, flags = QUANTITIES[name]
+    if len(parts) != len(flags):
+        raise ValueError(f"{expr!r}: want {name}" + "".join(f":<{flag}>" for flag in flags))
+    return getattr(module, function)(*(int(p) for p in parts))
 
 
 # -- subcommand handlers -------------------------------------------------------
 
 
 def _cmd_poly(args) -> int:
-    name = args.command
-    if name == "lucas":
-        value = lucas(args.n)
-    elif name == "lucastorial":
-        value = lucastorial(args.n)
-    elif name == "lucasnomial":
-        value = lucasnomial(args.n, args.k)
-    elif name == "dlucasnomial":
-        value = d_lucasnomial(args.n, args.k, args.d)
-    elif name == "catalan":
-        value = coxcat.lucas_catalan(args.n)
-    elif name == "fuss":
-        value = coxcat.fuss_catalan(args.n, args.k)
-    elif name == "rational":
-        value = coxcat.rational_catalan(args.a, args.b)
-    elif name == "narayana":
-        value = coxcat.narayana(args.n, args.k)
-    elif name == "coxeter":
-        w = _coxeter_type(args)
-        value = coxcat.coxeter_fuss_catalan(w, args.fuss_k) if args.fuss_k else coxcat.coxeter_catalan(w)
+    if args.command == "coxeter":
+        # A --fuss-k of 0 asks for Cat W, as does no --fuss-k.
+        value = _coxeter(args.type, args.m if args.type == "I2" else args.n, args.fuss_k or None)
     else:
-        raise ValueError(name)
+        module, function, flags = QUANTITIES[args.command]
+        value = getattr(module, function)(*(getattr(args, flag) for flag in flags))
     _emit(_poly_output(value, args.format), args.out)
     return PASS
 
@@ -215,7 +199,7 @@ def _cmd_tilings(args) -> int:
             data = _read_json_input(args.input)
             obj = (
                 shapes_tilings.PartialTiling.from_json_dict(data)
-                if "path" in data
+                if isinstance(data, dict) and "path" in data
                 else shapes_tilings.Tiling.from_json_dict(data)
             )
         else:
@@ -394,16 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default="pretty", choices=["pretty", "json", "csv", "svg", "ascii"])
         p.add_argument("--out", default=None, help="write output to this file")
 
-    for name, flags in [
-        ("lucas", ["n"]),
-        ("lucastorial", ["n"]),
-        ("lucasnomial", ["n", "k"]),
-        ("dlucasnomial", ["n", "k", "d"]),
-        ("catalan", ["n"]),
-        ("fuss", ["n", "k"]),
-        ("narayana", ["n", "k"]),
-        ("rational", ["a", "b"]),
-    ]:
+    for name, (_, _, flags) in QUANTITIES.items():
         p = sub.add_parser(name)
         for flag in flags:
             p.add_argument(f"--{flag}", type=int, required=True)
@@ -421,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tilings")
     p.add_argument("action", choices=["enumerate", "partition", "render"])
     p.add_argument("--shape", default=None, help="delta:n | ddelta:n:d | skew:9.7.5/4")
-    p.add_argument("--variant", default=None, choices=["binomial", "catalan", "fuss", "ddivisible"])
+    p.add_argument("--variant", default=None, choices=list(shapes_tilings.VARIANTS))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--d", type=int, default=None)

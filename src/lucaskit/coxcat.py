@@ -89,13 +89,10 @@ class CoxeterType:
 
 @lru_cache(maxsize=None)
 def lucas_catalan(n: int) -> Poly2:
-    """C_{n} = {2n brace n}/{n+1}; nonnegative by its tiling interpretation."""
+    """C_{n} = {2n brace n}/{n+1}, the Fuss-Catalan analogue C_{n,1}."""
     if n < 0:
         raise ValueError("need n >= 0")
-    value = lucasnomial(2 * n, n).exact_div(lucas(n + 1))
-    if not value.is_nonnegative():
-        raise AssertionError(f"Catalan analogue C_{n} has a negative coefficient")
-    return value
+    return fuss_catalan(n, 1)
 
 
 def verify_catalan_identity(n: int) -> bool:
@@ -142,17 +139,8 @@ def verify_fuss_identity(n: int, k: int) -> bool:
 
 @lru_cache(maxsize=None)
 def coxeter_catalan(w: CoxeterType) -> Poly2:
-    """Cat {W} = prod {h + d_i} / prod {d_i}; a nonnegative polynomial."""
-    h = w.coxeter_number()
-    numerator = Poly2.one()
-    denominator = Poly2.one()
-    for d in w.degrees():
-        numerator = numerator * lucas(h + d)
-        denominator = denominator * lucas(d)
-    value = numerator.exact_div(denominator)
-    if not value.is_nonnegative():
-        raise AssertionError(f"Cat {w} has a negative coefficient")
-    return value
+    """Cat {W} = prod {h + d_i} / prod {d_i} = Cat^(1) {W}; a nonnegative polynomial."""
+    return coxeter_fuss_catalan(w, 1)
 
 
 @lru_cache(maxsize=None)
@@ -160,8 +148,9 @@ def coxeter_fuss_catalan(w: CoxeterType, k: int) -> Poly2:
     """Cat^(k) {W} = prod {kh + d_i} / prod {d_i}.
 
     Polynomiality with nonnegative coefficients is a theorem for A, B, D and
-    I2 (asserted here); for the exceptional types the quotient is computed
-    and the caller decides what to do with negative coefficients.
+    I2 and for every type at k = 1 (asserted here); for the exceptional types
+    at k > 1 the quotient is computed and the caller decides what to do with
+    negative coefficients.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -172,7 +161,7 @@ def coxeter_fuss_catalan(w: CoxeterType, k: int) -> Poly2:
         numerator = numerator * lucas(k * h + d)
         denominator = denominator * lucas(d)
     value = numerator.exact_div(denominator)
-    if w.family in ("A", "B", "D", "I2") and not value.is_nonnegative():
+    if (k == 1 or w.family in ("A", "B", "D", "I2")) and not value.is_nonnegative():
         raise AssertionError(f"Cat^({k}) {w} has a negative coefficient")
     return value
 
@@ -258,58 +247,48 @@ class Finding:
         )
 
 
+def _sweep(op: str, points, compute, not_polynomial: str = "finding") -> list[Finding]:
+    """One Finding per parameter dict in ``points`` for the value ``compute(params)``.
+
+    A quotient that is not a polynomial gets status ``not_polynomial``, a
+    negative coefficient is a finding, and anything else passes.
+    """
+    findings = []
+    for params in points:
+        try:
+            value = compute(params)
+        except NotDivisible:
+            findings.append(Finding(op, params, not_polynomial, "not a polynomial"))
+            continue
+        if value.is_nonnegative():
+            findings.append(Finding(op, params, "pass"))
+        else:
+            findings.append(Finding(op, params, "finding", "negative coefficient"))
+    return findings
+
+
 def narayana_findings(max_n: int) -> list[Finding]:
     """Sweep the Narayana nonnegativity conjecture up to max_n."""
-    findings = []
-    for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
-            params = {"n": n, "k": k}
-            try:
-                value = narayana(n, k)
-            except NotDivisible:
-                findings.append(Finding("narayana", params, "finding", "not a polynomial"))
-                continue
-            if value.is_nonnegative():
-                findings.append(Finding("narayana", params, "pass"))
-            else:
-                findings.append(Finding("narayana", params, "finding", "negative coefficient"))
-    return findings
+    points = ({"n": n, "k": k} for n in range(1, max_n + 1) for k in range(1, n + 1))
+    return _sweep("narayana", points, lambda p: narayana(p["n"], p["k"]))
 
 
 def rational_catalan_findings(max_ab: int) -> list[Finding]:
     """Sweep rational Catalan polynomiality (theorem) and nonnegativity (open)."""
-    findings = []
-    for a in range(1, max_ab + 1):
-        for b in range(a + 1, max_ab + 1):
-            if gcd(a, b) != 1:
-                continue
-            params = {"a": a, "b": b}
-            try:
-                value = rational_catalan(a, b)
-            except NotDivisible:
-                findings.append(Finding("rational_catalan", params, "fail", "not a polynomial"))
-                continue
-            if value.is_nonnegative():
-                findings.append(Finding("rational_catalan", params, "pass"))
-            else:
-                findings.append(Finding("rational_catalan", params, "finding", "negative coefficient"))
-    return findings
+    points = (
+        {"a": a, "b": b}
+        for a in range(1, max_ab + 1)
+        for b in range(a + 1, max_ab + 1)
+        if gcd(a, b) == 1
+    )
+    return _sweep(
+        "rational_catalan", points, lambda p: rational_catalan(p["a"], p["b"]), not_polynomial="fail"
+    )
 
 
 def exceptional_fuss_findings(max_k: int) -> list[Finding]:
     """Check Cat^(k) of the exceptional groups: division and nonnegativity."""
-    findings = []
-    for family in EXCEPTIONAL_DEGREES:
-        w = CoxeterType(family)
-        for k in range(1, max_k + 1):
-            params = {"type": family, "k": k}
-            try:
-                value = coxeter_fuss_catalan(w, k)
-            except NotDivisible:
-                findings.append(Finding("coxeter_fuss_catalan", params, "finding", "not a polynomial"))
-                continue
-            if value.is_nonnegative():
-                findings.append(Finding("coxeter_fuss_catalan", params, "pass"))
-            else:
-                findings.append(Finding("coxeter_fuss_catalan", params, "finding", "negative coefficient"))
-    return findings
+    points = ({"type": family, "k": k} for family in EXCEPTIONAL_DEGREES for k in range(1, max_k + 1))
+    return _sweep(
+        "coxeter_fuss_catalan", points, lambda p: coxeter_fuss_catalan(CoxeterType(p["type"]), p["k"])
+    )

@@ -32,10 +32,12 @@ from .shapes_tilings import (
     PartialTiling,
     Run,
     Tiles,
-    partial_from_fixed,
+    _row_data,
+    check_keys,
     enumerate_partials,
+    partial_from_fixed,
     row_tilings,
-    tokens_to_tiles,
+    tile_rows_from_json,
 )
 
 Strip = Tiles  # a fully tiled strip is just its tile lengths, left to right
@@ -85,22 +87,11 @@ def strip_weight(strip: Strip) -> Poly2:
     return Poly2.monomial(strip.count(MONO), strip.count(DOMINO))
 
 
-def _blocked(strip: Strip) -> set[int]:
-    """x coordinates interior to a domino of the strip laid out from x = 0."""
-    out = set()
-    pos = 0
-    for tile in strip:
-        if tile == DOMINO:
-            out.add(pos + 1)
-        pos += tile
-    return out
-
-
 def _classify_bottom(row_len: int, runs: tuple[Run, ...], x: int) -> str:
     """NI/NL of (x, 0) for a bottom row of ``row_len`` cells holding fixed ``runs``."""
     if not 0 <= x <= row_len:
         return "NL"
-    if any(x - start + 1 in _blocked(tiles) for start, tiles in runs):
+    if any(x - start + 1 in _row_data(tiles)[0] for start, tiles in runs):
         return "NL"
     return "NI"
 
@@ -167,9 +158,9 @@ class ExtendedTiling:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> ExtendedTiling:
-        partial = PartialTiling.from_json_dict(data["B"])
-        strips = tuple(tokens_to_tiles(s) for s in data["strips"])
-        return ExtendedTiling(partial, strips)
+        """Parse exactly ``B``, a partial-tiling document, and ``strips``, token lists."""
+        check_keys(data, {"B", "strips"})
+        return ExtendedTiling(PartialTiling.from_json_dict(data["B"]), tile_rows_from_json(data["strips"]))
 
 
 def _prepend_row(rows: FixedRows, anchor: str, tiles: Strip, n: int) -> FixedRows:

@@ -363,29 +363,6 @@ def _lex_exact_div(p: dict[Monomial, int], q: dict[Monomial, int]) -> Poly2:
     return _wrap(quot)
 
 
-# -- module-level operation names ------------------------------------------
-
-
-def poly_add(p: Poly2, q: Poly2) -> Poly2:
-    return p + q
-
-
-def poly_mul(p: Poly2, q: Poly2) -> Poly2:
-    return p * q
-
-
-def poly_exact_div(p: Poly2, q: Poly2) -> Poly2:
-    return p.exact_div(q)
-
-
-def poly_eval(p: Poly2, s0: int, t0: int) -> int:
-    return p.evaluate(s0, t0)
-
-
-def specialize_q(p: Poly2) -> Poly1:
-    return p.specialize_q()
-
-
 # -- coefficient sequences ---------------------------------------------------
 
 
@@ -452,15 +429,6 @@ class Poly1:
 
     def coeff(self, e: int) -> Fraction:
         return self._coeffs.get(e, Fraction(0))
-
-    def coeffs_dense(self) -> list[Fraction]:
-        """Coefficients c_0..c_deg; [] for the zero polynomial."""
-        if not self._coeffs:
-            return []
-        out = [Fraction(0)] * (self.degree() + 1)
-        for e, c in self._coeffs.items():
-            out[e] = c
-        return out
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""

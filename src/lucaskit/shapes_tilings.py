@@ -18,9 +18,9 @@ Fuss-Catalan analogues, and their d-divisible versions, which is exactly what
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import AbstractSet, Iterator, Mapping
 
 from . import coxcat
 from .lucas import d_lucasnomial, d_lucastorial, lucas, lucasnomial, lucastorial
@@ -40,6 +40,19 @@ class MalformedPartial(ValueError):
 
 class MalformedModel(ValueError):
     """A rectangle tiling outside the image of the bijection."""
+
+
+class MalformedDocument(ValueError):
+    """A JSON document that is not a serialised shape, tiling or extended tiling."""
+
+
+def check_keys(data, required: AbstractSet[str], optional: AbstractSet[str] = frozenset()) -> None:
+    """Raise MalformedDocument unless ``data`` is an object with exactly these keys."""
+    if not isinstance(data, dict):
+        raise MalformedDocument(f"want a JSON object, got {data!r}")
+    if not required <= data.keys() <= required | optional:
+        also = f" and optionally {sorted(optional)}" if optional else ""
+        raise MalformedDocument(f"want the keys {sorted(required)}{also}, got {sorted(data)}")
 
 
 # -- shapes -------------------------------------------------------------------
@@ -74,15 +87,18 @@ class Shape:
         """Number of boxes in row r (1-indexed from the bottom)."""
         return self.outer[r - 1] - self.inner[r - 1]
 
-    def is_straight(self) -> bool:
-        return all(m == 0 for m in self.inner)
-
     def to_json_dict(self) -> dict:
         return {"outer": list(self.outer), "inner": list(self.inner)}
 
     @staticmethod
     def from_json_dict(data: Mapping) -> Shape:
-        return Shape(tuple(data["outer"]), tuple(data.get("inner", ())))
+        """Parse ``outer`` and an optional ``inner`` (straight when omitted), integer lists."""
+        check_keys(data, {"outer"}, {"inner"})
+        outer, inner = data["outer"], data.get("inner", [])
+        for parts in (outer, inner):
+            if not isinstance(parts, list) or any(type(x) is not int for x in parts):
+                raise MalformedDocument(f"want a list of integers, got {parts!r}")
+        return Shape(tuple(outer), tuple(inner))
 
 
 def staircase(n: int) -> Shape:
@@ -137,21 +153,18 @@ class Tiling:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> Tiling:
-        shape = Shape.from_json_dict(data["shape"])
-        rows = tuple(tokens_to_tiles(row) for row in data["rows"])
-        return Tiling(shape, rows)
+        """Parse exactly ``shape`` and ``rows``, the rows lists of "M"/"D" tokens."""
+        check_keys(data, {"shape", "rows"})
+        return Tiling(Shape.from_json_dict(data["shape"]), tile_rows_from_json(data["rows"]))
 
 
-def tokens_to_tiles(tokens) -> Tiles:
-    out = []
-    for tok in tokens:
-        if tok == "M":
-            out.append(MONO)
-        elif tok == "D":
-            out.append(DOMINO)
-        else:
-            raise ValueError(f"unknown tile token {tok!r}")
-    return tuple(out)
+def tile_rows_from_json(rows) -> tuple[Tiles, ...]:
+    """A JSON list of "M"/"D" token lists, such as [["M", "D"], []], as tile lengths."""
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(tok in ("M", "D") for tok in row) for row in rows
+    ):
+        raise MalformedDocument(f"want a list of lists of 'M'/'D' tokens, got {rows!r}")
+    return tuple(tuple(MONO if tok == "M" else DOMINO for tok in row) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -180,10 +193,6 @@ def count_tilings(shape: Shape) -> int:
     for r in range(1, shape.n_rows + 1):
         total *= len(row_tilings(shape.cells(r)))
     return total
-
-
-def tiling_weight(tiling: Tiling) -> Poly2:
-    return tiling.weight()
 
 
 @lru_cache(maxsize=None)
@@ -433,6 +442,10 @@ class DDivisible:
 
 Variant = Binomial | Catalan | FussCatalan | DDivisible
 
+# The wire name of each variant; its JSON document is the name plus the fields.
+VARIANTS = {"binomial": Binomial, "catalan": Catalan, "fuss": FussCatalan, "ddivisible": DDivisible}
+_KINDS = {cls: kind for kind, cls in VARIANTS.items()}
+
 
 # -- partial tilings --------------------------------------------------------------
 
@@ -480,12 +493,17 @@ class PartialTiling:
     def from_json_dict(data: Mapping) -> PartialTiling:
         """Parse strictly: the document must be the partial's own serialisation.
 
-        Unknown tokens, a wrong number of rows, and any field (``start``,
-        ``path``, row padding, extra keys) that differs from the rebuilt
-        partial's ``to_json_dict`` raise ``MalformedPartial``.
+        Rows that are not lists of tokens, unknown tokens, a wrong number of
+        rows, and any field (``start``, ``path``, row padding, extra keys)
+        that differs from the rebuilt partial's ``to_json_dict`` raise
+        ``MalformedPartial``.
         """
-        variant = _variant_from_json(data["variant"])
+        if not isinstance(data, dict):
+            raise MalformedPartial(f"want a JSON object, got {data!r}")
+        variant = _variant_from_json(data.get("variant"))
         n_rows = variant.shape().n_rows
+        if not isinstance(data.get("rows"), list) or not all(isinstance(row, list) for row in data["rows"]):
+            raise MalformedPartial("rows must be a list of token lists")
         if len(data["rows"]) != n_rows:
             raise MalformedPartial(f"{len(data['rows'])} rows for a shape with {n_rows}")
         fixed = []
@@ -520,39 +538,24 @@ class PartialTiling:
 
 
 def _variant_to_json(v: Variant) -> dict:
-    if isinstance(v, Binomial):
-        return {"kind": "binomial", "n": v.n, "k": v.k}
-    if isinstance(v, Catalan):
-        return {"kind": "catalan", "n": v.n}
-    if isinstance(v, FussCatalan):
-        return {"kind": "fuss", "n": v.n, "k": v.k}
-    return {"kind": "ddivisible", "n": v.n, "k": v.k, "d": v.d}
+    return {"kind": _KINDS[type(v)], **asdict(v)}
 
 
-def _variant_from_json(data: Mapping) -> Variant:
-    kind = data["kind"]
-    if kind == "binomial":
-        return Binomial(data["n"], data["k"])
-    if kind == "catalan":
-        return Catalan(data["n"])
-    if kind == "fuss":
-        return FussCatalan(data["n"], data["k"])
-    if kind == "ddivisible":
-        return DDivisible(data["n"], data["k"], data["d"])
-    raise ValueError(f"unknown variant kind {kind!r}")
+def _variant_from_json(data) -> Variant:
+    """Exactly ``kind`` plus the variant's fields, each an integer."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    cls = VARIANTS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise MalformedPartial(f"want a variant with a kind in {sorted(VARIANTS)}, got {data!r}")
+    names = [f.name for f in fields(cls)]
+    if data.keys() != {"kind", *names} or any(type(data[name]) is not int for name in names):
+        raise MalformedPartial(f"a {kind} variant is kind plus integers {', '.join(names)}, got {data!r}")
+    return cls(*(data[name] for name in names))
 
 
 def path_from_tiling(tiling: Tiling, variant: Variant) -> LatticePath:
     """The deterministic greedy path the variant carves through the tiling."""
-    shape = variant.shape()
-    if tiling.shape != shape:
-        raise ValueError("tiling does not live on the variant's shape")
-    if not shape.is_straight():
-        raise ValueError("paths are defined on straight shapes only")
-    row_lens = [shape.cells(r) for r in range(1, shape.n_rows + 1)]
-    blocked = [_row_data(tiles)[0] for tiles in tiling.rows]
-    xs, labels = _trace(row_lens, blocked, variant.start_x(), variant.terminal(), variant.mod_d())
-    return LatticePath((variant.start_x(), 0), _path_from_xs(variant.start_x(), xs), tuple(labels))
+    return partial_from_tiling(tiling, variant).path
 
 
 def _fixed_rows(variant: Variant, tiling_rows, xs, labels) -> FixedRows:
@@ -617,10 +620,6 @@ def partial_from_tiling(tiling: Tiling, variant: Variant) -> PartialTiling:
     fixed = _fixed_rows(variant, tiling.rows, xs, labels)
     path = LatticePath((start, 0), _path_from_xs(start, xs), tuple(labels))
     return PartialTiling(variant, path, fixed)
-
-
-def partial_weight(partial: PartialTiling) -> Poly2:
-    return partial.weight()
 
 
 def completion(variant: Variant, fixed: FixedRows) -> Tiling:
@@ -700,6 +699,7 @@ def block_partition(variant: Variant) -> dict[PartialTiling, Poly2]:
     mod_d = variant.mod_d()
 
     acc: dict[tuple, dict[tuple[int, int], int]] = {}
+    labels_of: dict[tuple, list[str]] = {}
     datas = [[_row_data(t) for t in options] for options in per_row]
     for combo in itertools.product(*(range(len(options)) for options in per_row)):
         rows = tuple(per_row[i][j] for i, j in enumerate(combo))
@@ -709,29 +709,20 @@ def block_partition(variant: Variant) -> dict[PartialTiling, Poly2]:
         key = (tuple(xs), fixed)
         monos = sum(datas[i][j][2] for i, j in enumerate(combo))
         doms = sum(datas[i][j][3] for i, j in enumerate(combo))
-        bucket = acc.setdefault(key, {})
+        bucket = acc.get(key)
+        if bucket is None:
+            # The labels are a function of xs, so the block's first tiling has them.
+            bucket = acc[key] = {}
+            labels_of[key] = labels
         bucket[(monos, doms)] = bucket.get((monos, doms), 0) + 1
 
     out: dict[PartialTiling, Poly2] = {}
-    for (xs, fixed), weight_terms in acc.items():
-        path = LatticePath((start, 0), _path_from_xs(start, list(xs)), _labels_for(variant, xs))
+    for key, weight_terms in acc.items():
+        xs, fixed = key
+        path = LatticePath((start, 0), _path_from_xs(start, xs), tuple(labels_of[key]))
         partial = PartialTiling(variant, path, fixed)
         out[partial] = Poly2(dict(weight_terms.items()))
     return out
-
-
-def _labels_for(variant: Variant, xs) -> tuple[str, ...]:
-    mod_d = variant.mod_d()
-    labels = []
-    if mod_d is not None:
-        for x in xs:
-            labels.append("NI" if x % mod_d == 0 else "NL")
-        return tuple(labels)
-    prev = variant.start_x()
-    for x in xs:
-        labels.append("NI" if x == prev else "NL")
-        prev = x
-    return tuple(labels)
 
 
 def enumerate_partials(variant: Variant) -> list[PartialTiling]:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from lucaskit import cli
 from lucaskit.polyring import NotDivisible, Poly2
 from lucaskit.shapes_tilings import Binomial, partial_from_tiling, staircase, Tiling
@@ -150,6 +152,25 @@ class TestTilings:
         assert code == 0
         assert out.strip().splitlines()[-1] == "count: 1"
 
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            {"kind": "binomial", "n": "4", "k": 1},
+            {"kind": "binomial", "n": 4.0, "k": 1},
+            {"kind": "binomial", "n": 4, "k": True},
+            {"kind": "binomial", "n": 4, "k": 1, "d": 1},
+            "binomial",
+        ],
+        ids=["str", "float", "bool", "extra-key", "bare-kind"],
+    )
+    def test_render_rejects_malformed_variant(self, capsys, tmp_path, variant):
+        tiling = Tiling(staircase(4), ((2, 1), (2,), (1,)))
+        data = partial_from_tiling(tiling, Binomial(4, 1)).to_json_dict()
+        source = tmp_path / "partial.json"
+        source.write_text(json.dumps({**data, "variant": variant}))
+        assert cli.main(["tilings", "render", "--input", str(source)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_render_partial_svg(self, capsys, tmp_path):
         tiling = Tiling(staircase(6), ((1, 1, 2, 1), (2, 1, 1), (1, 2), (1, 1), (1,)))
         partial = partial_from_tiling(tiling, Binomial(6, 3))
@@ -206,6 +227,11 @@ class TestAnalyzeCli:
 
     def test_unknown_expr(self, capsys):
         assert cli.main(["analyze", "--expr", "nonsense:3"]) == 1
+
+    @pytest.mark.parametrize("expr", ["lucasnomial:6", "coxeter:B", "lucas:5:7", "coxeter:H3:1:2"])
+    def test_wrong_arity(self, capsys, expr):
+        assert cli.main(["analyze", "--expr", expr]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {expr!r}: want ")
 
 
 class TestDeterminism:

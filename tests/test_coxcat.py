@@ -255,6 +255,29 @@ class TestFindings:
         findings = exceptional_fuss_findings(2)
         assert all(f.status == "pass" for f in findings)
 
+    @pytest.mark.parametrize(
+        "sweep, bound, patched, status",
+        [
+            (narayana_findings, 3, "narayana", "finding"),
+            (rational_catalan_findings, 3, "rational_catalan", "fail"),
+            (exceptional_fuss_findings, 1, "coxeter_fuss_catalan", "finding"),
+        ],
+    )
+    def test_sweep_reports_failures(self, monkeypatch, sweep, bound, patched, status):
+        from lucaskit import coxcat
+        from lucaskit.polyring import NotDivisible
+
+        def not_polynomial(*args):
+            raise NotDivisible("nonzero remainder")
+
+        monkeypatch.setattr(coxcat, patched, not_polynomial)
+        findings = sweep(bound)
+        assert findings and all((f.status, f.detail) == (status, "not a polynomial") for f in findings)
+
+        monkeypatch.setattr(coxcat, patched, lambda *args: -Poly2.one())
+        findings = sweep(bound)
+        assert findings and all((f.status, f.detail) == ("finding", "negative coefficient") for f in findings)
+
     def test_json_lines(self):
         import json
 

@@ -16,7 +16,7 @@ from lucaskit.involution import (
     symmetry_sides,
     verify_involution,
 )
-from lucaskit.shapes_tilings import Binomial, partial_from_fixed
+from lucaskit.shapes_tilings import Binomial, MalformedDocument, partial_from_fixed
 
 # Strips of the running example: S1 = M D M (4 cells), S2 = D M (3 cells).
 S1 = (1, 2, 1)
@@ -191,6 +191,16 @@ class TestJson:
         example = worked_example()
         again = ExtendedTiling.from_json_dict(example.to_json_dict())
         assert again == example
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{"strips": "M"}, {"strips": ["MDM", "DM"]}, {"extra": []}],
+        ids=["string", "strings", "extra-key"],
+    )
+    def test_rejects_malformed_document(self, edit):
+        data = {**worked_example().to_json_dict(), **edit}
+        with pytest.raises(MalformedDocument):
+            ExtendedTiling.from_json_dict(data)
 
     def test_malformed_input(self):
         data = worked_example().to_json_dict()

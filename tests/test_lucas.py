@@ -205,6 +205,14 @@ class TestErrors:
             verify_symmetry_identity(3, 2, 3)
 
 
+def test_lucas_module_not_shadowed():
+    import sys
+
+    import lucaskit
+
+    assert lucaskit.lucas is sys.modules["lucaskit.lucas"]
+
+
 class TestCacheConcurrency:
     def test_parallel_reads_and_extensions(self):
         from concurrent.futures import ThreadPoolExecutor

@@ -10,6 +10,7 @@ from lucaskit.shapes_tilings import (
     Catalan,
     DDivisible,
     FussCatalan,
+    MalformedDocument,
     MalformedModel,
     MalformedPartial,
     PartialTiling,
@@ -62,6 +63,45 @@ class TestShape:
             Shape((1, 2))
         with pytest.raises(ValueError):
             Shape((2, 1), (3,))
+
+
+class TestTilingJson:
+    DOCUMENT = {"shape": {"outer": [2, 1], "inner": [0, 0]}, "rows": [["D"], ["M"]]}
+
+    def test_round_trip(self):
+        tiling = Tiling(Shape((2, 1)), ((2,), (1,)))
+        assert tiling.to_json_dict() == self.DOCUMENT
+        assert Tiling.from_json_dict(self.DOCUMENT) == tiling
+
+    def test_omitted_inner_is_straight(self):
+        data = {**self.DOCUMENT, "shape": {"outer": [2, 1]}}
+        assert Tiling.from_json_dict(data) == Tiling(Shape((2, 1)), ((2,), (1,)))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"rows": "DM"},
+            {"rows": ["D", "M"]},
+            {"rows": [["D"], [1]]},
+            {"extra": 1},
+            {"shape": {"outer": "21"}},
+            {"shape": {"outer": [2.0, 1]}},
+            {"shape": {"outer": [2, 1], "inner": "0"}},
+            {"shape": {"outer": [2, 1], "extra": []}},
+            {"shape": [2, 1]},
+        ],
+        ids=[
+            "rows-string", "row-strings", "int-token", "extra-key", "outer-string",
+            "outer-float", "inner-string", "shape-extra-key", "shape-list",
+        ],
+    )
+    def test_rejects_malformed(self, edit):
+        with pytest.raises(MalformedDocument):
+            Tiling.from_json_dict({**self.DOCUMENT, **edit})
+
+    def test_rejects_non_object(self):
+        with pytest.raises(MalformedDocument):
+            Tiling.from_json_dict([["D"], ["M"]])
 
 
 class TestEnumeration:
@@ -241,6 +281,12 @@ class TestPartials:
         data = binomial_4_2_document()
         data["rows"].pop()
         with pytest.raises(MalformedPartial, match="2 rows"):
+            PartialTiling.from_json_dict(data)
+
+    @pytest.mark.parametrize("rows", [5, "D..", [".", "D", "."], None])
+    def test_json_rejects_rows_that_are_not_token_lists(self, rows):
+        data = {**binomial_4_2_document(), "rows": rows}
+        with pytest.raises(MalformedPartial, match="rows"):
             PartialTiling.from_json_dict(data)
 
     def test_json_one_token_mutations(self):

@@ -15,7 +15,6 @@ them (each printed as ``error: ...`` on stderr):
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -42,6 +41,13 @@ QUANTITIES = {
     "fuss": (coxcat, "fuss_catalan", ("n", "k")),
     "narayana": (coxcat, "narayana", ("n", "k")),
     "rational": (coxcat, "rational_catalan", ("a", "b")),
+}
+
+# Conjecture -> (coxcat sweep, its bound flag, the bound's default).
+FINDINGS = {
+    "narayana": ("narayana_findings", "max_n", 40),
+    "rational": ("rational_catalan_findings", "max_ab", 12),
+    "exceptional-fuss": ("exceptional_fuss_findings", "max_k", 3),
 }
 
 
@@ -93,18 +99,16 @@ def _parse_variant(args) -> shapes_tilings.Variant:
     if args.variant is None:
         raise ValueError(f"--variant is required for partition ({'|'.join(shapes_tilings.VARIANTS)})")
     cls = shapes_tilings.VARIANTS[args.variant]
-    return cls(*_require(args, *(f.name for f in dataclasses.fields(cls))))
+    return cls(*_require(args, *shapes_tilings.variant_integers(cls)))
 
 
 def _coxeter(family: str, param: int | None, fuss_k: int | None) -> Poly2:
     """Cat W, or Cat^(fuss_k) W, for the group of this family.
 
     ``param`` is the rank of A, B, D or the m of I2; the exceptional types
-    take none and ignore it.
+    take none, and ``CoxeterType`` refuses one.
     """
-    if family in coxcat.EXCEPTIONAL_DEGREES:
-        param = None
-    elif param is None:
+    if param is None and family not in coxcat.EXCEPTIONAL_DEGREES:
         raise ValueError(f"--type {family} needs --{'m' if family == 'I2' else 'n'}")
     w = coxcat.CoxeterType(family, param)
     return coxcat.coxeter_catalan(w) if fuss_k is None else coxcat.coxeter_fuss_catalan(w, fuss_k)
@@ -151,8 +155,11 @@ def _named_quantity(expr: str) -> Poly2:
 
 def _cmd_poly(args) -> int:
     if args.command == "coxeter":
-        # A --fuss-k of 0 asks for Cat W, as does no --fuss-k.
-        value = _coxeter(args.type, args.m if args.type == "I2" else args.n, args.fuss_k or None)
+        # I2 takes --m; every other family takes --n or, if exceptional, nothing.
+        flag, other = ("m", "n") if args.type == "I2" else ("n", "m")
+        if getattr(args, other) is not None:
+            raise ValueError(f"--type {args.type} takes no --{other}")
+        value = _coxeter(args.type, getattr(args, flag), args.fuss_k)
     else:
         module, function, flags = QUANTITIES[args.command]
         value = getattr(module, function)(*(getattr(args, flag) for flag in flags))
@@ -223,8 +230,7 @@ def _cmd_involution(args) -> int:
             lines = [f"cases: {','.join(trace) or '(identity)'}"]
             lines.append(render.ascii_diagram(result.partial))
             for i, strip in enumerate(result.strips, start=1):
-                tokens = " ".join("M" if t == 1 else "D" for t in strip) or "(empty)"
-                lines.append(f"T{i}: {tokens}")
+                lines.append(f"T{i}: {' '.join(shapes_tilings.tile_tokens(strip)) or '(empty)'}")
             _emit("\n".join(lines), args.out)
         return PASS
     if args.action == "verify":
@@ -334,14 +340,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_findings(args) -> int:
-    if args.conjecture == "narayana":
-        findings = coxcat.narayana_findings(args.max_n or 40)
-    elif args.conjecture == "rational":
-        findings = coxcat.rational_catalan_findings(args.max_ab or 12)
-    elif args.conjecture == "exceptional-fuss":
-        findings = coxcat.exceptional_fuss_findings(args.max_k or 3)
-    else:
-        raise ValueError(args.conjecture)
+    sweep, flag, default = FINDINGS[args.conjecture]
+    findings = getattr(coxcat, sweep)(getattr(args, flag) or default)
     _emit("\n".join(f.to_json_line() for f in findings), args.out)
     return PASS if all(f.status == "pass" for f in findings) else VERIFY_FAIL
 
@@ -433,10 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("findings")
-    p.add_argument("conjecture", choices=["narayana", "rational", "exceptional-fuss"])
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p.add_argument("--max-ab", type=int, default=None, dest="max_ab")
-    p.add_argument("--max-k", type=int, default=None, dest="max_k")
+    p.add_argument("conjecture", choices=list(FINDINGS))
+    for _, flag, _ in FINDINGS.values():
+        p.add_argument(f"--{flag.replace('_', '-')}", type=int, default=None, dest=flag)
     common(p)
     p.set_defaults(func=_cmd_findings)
 

@@ -24,8 +24,6 @@ from typing import Iterator, Mapping
 from .lucas import symmetry_sides
 from .polyring import Poly2
 from .shapes_tilings import (
-    DOMINO,
-    MONO,
     Binomial,
     FixedRows,
     MalformedPartial,
@@ -38,6 +36,8 @@ from .shapes_tilings import (
     partial_from_fixed,
     row_tilings,
     tile_rows_from_json,
+    tile_tokens,
+    tiles_weight,
 )
 
 Strip = Tiles  # a fully tiled strip is just its tile lengths, left to right
@@ -81,10 +81,6 @@ def strip_last(strip: Strip, cells: int) -> Strip:
 
 def strip_reverse(strip: Strip) -> Strip:
     return tuple(reversed(strip))
-
-
-def strip_weight(strip: Strip) -> Poly2:
-    return Poly2.monomial(strip.count(MONO), strip.count(DOMINO))
 
 
 def _classify_bottom(row_len: int, runs: tuple[Run, ...], x: int) -> str:
@@ -145,16 +141,10 @@ class ExtendedTiling:
         return (self.n, self.k, self.r)
 
     def weight(self) -> Poly2:
-        total = self.partial.weight()
-        for strip in self.strips:
-            total = total * strip_weight(strip)
-        return total
+        return tiles_weight(self.partial.fixed_tiles() + list(self.strips))
 
     def to_json_dict(self) -> dict:
-        return {
-            "B": self.partial.to_json_dict(),
-            "strips": [["M" if t == MONO else "D" for t in s] for s in self.strips],
-        }
+        return {"B": self.partial.to_json_dict(), "strips": [tile_tokens(s) for s in self.strips]}
 
     @staticmethod
     def from_json_dict(data: Mapping) -> ExtendedTiling:

@@ -9,57 +9,29 @@ last, matching first-quadrant orientation.
 
 from __future__ import annotations
 
-from .shapes_tilings import MONO, PartialTiling, Shape, Tiling
+from .shapes_tilings import PartialTiling, Shape, Tiling
 
 CELL = 30  # SVG pixels per unit cell
+ASCII = {"M": "o ", "D": "o=o ", ".": ". "}  # two characters per cell, by JSON token
 
 
-def _cell_states(shape: Shape, rows_runs) -> list[list[str]]:
-    """Per cell: '.', 'o' (monomino), '<' or '>' (domino halves)."""
-    grid = []
-    for r in range(1, shape.n_rows + 1):
-        row = ["."] * shape.cells(r)
-        for start, tiles in rows_runs[r - 1]:
-            col = start
-            for tile in tiles:
-                if tile == MONO:
-                    row[col - 1] = "o"
-                    col += 1
-                else:
-                    row[col - 1] = "<"
-                    row[col] = ">"
-                    col += 2
-        grid.append(row)
-    return grid
-
-
-def _runs_of(obj: Tiling | PartialTiling):
+def _token_rows(obj: Tiling | PartialTiling | Shape):
+    """(shape, JSON token rows bottom first, path or None); a bare shape is all blank."""
+    if isinstance(obj, Shape):
+        return obj, [["."] * obj.cells(r) for r in range(1, obj.n_rows + 1)], None
+    rows = obj.to_json_dict()["rows"]
     if isinstance(obj, Tiling):
-        return obj.shape, [((1, tiles),) if tiles else () for tiles in obj.rows], None
-    return obj.shape(), obj.fixed, obj.path
+        return obj.shape, rows, None
+    return obj.shape(), rows, obj.path
 
 
 def ascii_diagram(obj: Tiling | PartialTiling | Shape) -> str:
     """Rows top down; cells are two characters wide ('o=o ' joins a domino)."""
-    if isinstance(obj, Shape):
-        shape, runs, path = obj, [()] * obj.n_rows, None
-    else:
-        shape, runs, path = _runs_of(obj)
-    grid = _cell_states(shape, runs)
+    shape, rows, path = _token_rows(obj)
     lines = []
     for r in range(shape.n_rows, 0, -1):
-        cells = []
-        inner_pad = "  " * shape.inner[r - 1]
-        for state in grid[r - 1]:
-            if state == "o":
-                cells.append("o ")
-            elif state == "<":
-                cells.append("o=")
-            elif state == ">":
-                cells.append("o ")
-            else:
-                cells.append(". ")
-        lines.append(f"{r:>2} |{inner_pad}{''.join(cells).rstrip()}")
+        cells = "".join(ASCII[tok] for tok in rows[r - 1])
+        lines.append(f"{r:>2} |{'  ' * shape.inner[r - 1]}{cells.rstrip()}")
     if shape.n_rows == 0:
         lines.append("   (empty shape)")
     if path is not None:
@@ -69,10 +41,7 @@ def ascii_diagram(obj: Tiling | PartialTiling | Shape) -> str:
 
 def svg_diagram(obj: Tiling | PartialTiling | Shape) -> str:
     """Faithful picture: unit grid, dots, domino joins, thick path."""
-    if isinstance(obj, Shape):
-        shape, runs, path = obj, [()] * obj.n_rows, None
-    else:
-        shape, runs, path = _runs_of(obj)
+    shape, rows, path = _token_rows(obj)
     height = shape.n_rows + (1 if path is not None else 0)
     width = max(shape.outer[0] if shape.outer else 1, 1)
     pad = CELL
@@ -97,20 +66,19 @@ def svg_diagram(obj: Tiling | PartialTiling | Shape) -> str:
                 f'<rect x="{X(j - 1)}" y="{Y(r)}" width="{CELL}" height="{CELL}" '
                 f'fill="none" stroke="#888" stroke-width="1"/>'
             )
-    grid = _cell_states(shape, runs)
     for r in range(1, shape.n_rows + 1):
-        offset = shape.inner[r - 1]
-        for i, state in enumerate(grid[r - 1]):
-            cx, cy = X(offset + i + 0.5), Y(r - 0.5)
-            if state == "o":
+        col = shape.inner[r - 1]
+        for tok in rows[r - 1]:
+            cx, cy = X(col + 0.5), Y(r - 0.5)
+            if tok != ".":
                 parts.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="black"/>')
-            elif state == "<":
-                parts.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="black"/>')
+            if tok == "D":
                 parts.append(
                     f'<line x1="{cx}" y1="{cy}" x2="{cx + CELL}" y2="{cy}" '
                     f'stroke="black" stroke-width="2"/>'
                 )
                 parts.append(f'<circle cx="{cx + CELL}" cy="{cy}" r="4" fill="black"/>')
+            col += 2 if tok == "D" else 1
     if path is not None:
         x, y = path.start
         points = [f"{X(x)},{Y(y)}"]

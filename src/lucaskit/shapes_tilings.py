@@ -18,12 +18,12 @@ Fuss-Catalan analogues, and their d-divisible versions, which is exactly what
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import AbstractSet, Iterator, Mapping
 
 from . import coxcat
-from .lucas import d_lucasnomial, d_lucastorial, lucas, lucasnomial, lucastorial
+from .lucas import d_lucasnomial, d_lucastorial, lucas, lucastorial
 from .polyring import NotDivisible, Poly2
 
 MONO = 1
@@ -141,15 +141,10 @@ class Tiling:
                 raise ValueError("tiles must be monominoes or dominoes")
 
     def weight(self) -> Poly2:
-        monos = sum(tiles.count(MONO) for tiles in self.rows)
-        doms = sum(tiles.count(DOMINO) for tiles in self.rows)
-        return Poly2.monomial(monos, doms)
+        return tiles_weight(self.rows)
 
     def to_json_dict(self) -> dict:
-        return {
-            "shape": self.shape.to_json_dict(),
-            "rows": [[("M" if t == MONO else "D") for t in tiles] for tiles in self.rows],
-        }
+        return {"shape": self.shape.to_json_dict(), "rows": [tile_tokens(tiles) for tiles in self.rows]}
 
     @staticmethod
     def from_json_dict(data: Mapping) -> Tiling:
@@ -165,6 +160,51 @@ def tile_rows_from_json(rows) -> tuple[Tiles, ...]:
     ):
         raise MalformedDocument(f"want a list of lists of 'M'/'D' tokens, got {rows!r}")
     return tuple(tuple(MONO if tok == "M" else DOMINO for tok in row) for row in rows)
+
+
+def tile_tokens(tiles: Tiles) -> list[str]:
+    """The JSON tokens of a run of tiles: "M" per monomino, "D" per domino."""
+    return ["M" if t == MONO else "D" for t in tiles]
+
+
+def _row_tokens(cells: int, runs) -> list[str]:
+    """A row of ``cells`` cells holding fixed ``runs``: "M"/"D" per tile, "." per blank cell."""
+    row: list[str] = []
+    col = 1
+    for start, tiles in runs:
+        if start < col:
+            raise MalformedPartial("overlapping fixed runs")
+        row += ["."] * (start - col)
+        row += tile_tokens(tiles)
+        col = start + sum(tiles)
+    if col > cells + 1:
+        raise MalformedPartial("a fixed run sticks out of its row")
+    return row + ["."] * (cells + 1 - col)
+
+
+def _filled(shape: Shape, token_rows) -> Tiling:
+    """The tiling of ``shape`` whose token rows read each blank "." as a monomino."""
+    return Tiling(shape, tile_rows_from_json([["M" if tok == "." else tok for tok in row] for row in token_rows]))
+
+
+@lru_cache(maxsize=None)
+def _row_data(tiles: Tiles) -> tuple[frozenset[int], dict[int, int], int, int]:
+    """(blocked x's, clean-cut positions -> tile index, #monominoes, #dominoes)."""
+    blocked = set()
+    bounds = {0: 0}
+    pos = 0
+    for i, t in enumerate(tiles):
+        if t == DOMINO:
+            blocked.add(pos + 1)
+        pos += t
+        bounds[pos] = i + 1
+    return frozenset(blocked), bounds, tiles.count(MONO), tiles.count(DOMINO)
+
+
+def tiles_weight(rows) -> Poly2:
+    """s^(#monominoes) t^(#dominoes) over every tile of ``rows``, each a tuple of tile lengths."""
+    counts = [_row_data(tiles)[2:] for tiles in rows]
+    return Poly2.monomial(sum(m for m, _ in counts), sum(d for _, d in counts))
 
 
 @lru_cache(maxsize=None)
@@ -197,10 +237,7 @@ def count_tilings(shape: Shape) -> int:
 
 @lru_cache(maxsize=None)
 def _row_weight(m: int) -> Poly2:
-    total = Poly2.zero()
-    for tiles in row_tilings(m):
-        total = total + Poly2.monomial(tiles.count(MONO), tiles.count(DOMINO))
-    return total
+    return sum((tiles_weight((tiles,)) for tiles in row_tilings(m)), Poly2.zero())
 
 
 def shape_weight(shape: Shape) -> Poly2:
@@ -240,20 +277,6 @@ class LatticePath:
                 row += 1
                 i += 1
         return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _row_data(tiles: Tiles) -> tuple[frozenset[int], dict[int, int], int, int]:
-    """(blocked x's, clean-cut positions -> tile index, #monominoes, #dominoes)."""
-    blocked = set()
-    bounds = {0: 0}
-    pos = 0
-    for i, t in enumerate(tiles):
-        if t == DOMINO:
-            blocked.add(pos + 1)
-        pos += t
-        bounds[pos] = i + 1
-    return frozenset(blocked), bounds, tiles.count(MONO), tiles.count(DOMINO)
 
 
 def _trace(row_lens, blocked_rows, start_x: int, terminal: int, mod_d: int | None):
@@ -317,65 +340,6 @@ def _path_from_xs(start_x: int, xs) -> str:
 
 
 @dataclass(frozen=True)
-class Binomial:
-    """Path from (k, 0) in delta_n; blocks realize the Lucasnomial {n brace k}."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n:
-            raise ValueError("need 0 <= k <= n")
-
-    def shape(self) -> Shape:
-        return staircase(self.n)
-
-    def start_x(self) -> int:
-        return self.k
-
-    def terminal(self) -> int:
-        return self.n
-
-    def mod_d(self) -> int | None:
-        return None
-
-    def divisor(self) -> Poly2:
-        return lucastorial(self.k) * lucastorial(self.n - self.k)
-
-    def expected_total(self) -> Poly2:
-        return lucasnomial(self.n, self.k)
-
-
-@dataclass(frozen=True)
-class Catalan:
-    """Path from (n-1, 0) in delta_2n; blocks realize the Catalan analogue."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("need n >= 0")
-
-    def shape(self) -> Shape:
-        return staircase(2 * self.n)
-
-    def start_x(self) -> int:
-        return max(self.n - 1, 0)
-
-    def terminal(self) -> int:
-        return 2 * self.n
-
-    def mod_d(self) -> int | None:
-        return None
-
-    def divisor(self) -> Poly2:
-        return lucastorial(self.n) * lucastorial(self.n + 1)
-
-    def expected_total(self) -> Poly2:
-        return coxcat.lucas_catalan(self.n)
-
-
-@dataclass(frozen=True)
 class FussCatalan:
     """Path from (n-1, 0) in delta_{(k+1)n}; blocks realize the Fuss analogue."""
 
@@ -406,11 +370,21 @@ class FussCatalan:
 
 
 @dataclass(frozen=True)
+class Catalan(FussCatalan):
+    """Path from (n-1, 0) in delta_2n; blocks realize the Catalan analogue.
+
+    The Fuss variant at k = 1.
+    """
+
+    k: int = field(default=1, init=False, repr=False)
+
+
+@dataclass(frozen=True)
 class DDivisible:
     """Path from (kd, 0) in delta_{n:d}; blocks realize {n:d brace k:d}.
 
     N steps must sit on x = 0 or -1 (mod d), -1 lines once each; an N step is
-    NI precisely when d divides its x.  d = 1 degenerates to Binomial rules.
+    NI precisely when d divides its x.
     """
 
     n: int
@@ -440,11 +414,26 @@ class DDivisible:
         return d_lucasnomial(self.n, self.k, self.d)
 
 
-Variant = Binomial | Catalan | FussCatalan | DDivisible
+@dataclass(frozen=True)
+class Binomial(DDivisible):
+    """Path from (k, 0) in delta_n; blocks realize the Lucasnomial {n brace k}.
 
-# The wire name of each variant; its JSON document is the name plus the fields.
+    The d-divisible variant at d = 1.
+    """
+
+    d: int = field(default=1, init=False, repr=False)
+
+
+Variant = FussCatalan | DDivisible
+
+# The wire name of each variant; its JSON document is the name plus its integers.
 VARIANTS = {"binomial": Binomial, "catalan": Catalan, "fuss": FussCatalan, "ddivisible": DDivisible}
 _KINDS = {cls: kind for kind, cls in VARIANTS.items()}
+
+
+def variant_integers(cls: type) -> tuple[str, ...]:
+    """The integers a variant is built from, in argument order: its init fields."""
+    return tuple(f.name for f in fields(cls) if f.init)
 
 
 # -- partial tilings --------------------------------------------------------------
@@ -461,30 +450,18 @@ class PartialTiling:
     def shape(self) -> Shape:
         return self.variant.shape()
 
+    def fixed_tiles(self) -> list[Tiles]:
+        """The tiles of every fixed run, bottom row first."""
+        return [tiles for runs in self.fixed for _, tiles in runs]
+
     def weight(self) -> Poly2:
-        monos = doms = 0
-        for runs in self.fixed:
-            for _, tiles in runs:
-                monos += tiles.count(MONO)
-                doms += tiles.count(DOMINO)
-        return Poly2.monomial(monos, doms)
+        return tiles_weight(self.fixed_tiles())
 
     def to_json_dict(self) -> dict:
-        rows = []
         shape = self.shape()
-        for r in range(1, shape.n_rows + 1):
-            runs = self.fixed[r - 1]
-            row = []
-            col = 1
-            for start, tiles in runs:
-                row.extend(["."] * (start - col))
-                row.extend("M" if t == MONO else "D" for t in tiles)
-                col = start + sum(tiles)
-            row.extend(["."] * (shape.cells(r) + 1 - col))
-            rows.append(row)
         return {
             "variant": _variant_to_json(self.variant),
-            "rows": rows,
+            "rows": [_row_tokens(shape.cells(r), self.fixed[r - 1]) for r in range(1, shape.n_rows + 1)],
             "start": list(self.path.start),
             "path": self.path.steps,
         }
@@ -493,43 +470,29 @@ class PartialTiling:
     def from_json_dict(data: Mapping) -> PartialTiling:
         """Parse strictly: the document must be the partial's own serialisation.
 
+        Read with each blank as a monomino, the rows are the block's monomino
+        completion, so the partial of that tiling is the only candidate.
         Rows that are not lists of tokens, unknown tokens, a wrong number of
-        rows, and any field (``start``, ``path``, row padding, extra keys)
-        that differs from the rebuilt partial's ``to_json_dict`` raise
-        ``MalformedPartial``.
+        rows, and any field (``start``, ``path``, rows, extra keys) that
+        differs from the candidate's ``to_json_dict`` raise ``MalformedPartial``.
         """
         if not isinstance(data, dict):
             raise MalformedPartial(f"want a JSON object, got {data!r}")
         variant = _variant_from_json(data.get("variant"))
-        n_rows = variant.shape().n_rows
-        if not isinstance(data.get("rows"), list) or not all(isinstance(row, list) for row in data["rows"]):
+        shape = variant.shape()
+        rows = data.get("rows")
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise MalformedPartial("rows must be a list of token lists")
-        if len(data["rows"]) != n_rows:
-            raise MalformedPartial(f"{len(data['rows'])} rows for a shape with {n_rows}")
-        fixed = []
-        for row in data["rows"]:
-            runs: list[Run] = []
-            col = 1
-            current: list[int] = []
-            start = None
-            for tok in row:
-                if tok == ".":
-                    if current:
-                        runs.append((start, tuple(current)))
-                        current = []
-                    col += 1
-                elif tok in ("M", "D"):
-                    if not current:
-                        start = col
-                    tile = MONO if tok == "M" else DOMINO
-                    current.append(tile)
-                    col += tile
-                else:
-                    raise MalformedPartial(f"unknown tile token {tok!r}")
-            if current:
-                runs.append((start, tuple(current)))
-            fixed.append(tuple(runs))
-        partial = partial_from_fixed(variant, tuple(fixed))
+        if len(rows) != shape.n_rows:
+            raise MalformedPartial(f"{len(rows)} rows for a shape with {shape.n_rows}")
+        for tok in (tok for row in rows for tok in row):
+            if tok not in ("M", "D", "."):
+                raise MalformedPartial(f"unknown tile token {tok!r}")
+        try:
+            completed = _filled(shape, rows)
+        except ValueError as exc:
+            raise MalformedPartial(str(exc)) from exc
+        partial = partial_from_tiling(completed, variant)
         canonical = partial.to_json_dict()
         wrong = sorted(key for key in canonical.keys() | data.keys() if canonical.get(key) != data.get(key))
         if wrong:
@@ -538,16 +501,16 @@ class PartialTiling:
 
 
 def _variant_to_json(v: Variant) -> dict:
-    return {"kind": _KINDS[type(v)], **asdict(v)}
+    return {"kind": _KINDS[type(v)], **{name: getattr(v, name) for name in variant_integers(type(v))}}
 
 
 def _variant_from_json(data) -> Variant:
-    """Exactly ``kind`` plus the variant's fields, each an integer."""
+    """Exactly ``kind`` plus the variant's integers."""
     kind = data.get("kind") if isinstance(data, dict) else None
     cls = VARIANTS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise MalformedPartial(f"want a variant with a kind in {sorted(VARIANTS)}, got {data!r}")
-    names = [f.name for f in fields(cls)]
+    names = variant_integers(cls)
     if data.keys() != {"kind", *names} or any(type(data[name]) is not int for name in names):
         raise MalformedPartial(f"a {kind} variant is kind plus integers {', '.join(names)}, got {data!r}")
     return cls(*(data[name] for name in names))
@@ -559,20 +522,13 @@ def path_from_tiling(tiling: Tiling, variant: Variant) -> LatticePath:
 
 
 def _fixed_rows(variant: Variant, tiling_rows, xs, labels) -> FixedRows:
-    """Fixed cells per row: left of NI, right of NL, plus first-row specials."""
+    """Fixed cells per row: left of NI, right of NL, plus the Fuss first row."""
     n_rows = len(tiling_rows)
     fixed: list[tuple[Run, ...]] = []
     for r in range(1, n_rows + 1):
         tiles = tiling_rows[r - 1]
         x, label = xs[r - 1], labels[r - 1]
         _, bounds, _, _ = _row_data(tiles)
-        if r == 1 and isinstance(variant, Catalan) and variant.n >= 1:
-            if label == "NL":
-                # Only the domino that deflected the path stays fixed.
-                fixed.append(((variant.n - 1, (DOMINO,)),))
-            else:
-                fixed.append(())
-            continue
         if r == 1 and isinstance(variant, FussCatalan) and variant.n >= 1:
             if label == "NL":
                 fixed.append(_fuss_first_row(variant, tiles, bounds))
@@ -625,22 +581,7 @@ def partial_from_tiling(tiling: Tiling, variant: Variant) -> PartialTiling:
 def completion(variant: Variant, fixed: FixedRows) -> Tiling:
     """Fill every blank cell with a monomino; a member of the intended block."""
     shape = variant.shape()
-    rows = []
-    for r in range(1, shape.n_rows + 1):
-        tiles: list[int] = []
-        col = 1
-        for start, run in fixed[r - 1]:
-            if start < col:
-                raise MalformedPartial(f"overlapping fixed runs in row {r}")
-            tiles.extend([MONO] * (start - col))
-            tiles.extend(run)
-            col = start + sum(run)
-        remaining = shape.cells(r) + 1 - col
-        if remaining < 0:
-            raise MalformedPartial(f"fixed run sticks out of row {r}")
-        tiles.extend([MONO] * remaining)
-        rows.append(tuple(tiles))
-    return Tiling(shape, tuple(rows))
+    return _filled(shape, [_row_tokens(shape.cells(r), fixed[r - 1]) for r in range(1, shape.n_rows + 1)])
 
 
 def partial_from_fixed(variant: Variant, fixed: FixedRows) -> PartialTiling:
@@ -788,11 +729,7 @@ class RectangleTiling:
     lam_star: tuple[Tiles, ...]
 
     def weight(self) -> Poly2:
-        monos = doms = 0
-        for tiles in self.lam + self.lam_star:
-            monos += tiles.count(MONO)
-            doms += tiles.count(DOMINO)
-        return Poly2.monomial(monos, doms)
+        return tiles_weight(self.lam + self.lam_star)
 
 
 def to_rectangle_model(partial: PartialTiling) -> RectangleTiling:

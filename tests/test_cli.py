@@ -46,6 +46,30 @@ class TestComputeCommands:
         code2, out2 = run(capsys, "coxeter", "--type", "B", "--n", "2", "--fuss-k", "2")
         assert code2 == 0
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--type", "A", "--n", "3", "--fuss-k", "0"], "need k >= 1"),
+            (["--type", "H3", "--n", "3"], "H3 takes no parameter"),
+            (["--type", "H3", "--m", "3"], "--type H3 takes no --m"),
+            (["--type", "A", "--n", "3", "--m", "5"], "--type A takes no --m"),
+            (["--type", "I2", "--m", "5", "--n", "4"], "--type I2 takes no --n"),
+        ],
+        ids=["fuss-k-0", "exceptional-rank", "exceptional-m", "A-with-m", "I2-with-n"],
+    )
+    def test_coxeter_refuses_flags_that_do_not_apply(self, capsys, argv, message):
+        assert cli.main(["coxeter", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_coxeter_fuss_k_agrees_with_analyze(self, capsys):
+        assert cli.main(["coxeter", "--type", "B", "--n", "3", "--fuss-k", "1"]) == 0
+        assert cli.main(["coxeter", "--type", "B", "--n", "3"]) == 0
+        fuss_one, plain = capsys.readouterr().out.splitlines()
+        assert fuss_one == plain
+        assert cli.main(["analyze", "--expr", "coxeter:A:3:0"]) == 1
+
     def test_dlucasnomial(self, capsys):
         code, out = run(capsys, "dlucasnomial", "--n", "2", "--k", "1", "--d", "2")
         assert code == 0
@@ -207,6 +231,15 @@ class TestFindings:
         lines = out.strip().splitlines()
         assert len(lines) == 15
         assert all(json.loads(line)["status"] == "pass" for line in lines)
+
+    @pytest.mark.parametrize("conjecture", list(cli.FINDINGS))
+    def test_each_sweep_gets_its_bound(self, capsys, monkeypatch, conjecture):
+        sweep, flag, default = cli.FINDINGS[conjecture]
+        seen = []
+        monkeypatch.setattr(cli.coxcat, sweep, lambda bound: seen.append(bound) or [])
+        assert cli.main(["findings", conjecture]) == 0
+        assert cli.main(["findings", conjecture, f"--{flag.replace('_', '-')}", "2"]) == 0
+        assert seen == [default, 2]
 
 
 class TestAnalyzeCli:

@@ -1,8 +1,9 @@
 """Pinned CLI output: the exit code and the exact stdout of fixed commands.
 
-Each file under ``tests/golden/`` holds ``exit <code>`` on its first line and
-the command's stdout after it.  After an intended output change, regenerate
-them with
+Each ``.txt`` file under ``tests/golden/`` holds ``exit <code>`` on its first
+line and the command's stdout after it; the ``.json`` files there are the
+documents that commands read with ``--input``.  After an intended output
+change, regenerate the ``.txt`` files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -20,7 +21,20 @@ import pytest
 from lucaskit import cli
 
 GOLDEN = Path(__file__).parent / "golden"
-INPUTS = {"{extended}": str(GOLDEN / "extended-7-5-2.json")}
+# A "{name}" argument stands for this input document under tests/golden/.
+INPUTS = {
+    "{extended}": "extended-7-5-2.json",
+    "{tiling}": "tiling-skew-5-3-2-2-1.json",
+    "{binomial}": "partial-binomial-6-3.json",
+    "{catalan}": "partial-catalan-3.json",
+    "{fuss}": "partial-fuss-2-2.json",
+    "{ddivisible}": "partial-ddivisible-4-2-2.json",
+}
+RENDERED = [
+    ["--shape", "skew:5.3.2/2.1"],
+    ["--shape", "delta:1"],
+    *(["--input", name] for name in INPUTS if name != "{extended}"),
+]
 
 QUANTITY_COMMANDS = [
     ["lucas", "--n", "6"],
@@ -63,6 +77,12 @@ COMMANDS = [
     ["tilings", "partition", "--variant", "fuss", "--n", "2", "--k", "2", "--format", "json"],
     ["tilings", "partition", "--variant", "ddivisible", "--n", "3", "--k", "1", "--d", "2", "--format", "json"],
     ["tilings", "partition", "--variant", "catalan", "--n", "3"],
+    ["tilings", "partition", "--variant", "binomial", "--n", "5", "--k", "2"],
+    ["tilings", "partition", "--variant", "fuss", "--n", "2", "--k", "2"],
+    ["tilings", "partition", "--variant", "ddivisible", "--n", "3", "--k", "1", "--d", "2"],
+    ["tilings", "enumerate", "--shape", "delta:4"],
+    ["tilings", "enumerate", "--shape", "delta:4", "--format", "json"],
+    *(["tilings", "render", *source, "--format", fmt] for source in RENDERED for fmt in ("ascii", "svg")),
     ["involution", "apply", "--input", "{extended}"],
     ["involution", "apply", "--input", "{extended}", "--format", "json"],
     ["findings", "narayana", "--max-n", "12"],
@@ -79,7 +99,7 @@ def run(argv: list[str]) -> str:
     """``exit <code>`` and then the command's stdout, as the golden files hold them."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main([INPUTS.get(arg, arg) for arg in argv])
+        code = cli.main([str(GOLDEN / INPUTS[arg]) if arg in INPUTS else arg for arg in argv])
     return f"exit {code}\n{out.getvalue()}"
 
 

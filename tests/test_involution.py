@@ -16,6 +16,7 @@ from lucaskit.involution import (
     symmetry_sides,
     verify_involution,
 )
+from lucaskit.polyring import Poly2
 from lucaskit.shapes_tilings import Binomial, MalformedDocument, partial_from_fixed
 
 # Strips of the running example: S1 = M D M (4 cells), S2 = D M (3 cells).
@@ -112,6 +113,21 @@ class TestIotaWorkedExample:
     def test_involution(self):
         example = worked_example()
         assert iota(iota(example)) == example
+
+
+class TestExtendedWeight:
+    def test_weight_is_core_times_strip_monomials(self):
+        count = 0
+        for n in range(6):
+            for k in range(n + 1):
+                for r in range(k + 1):
+                    for ext in enumerate_extended(n, k, r):
+                        expected = ext.partial.weight()
+                        for strip in ext.strips:
+                            expected = expected * Poly2.monomial(strip.count(1), strip.count(2))
+                        assert ext.weight() == expected
+                        count += 1
+        assert count == 478
 
 
 class TestIotaBaseCases:

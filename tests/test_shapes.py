@@ -6,6 +6,7 @@ from oracles import fib
 from lucaskit.lucas import d_lucastorial, lucas, lucasnomial, lucastorial
 from lucaskit.polyring import Poly2
 from lucaskit.shapes_tilings import (
+    DOMINO,
     Binomial,
     Catalan,
     DDivisible,
@@ -290,20 +291,65 @@ class TestPartials:
             PartialTiling.from_json_dict(data)
 
     def test_json_one_token_mutations(self):
-        # Every single-token edit is either rejected or is itself a canonical document.
+        # Every single-token set, insertion or deletion is either rejected or
+        # is itself a canonical document.
         for variant in (Binomial(4, 2), Catalan(3), FussCatalan(2, 2), DDivisible(3, 1, 2)):
             for partial in enumerate_partials(variant):
                 data = partial.to_json_dict()
                 for r, row in enumerate(data["rows"]):
-                    for i in range(len(row)):
-                        for token in ("M", "D", ".", "X"):
-                            mutated = {**data, "rows": [list(x) for x in data["rows"]]}
-                            mutated["rows"][r][i] = token
-                            try:
-                                parsed = PartialTiling.from_json_dict(mutated)
-                            except MalformedPartial:
-                                continue
-                            assert parsed.to_json_dict() == mutated
+                    edits = [row[:i] + [token] + row[i + 1 :] for i in range(len(row)) for token in ("M", "D", ".", "X")]
+                    edits += [row[:i] + [token] + row[i:] for i in range(len(row) + 1) for token in ("M", "D", ".")]
+                    edits += [row[:i] + row[i + 1 :] for i in range(len(row))]
+                    for edited in edits:
+                        mutated = {**data, "rows": data["rows"][:r] + [edited] + data["rows"][r + 1 :]}
+                        try:
+                            parsed = PartialTiling.from_json_dict(mutated)
+                        except MalformedPartial:
+                            continue
+                        assert parsed.to_json_dict() == mutated
+
+
+class TestVariantFamilies:
+    """Binomial is the d-divisible variant at d = 1, Catalan the Fuss variant at k = 1."""
+
+    @staticmethod
+    def blocks(variant) -> dict:
+        return {(p.path, p.fixed): weight for p, weight in block_partition(variant).items()}
+
+    def test_binomial_blocks_are_ddivisible_at_d_one(self):
+        for n in range(8):
+            for k in range(n + 1):
+                assert self.blocks(Binomial(n, k)) == self.blocks(DDivisible(n, k, 1))
+
+    def test_catalan_blocks_are_fuss_at_k_one(self):
+        for n in range(5):
+            assert self.blocks(Catalan(n)) == self.blocks(FussCatalan(n, 1))
+
+    def test_catalan_first_row_keeps_only_the_deflecting_domino(self):
+        # every tiling lies in one block, so the blocks' first rows are all of them
+        for n in range(5):
+            first_rows = {p.fixed[0] for p in block_partition(Catalan(n)) if p.fixed}
+            assert first_rows <= {(), ((n - 1, (DOMINO,)),)}
+            assert len(first_rows) == (2 if n >= 2 else 1 if n == 1 else 0)
+
+    def test_wire_form_repr_and_equality_are_their_own(self):
+        assert repr(Catalan(3)) == "Catalan(n=3)"
+        assert repr(Binomial(4, 2)) == "Binomial(n=4, k=2)"
+        assert Catalan(3) != FussCatalan(3, 1)
+        assert Binomial(4, 2) != DDivisible(4, 2, 1)
+        for variant, document in (
+            (Binomial(4, 2), {"kind": "binomial", "n": 4, "k": 2}),
+            (Catalan(3), {"kind": "catalan", "n": 3}),
+        ):
+            data = enumerate_partials(variant)[0].to_json_dict()
+            assert list(data["variant"].items()) == list(document.items())
+            assert PartialTiling.from_json_dict(data).variant == variant
+
+    def test_no_base_field_on_the_wire(self):
+        data = binomial_4_2_document()
+        data["variant"]["d"] = 1
+        with pytest.raises(MalformedPartial, match="kind plus integers n, k"):
+            PartialTiling.from_json_dict(data)
 
 
 class TestBlockPartition:

@@ -15,8 +15,10 @@ them (each printed as ``error: ...`` on stderr):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from typing import Iterator, TextIO
 
 from . import analysis, coxcat, involution, lucas, render, shapes_tilings
 from .lucas import (
@@ -51,12 +53,23 @@ FINDINGS = {
 }
 
 
-def _emit(text: str, out: str | None) -> None:
+# `tilings enumerate` lists every tiling: delta_9's 2,227,680 still run, delta_10's 122,522,400 are refused.
+MAX_ENUMERATED_TILINGS = 10**7
+
+
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """The file named by ``--out``, or stdout."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            yield fh
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        yield sys.stdout
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")
 
 
 def _poly_output(value: Poly2, fmt: str) -> str:
@@ -172,13 +185,22 @@ def _cmd_tilings(args) -> int:
         if not args.shape:
             raise ValueError("enumerate needs --shape")
         shape = _parse_shape(args.shape)
-        tilings = list(shapes_tilings.enumerate_tilings(shape))
-        if args.format == "json":
-            _emit(json.dumps({"count": len(tilings), "tilings": [t.to_json_dict()["rows"] for t in tilings]}), args.out)
-        else:
-            lines = [" ".join("".join(row) for row in t.to_json_dict()["rows"]) or "(empty)" for t in tilings]
-            lines.append(f"count: {len(tilings)}")
-            _emit("\n".join(lines), args.out)
+        count = shapes_tilings.count_tilings(shape)
+        if count > MAX_ENUMERATED_TILINGS:
+            raise ValueError(f"{count} tilings; enumerate lists at most {MAX_ENUMERATED_TILINGS}")
+        tilings = shapes_tilings.enumerate_tilings(shape)
+        token_rows = ([shapes_tilings.tile_tokens(tiles) for tiles in t.rows] for t in tilings)
+        with _output(args.out) as fh:
+            if args.format == "json":
+                # Streamed, in the bytes json.dumps gives the whole document.
+                fh.write(f'{{"count": {count}, "tilings": [')
+                for i, rows in enumerate(token_rows):
+                    fh.write((", " if i else "") + json.dumps(rows))
+                fh.write("]}\n")
+            else:
+                for rows in token_rows:
+                    fh.write((" ".join("".join(row) for row in rows) or "(empty)") + "\n")
+                fh.write(f"count: {count}\n")
         return PASS
     if args.action == "partition":
         variant = _parse_variant(args)

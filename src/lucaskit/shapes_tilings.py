@@ -32,6 +32,7 @@ DOMINO = 2
 Tiles = tuple[int, ...]  # tile lengths, each 1 or 2
 Run = tuple[int, Tiles]  # (start column, tiles) of one fixed stretch
 FixedRows = tuple[tuple[Run, ...], ...]
+Tally = dict[int, int]  # #dominoes -> #tilings, of tilings that cover the same cells
 
 
 class MalformedPartial(ValueError):
@@ -279,51 +280,31 @@ class LatticePath:
         return tuple(out)
 
 
-def _trace(row_lens, blocked_rows, start_x: int, terminal: int, mod_d: int | None):
-    """Greedy N-else-W walk; returns (x per crossed row, NI/NL labels).
+def _step(
+    x: int, used: frozenset[int], row_len: int, blocked: AbstractSet[int], mod_d: int | None
+) -> tuple[int, str, frozenset[int]]:
+    """One greedy crossing: step W from x until an N step across the row is legal.
 
-    An N step along x crossing row y+1 is legal when it stays inside the
-    diagram (or rides the (0, l) boundary segment), does not cut a domino,
-    and, in the d-divisible case, has x = 0 or -1 mod d with each -1 line
-    used at most once.
+    An N step along x is legal when 0 <= x <= row_len, x cuts none of the
+    row's dominoes (``blocked``), and, in the d-divisible case, x = 0 or
+    -1 mod d with each -1 line used at most once.  A row past the shape is
+    row length 0 with no dominoes, which leaves only the (0, l) boundary
+    segment.  Returns the crossing x, its NI/NL label and the used -1 lines.
     """
-    x = start_x
-    xs: list[int] = []
-    labels: list[str] = []
-    used: set[int] = set()
-    n_rows = len(row_lens)
-    prev_w = False
-    for y in range(terminal):
-        while True:
-            if y < n_rows:
-                ok = 0 <= x <= row_lens[y] and x not in blocked_rows[y]
-            else:
-                ok = x == 0
-            if ok and mod_d is not None:
-                rem = x % mod_d
-                if rem == 0:
-                    pass
-                elif rem == mod_d - 1 and x not in used:
-                    pass
-                else:
-                    ok = False
-            if ok:
-                break
-            x -= 1
-            prev_w = True
-            if x < 0:
-                raise AssertionError("greedy path fell off the diagram")
-        xs.append(x)
-        if mod_d is not None:
-            if x % mod_d == 0:
-                labels.append("NI")
-            else:
-                labels.append("NL")
-                used.add(x)
-        else:
-            labels.append("NL" if prev_w else "NI")
-        prev_w = False
-    return xs, labels
+    start = x
+    while not (
+        x <= row_len
+        and x not in blocked
+        and (mod_d is None or x % mod_d == 0 or (x % mod_d == mod_d - 1 and x not in used))
+    ):
+        x -= 1
+        if x < 0:
+            raise AssertionError("greedy path fell off the diagram")
+    if mod_d is None:
+        return x, "NL" if x < start else "NI", used
+    if x % mod_d == 0:
+        return x, "NI", used
+    return x, "NL", used | {x}
 
 
 def _path_from_xs(start_x: int, xs) -> str:
@@ -521,27 +502,15 @@ def path_from_tiling(tiling: Tiling, variant: Variant) -> LatticePath:
     return partial_from_tiling(tiling, variant).path
 
 
-def _fixed_rows(variant: Variant, tiling_rows, xs, labels) -> FixedRows:
-    """Fixed cells per row: left of NI, right of NL, plus the Fuss first row."""
-    n_rows = len(tiling_rows)
-    fixed: list[tuple[Run, ...]] = []
-    for r in range(1, n_rows + 1):
-        tiles = tiling_rows[r - 1]
-        x, label = xs[r - 1], labels[r - 1]
-        _, bounds, _, _ = _row_data(tiles)
-        if r == 1 and isinstance(variant, FussCatalan) and variant.n >= 1:
-            if label == "NL":
-                fixed.append(_fuss_first_row(variant, tiles, bounds))
-            else:
-                fixed.append(())
-            continue
-        if label == "NI":
-            cut = bounds[x]
-            fixed.append(((1, tiles[:cut]),) if cut else ())
-        else:
-            cut = bounds[x]
-            fixed.append(((x + 1, tiles[cut:]),) if cut < len(tiles) else ())
-    return tuple(fixed)
+def _fixed_row(variant: Variant, r: int, tiles: Tiles, x: int, label: str) -> tuple[Run, ...]:
+    """Fixed runs of row r crossed at x: left of NI, right of NL, or the Fuss first-row rule."""
+    bounds = _row_data(tiles)[1]
+    if r == 1 and isinstance(variant, FussCatalan) and variant.n >= 1:
+        return _fuss_first_row(variant, tiles, bounds) if label == "NL" else ()
+    cut = bounds[x]
+    if label == "NI":
+        return ((1, tiles[:cut]),) if cut else ()
+    return ((x + 1, tiles[cut:]),) if cut < len(tiles) else ()
 
 
 def _fuss_first_row(variant: FussCatalan, tiles: Tiles, bounds) -> tuple[Run, ...]:
@@ -564,16 +533,28 @@ def _fuss_first_row(variant: FussCatalan, tiles: Tiles, bounds) -> tuple[Run, ..
     return tuple(runs)
 
 
+def _walk(variant: Variant, rows: tuple[Tiles, ...]) -> tuple[list[int], list[str], FixedRows]:
+    """The greedy path through one tiling's rows: (x per crossing, NI/NL labels, fixed rows)."""
+    x, used, mod_d = variant.start_x(), frozenset(), variant.mod_d()
+    xs: list[int] = []
+    labels: list[str] = []
+    fixed: list[tuple[Run, ...]] = []
+    # Rows past the shape are empty rows.
+    for r, tiles in enumerate(rows + ((),) * (variant.terminal() - len(rows)), start=1):
+        blocked, _, monos, doms = _row_data(tiles)
+        x, label, used = _step(x, used, monos + 2 * doms, blocked, mod_d)
+        xs.append(x)
+        labels.append(label)
+        fixed.append(_fixed_row(variant, r, tiles, x, label))
+    return xs, labels, tuple(fixed[: len(rows)])
+
+
 def partial_from_tiling(tiling: Tiling, variant: Variant) -> PartialTiling:
     """The canonical partial tiling of the block containing ``tiling``."""
-    shape = variant.shape()
-    if tiling.shape != shape:
+    if tiling.shape != variant.shape():
         raise ValueError("tiling does not live on the variant's shape")
-    row_lens = [shape.cells(r) for r in range(1, shape.n_rows + 1)]
-    blocked = [_row_data(tiles)[0] for tiles in tiling.rows]
+    xs, labels, fixed = _walk(variant, tiling.rows)
     start = variant.start_x()
-    xs, labels = _trace(row_lens, blocked, start, variant.terminal(), variant.mod_d())
-    fixed = _fixed_rows(variant, tiling.rows, xs, labels)
     path = LatticePath((start, 0), _path_from_xs(start, xs), tuple(labels))
     return PartialTiling(variant, path, fixed)
 
@@ -590,6 +571,9 @@ def partial_from_fixed(variant: Variant, fixed: FixedRows) -> PartialTiling:
     The monomino completion of the fixed cells must map back onto exactly the
     same fixed cells; otherwise no block has this representative.
     """
+    n_rows = variant.shape().n_rows
+    if len(fixed) != n_rows:
+        raise MalformedPartial(f"{len(fixed)} fixed rows for a shape with {n_rows}")
     candidate = partial_from_tiling(completion(variant, fixed), variant)
     if candidate.fixed != tuple(tuple(runs) for runs in fixed):
         raise MalformedPartial("fixed cells are not a block representative")
@@ -626,43 +610,59 @@ class BlockPartitionReport:
         }
 
 
+def _convolve(a: Tally, b: Tally) -> Tally:
+    """The tally of every pair of a tiling from ``a`` and one from ``b``."""
+    out: Tally = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
+    return out
+
+
 def block_partition(variant: Variant) -> dict[PartialTiling, Poly2]:
     """Group all tilings of the variant's shape by their partial tiling.
 
     Returns each distinct partial tiling with the exact weight of its block.
-    Streams the row-tiling product, so nothing is materialized.
+
+    The greedy path is Markov in rows: a row's crossing, label and fixed
+    runs depend only on the walk state (x, used -1 lines) and that row's
+    tiles.  So the blocks are a transfer-matrix sum folded row by row, with
+    no tiling visited on its own.  The frontier maps each walk state to the
+    (crossings, fixed rows) prefixes that reach it, each with its tally
+    {#dominoes: #tilings} over the rows so far (the monominoes cover the
+    remaining cells).  Per state, the next row's tilings are grouped by
+    (x, label, used, fixed runs), and each group's tally is convolved into
+    every prefix.  Rows past the shape are rows of length 0.
     """
     shape = variant.shape()
-    row_lens = [shape.cells(r) for r in range(1, shape.n_rows + 1)]
-    per_row = [row_tilings(m) for m in row_lens]
-    start = variant.start_x()
-    terminal = variant.terminal()
-    mod_d = variant.mod_d()
+    start, mod_d = variant.start_x(), variant.mod_d()
+    frontier: dict[tuple[int, frozenset[int]], dict[tuple, Tally]] = {(start, frozenset()): {((), ()): {0: 1}}}
+    for r in range(1, variant.terminal() + 1):
+        row_len = shape.cells(r) if r <= shape.n_rows else 0
+        successors: dict[tuple[int, frozenset[int]], dict[tuple, Tally]] = {}
+        for (x, used), prefixes in frontier.items():
+            groups: dict[tuple, Tally] = {}
+            for tiles in row_tilings(row_len):
+                blocked, _, _, doms = _row_data(tiles)
+                x2, label, used2 = _step(x, used, row_len, blocked, mod_d)
+                row_tally = groups.setdefault((x2, label, used2, _fixed_row(variant, r, tiles, x2, label)), {})
+                row_tally[doms] = row_tally.get(doms, 0) + 1
+            for (x2, label, used2, runs), row_tally in groups.items():
+                # The state is a function of the crossings, so no two
+                # (state, prefix) pairs extend to the same prefix.
+                dest = successors.setdefault((x2, used2), {})
+                for (crossings, fixed), tally in prefixes.items():
+                    dest[(crossings + ((x2, label),), fixed + (runs,))] = _convolve(tally, row_tally)
+        frontier = successors
 
-    acc: dict[tuple, dict[tuple[int, int], int]] = {}
-    labels_of: dict[tuple, list[str]] = {}
-    datas = [[_row_data(t) for t in options] for options in per_row]
-    for combo in itertools.product(*(range(len(options)) for options in per_row)):
-        rows = tuple(per_row[i][j] for i, j in enumerate(combo))
-        blocked = [datas[i][j][0] for i, j in enumerate(combo)]
-        xs, labels = _trace(row_lens, blocked, start, terminal, mod_d)
-        fixed = _fixed_rows(variant, rows, xs, labels)
-        key = (tuple(xs), fixed)
-        monos = sum(datas[i][j][2] for i, j in enumerate(combo))
-        doms = sum(datas[i][j][3] for i, j in enumerate(combo))
-        bucket = acc.get(key)
-        if bucket is None:
-            # The labels are a function of xs, so the block's first tiling has them.
-            bucket = acc[key] = {}
-            labels_of[key] = labels
-        bucket[(monos, doms)] = bucket.get((monos, doms), 0) + 1
-
+    cells = sum(shape.cells(r) for r in range(1, shape.n_rows + 1))
     out: dict[PartialTiling, Poly2] = {}
-    for key, weight_terms in acc.items():
-        xs, fixed = key
-        path = LatticePath((start, 0), _path_from_xs(start, xs), tuple(labels_of[key]))
-        partial = PartialTiling(variant, path, fixed)
-        out[partial] = Poly2(dict(weight_terms.items()))
+    for prefixes in frontier.values():
+        for (crossings, fixed), tally in prefixes.items():
+            xs = [x for x, _ in crossings]
+            path = LatticePath((start, 0), _path_from_xs(start, xs), tuple(label for _, label in crossings))
+            weight = Poly2({(cells - 2 * doms, doms): count for doms, count in tally.items()})
+            out[PartialTiling(variant, path, fixed[: shape.n_rows])] = weight
     return out
 
 

@@ -1,17 +1,23 @@
 """Independent oracles the tests check library results against.
 
-Nothing here goes through Poly2 division or the tiling machinery: integer
-sequences come from their defining recurrences, q-analogues from univariate
-q-factorial quotients, and Coxeter products from exact Fraction arithmetic.
+Nothing here but ``brute_block_partition`` goes through Poly2 division or the
+tiling machinery: integer sequences come from their defining recurrences,
+q-analogues from univariate q-factorial quotients, and Coxeter products from
+exact Fraction arithmetic.  ``brute_block_partition`` reuses the library's
+per-tiling greedy walk (``_walk``), so it is independent of
+``block_partition`` only in how it aggregates: it visits every tiling one by
+one instead of folding rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
-from lucaskit.polyring import Poly1
+from lucaskit.polyring import Poly1, Poly2
+from lucaskit.shapes_tilings import LatticePath, PartialTiling, _path_from_xs, _row_data, _walk, row_tilings
 
 
 @lru_cache(maxsize=None)
@@ -77,3 +83,39 @@ def rational_catalan_number(a: int, b: int) -> int:
 
 def narayana_number(n: int, k: int) -> int:
     return math.comb(n, k) * math.comb(n, k - 1) // n
+
+
+def brute_block_partition(variant) -> dict[PartialTiling, Poly2]:
+    """Group all tilings of the variant's shape by their partial tiling.
+
+    Returns each distinct partial tiling with the exact weight of its block.
+    Streams the row-tiling product, so nothing is materialized.
+    """
+    shape = variant.shape()
+    row_lens = [shape.cells(r) for r in range(1, shape.n_rows + 1)]
+    per_row = [row_tilings(m) for m in row_lens]
+    start = variant.start_x()
+
+    acc: dict[tuple, dict[tuple[int, int], int]] = {}
+    labels_of: dict[tuple, list[str]] = {}
+    datas = [[_row_data(t) for t in options] for options in per_row]
+    for combo in itertools.product(*(range(len(options)) for options in per_row)):
+        rows = tuple(per_row[i][j] for i, j in enumerate(combo))
+        xs, labels, fixed = _walk(variant, rows)
+        key = (tuple(xs), fixed)
+        monos = sum(datas[i][j][2] for i, j in enumerate(combo))
+        doms = sum(datas[i][j][3] for i, j in enumerate(combo))
+        bucket = acc.get(key)
+        if bucket is None:
+            # The labels are a function of xs, so the block's first tiling has them.
+            bucket = acc[key] = {}
+            labels_of[key] = labels
+        bucket[(monos, doms)] = bucket.get((monos, doms), 0) + 1
+
+    out: dict[PartialTiling, Poly2] = {}
+    for key, weight_terms in acc.items():
+        xs, fixed = key
+        path = LatticePath((start, 0), _path_from_xs(start, xs), tuple(labels_of[key]))
+        partial = PartialTiling(variant, path, fixed)
+        out[partial] = Poly2(dict(weight_terms.items()))
+    return out

@@ -6,7 +6,7 @@ import pytest
 
 from lucaskit import cli
 from lucaskit.polyring import NotDivisible, Poly2
-from lucaskit.shapes_tilings import Binomial, partial_from_tiling, staircase, Tiling
+from lucaskit.shapes_tilings import Binomial, count_tilings, partial_from_tiling, staircase, Tiling
 
 
 def run(capsys, *argv):
@@ -170,6 +170,28 @@ class TestTilings:
         code, out = run(capsys, "tilings", "render", "--shape", "ddelta:3:2")
         assert code == 0
         assert len(out.splitlines()) == 3
+
+    def test_enumerate_refuses_a_huge_shape_before_any_work(self, capsys, monkeypatch):
+        def enumerated(shape):
+            raise AssertionError("enumerated a refused shape")
+
+        monkeypatch.setattr(cli.shapes_tilings, "enumerate_tilings", enumerated)
+        assert cli.main(["tilings", "enumerate", "--shape", "delta:12"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 1570247078400 tilings; enumerate lists at most 10000000\n"
+
+    def test_enumerate_bound_admits_delta_9_not_delta_10(self):
+        assert count_tilings(staircase(9)) == 2_227_680 <= cli.MAX_ENUMERATED_TILINGS
+        assert count_tilings(staircase(10)) == 122_522_400 > cli.MAX_ENUMERATED_TILINGS
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    def test_enumerate_refuses_past_the_bound(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "MAX_ENUMERATED_TILINGS", 6)
+        code, out = run(capsys, "tilings", "enumerate", "--shape", "delta:4", "--format", fmt)
+        assert code == 0 and out
+        code, out = run(capsys, "tilings", "enumerate", "--shape", "delta:5", "--format", fmt)
+        assert (code, out) == (1, "")
 
     def test_skew_shape_spec(self, capsys):
         code, out = run(capsys, "tilings", "enumerate", "--shape", "skew:3.1/2")

@@ -80,6 +80,9 @@ COMMANDS = [
     ["tilings", "partition", "--variant", "binomial", "--n", "5", "--k", "2"],
     ["tilings", "partition", "--variant", "fuss", "--n", "2", "--k", "2"],
     ["tilings", "partition", "--variant", "ddivisible", "--n", "3", "--k", "1", "--d", "2"],
+    ["tilings", "partition", "--variant", "catalan", "--n", "4"],
+    ["tilings", "partition", "--variant", "fuss", "--n", "3", "--k", "2", "--format", "json"],
+    ["tilings", "partition", "--variant", "ddivisible", "--n", "4", "--k", "2", "--d", "3"],
     ["tilings", "enumerate", "--shape", "delta:4"],
     ["tilings", "enumerate", "--shape", "delta:4", "--format", "json"],
     *(["tilings", "render", *source, "--format", fmt] for source in RENDERED for fmt in ("ascii", "svg")),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import fib
+from oracles import brute_block_partition, fib
 from lucaskit.lucas import d_lucastorial, lucas, lucasnomial, lucastorial
 from lucaskit.polyring import Poly2
 from lucaskit.shapes_tilings import (
@@ -258,6 +258,14 @@ class TestPartials:
             # a lone fixed monomino in the middle of row 1 fixes nothing a path makes
             partial_from_fixed(Binomial(4, 2), (((2, (1,)),), (), ()))
 
+    def test_partial_from_fixed_rejects_too_few_rows(self):
+        with pytest.raises(MalformedPartial, match="1 fixed rows for a shape with 3"):
+            partial_from_fixed(Binomial(4, 2), ((),))
+
+    def test_partial_from_fixed_rejects_too_many_rows(self):
+        with pytest.raises(MalformedPartial, match="4 fixed rows for a shape with 3"):
+            partial_from_fixed(Binomial(4, 2), ((), (), (), ()))
+
     def test_json_round_trip(self):
         partial = partial_from_tiling(EXAMPLE_TILING, Binomial(6, 3))
         data = partial.to_json_dict()
@@ -352,7 +360,36 @@ class TestVariantFamilies:
             PartialTiling.from_json_dict(data)
 
 
+# The variants of acceptance criteria 1 and 4.
+CRITERIA_VARIANTS = (
+    [Binomial(n, k) for n in range(8) for k in range(n + 1)]
+    + [Catalan(n) for n in range(5)]
+    + [FussCatalan(n, k) for n, k in [(2, 2), (3, 2), (2, 3)]]
+    + [DDivisible(n, k, d) for d in range(1, 4) for n in range(5) for k in range(n + 1)]
+)
+
+# Past the bounds the brute-force oracle runs at: Catalan(5) has 122,522,400
+# tilings and FussCatalan(3, 3) about 1.57e12.
+BEYOND_BRUTE_FORCE = (
+    [Catalan(5), FussCatalan(3, 3), FussCatalan(2, 4)]
+    + [DDivisible(4, k, 4) for k in range(5)]
+    + [DDivisible(5, k, 3) for k in range(6)]
+    + [Binomial(8, k) for k in range(9)]
+)
+
+
 class TestBlockPartition:
+    @pytest.mark.parametrize("variant", CRITERIA_VARIANTS, ids=repr)
+    def test_row_fold_matches_brute_force(self, variant):
+        assert block_partition(variant) == brute_block_partition(variant)
+
+    @pytest.mark.parametrize("variant", BEYOND_BRUTE_FORCE, ids=repr)
+    def test_row_fold_beyond_brute_force(self, variant):
+        report = verify_block_partition(variant)
+        assert report.ok, report.failures
+        # every partial weight is a monic monomial, so each block adds 1 at s = t = 1
+        assert report.block_count == report.partial_sum.evaluate(1, 1)
+
     def test_naive_grouping_matches_stream(self):
         for variant in (Binomial(5, 2), Catalan(2), FussCatalan(2, 2), DDivisible(3, 2, 2)):
             naive: dict[PartialTiling, Poly2] = {}

@@ -1,18 +1,19 @@
-"""Exact sparse arithmetic for polynomials in the indeterminates s and t.
+"""Exact arithmetic for polynomials in the indeterminates s and t.
 
-A ``Poly2`` maps exponent pairs ``(a, b)``, standing for ``s^a * t^b``, to
-nonzero integer coefficients.  Everything is exact: coefficients are Python
-ints, and the univariate ``Poly1`` (used for coefficient generating functions,
-q-specializations and Chebyshev images) carries ``Fraction`` coefficients so
-that Sturm sequences and divisions never touch floating point.
+A monomial ``s^a t^b`` has weight ``a + 2b``, and a ``Poly2`` is stored by
+weight: each weight N present maps to the integer sequence ``c_0, c_1, ...``
+with ``c_k`` the coefficient of ``s^(N-2k) t^k``, trailing zeros trimmed.
+Everything is exact: coefficients are Python ints, and the univariate
+``Poly1`` (used for coefficient generating functions, q-specializations and
+Chebyshev images) carries ``Fraction`` coefficients so that Sturm sequences
+and divisions never touch floating point.
 
-Most quantities built on top of this ring are *weighted homogeneous*: every
-monomial ``s^a t^b`` satisfies ``a + 2b = N`` for a single weight ``N``.  Such
-a polynomial collapses to the integer sequence ``a_0, a_1, ...`` with ``a_k``
-the coefficient of ``s^(N-2k) t^k`` (see ``CoeffSeq``), and products and exact
-quotients reduce to univariate convolutions, which the arithmetic below uses
-as a fast path.  A lexicographic long division (s > t) covers the general
-case.
+Every Lucas quantity is *weighted homogeneous*, a single weight (its tilings
+cover a fixed number of cells), so it is one sequence (see ``CoeffSeq``).
+Products convolve each pair of weights.  Exact division is graded long
+division: the dividend's top weight is divided by the divisor's top weight as
+a univariate exact quotient, and the divisor's lower weights times that
+quotient are subtracted from the lower weights of the dividend.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping
+from operator import add
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -36,78 +38,85 @@ class NotWeightedHomogeneous(ValueError):
 
 
 Monomial = tuple[int, int]  # (s exponent, t exponent)
+Part = tuple[int, ...]  # c_k = coefficient of s^(N-2k) t^k within weight N
 
 
 class Poly2:
     """A polynomial in s and t with integer coefficients, in canonical form.
 
-    Canonical form stores no zero coefficients; equality is term-map equality.
+    Canonical form keeps only weights with a nonzero coefficient, each
+    sequence trimmed of trailing zeros; equality is equality of that map.
     Instances are immutable and hashable.
     """
 
-    __slots__ = ("_terms", "_hash", "_profile")
+    __slots__ = ("_parts", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
-        data: dict[Monomial, int] = {}
+        parts: dict[int, list[int]] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (a, b), c in items:
             if a < 0 or b < 0:
                 raise ValueError(f"negative exponent in monomial {(a, b)}")
-            if c:
-                new = data.get((a, b), 0) + c
-                if new:
-                    data[(a, b)] = new
-                elif (a, b) in data:
-                    del data[(a, b)]
-        self._terms = data
+            seq = parts.setdefault(a + 2 * b, [])
+            seq.extend([0] * (b + 1 - len(seq)))
+            seq[b] += c
+        self._parts = _canonical(parts)
         self._hash: int | None = None
-        self._profile: tuple[int, tuple[int, ...]] | None | bool = False  # False = not yet computed
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> Poly2:
-        return Poly2()
+        return _graded({})
 
     @staticmethod
     def one() -> Poly2:
-        return Poly2({(0, 0): 1})
+        return _graded({0: (1,)})
 
     @staticmethod
     def const(c: int) -> Poly2:
-        return Poly2({(0, 0): c})
+        return _graded({0: (c,)})
 
     @staticmethod
     def monomial(s_exp: int, t_exp: int, coeff: int = 1) -> Poly2:
-        return Poly2({(s_exp, t_exp): coeff})
+        if s_exp < 0 or t_exp < 0:
+            raise ValueError(f"negative exponent in monomial {(s_exp, t_exp)}")
+        return _graded({s_exp + 2 * t_exp: (0,) * t_exp + (coeff,)})
 
     @staticmethod
     def var_s() -> Poly2:
-        return Poly2({(1, 0): 1})
+        return _graded({1: (1,)})
 
     @staticmethod
     def var_t() -> Poly2:
-        return Poly2({(0, 1): 1})
+        return _graded({2: (0, 1)})
 
     # -- basic protocol ----------------------------------------------------
 
     def terms(self) -> list[tuple[Monomial, int]]:
         """Terms sorted by decreasing s exponent, then increasing t exponent."""
-        return sorted(self._terms.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
+        out = [((n - 2 * k, k), c) for n, seq in self._parts.items() for k, c in enumerate(seq) if c]
+        out.sort(key=lambda kv: (-kv[0][0], kv[0][1]))
+        return out
+
+    @property
+    def _terms(self) -> dict[Monomial, int]:
+        """A fresh ``{(a, b): c}`` map of the nonzero terms; changing it leaves self alone."""
+        return {(n - 2 * k, k): c for n, seq in self._parts.items() for k, c in enumerate(seq) if c}
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._parts)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = Poly2.const(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        return self._terms == other._terms
+        return self._parts == other._parts
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash(frozenset(self._parts.items()))
         return self._hash
 
     def __repr__(self) -> str:
@@ -121,23 +130,17 @@ class Poly2:
     def __add__(self, other: Poly2 | int) -> Poly2:
         if isinstance(other, int):
             other = Poly2.const(other)
-        out = dict(self._terms)
-        for mono, c in other._terms.items():
-            new = out.get(mono, 0) + c
-            if new:
-                out[mono] = new
-            elif mono in out:
-                del out[mono]
-        return _wrap(out)
+        parts: dict[int, Sequence[int]] = dict(self._parts)
+        for n, seq in other._parts.items():
+            _add_part(parts, n, seq)
+        return _graded(parts)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly2:
-        return _wrap({m: -c for m, c in self._terms.items()})
+        return _graded({n: tuple(-c for c in seq) for n, seq in self._parts.items()})
 
     def __sub__(self, other: Poly2 | int) -> Poly2:
-        if isinstance(other, int):
-            other = Poly2.const(other)
         return self + (-other)
 
     def __rsub__(self, other: int) -> Poly2:
@@ -145,33 +148,12 @@ class Poly2:
 
     def __mul__(self, other: Poly2 | int) -> Poly2:
         if isinstance(other, int):
-            if other == 0:
-                return Poly2()
-            return _wrap({m: c * other for m, c in self._terms.items()})
-        if not self._terms or not other._terms:
-            return Poly2()
-        pa, pb = self.weighted_profile(), other.weighted_profile()
-        if pa is not None and pb is not None:
-            # Homogeneous inputs multiply as univariate convolutions.
-            na, ca = pa
-            nb, cb = pb
-            out = [0] * (len(ca) + len(cb) - 1)
-            for i, x in enumerate(ca):
-                if x:
-                    for j, y in enumerate(cb):
-                        if y:
-                            out[i + j] += x * y
-            return _from_profile(na + nb, out)
-        acc: dict[Monomial, int] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                mono = (a1 + a2, b1 + b2)
-                new = acc.get(mono, 0) + c1 * c2
-                if new:
-                    acc[mono] = new
-                elif mono in acc:
-                    del acc[mono]
-        return _wrap(acc)
+            other = Poly2.const(other)
+        parts: dict[int, Sequence[int]] = {}
+        for na, fa in self._parts.items():
+            for nb, fb in other._parts.items():
+                _add_part(parts, na + nb, _convolve(fa, fb))
+        return _graded(parts)
 
     __rmul__ = __mul__
 
@@ -189,56 +171,53 @@ class Poly2:
 
     def evaluate(self, s0: int, t0: int) -> int:
         """Exact evaluation at integer arguments; a ring homomorphism."""
-        return sum(c * s0**a * t0**b for (a, b), c in self._terms.items())
+        return sum(c * s0 ** (n - 2 * k) * t0**k for n, seq in self._parts.items() for k, c in enumerate(seq) if c)
 
     def is_nonnegative(self) -> bool:
-        """True iff every (stored, hence nonzero) coefficient is positive."""
-        return all(c > 0 for c in self._terms.values())
+        """True iff every nonzero coefficient is positive."""
+        return all(c >= 0 for seq in self._parts.values() for c in seq)
 
     # -- weighted-homogeneous structure -------------------------------------
 
-    def weighted_profile(self) -> tuple[int, tuple[int, ...]] | None:
+    def weighted_profile(self) -> tuple[int, Part] | None:
         """``(N, coeffs)`` if every monomial has a + 2b == N, else ``None``.
 
         ``coeffs[k]`` is the coefficient of ``s^(N-2k) t^k``; trailing entries
         up to the largest occurring t exponent, zero-filled in between.
         Undefined (None) for the zero polynomial.
         """
-        if self._profile is False:
-            self._profile = self._compute_profile()
-        return self._profile
-
-    def _compute_profile(self) -> tuple[int, tuple[int, ...]] | None:
-        if not self._terms:
+        if len(self._parts) != 1:
             return None
-        weight = None
-        max_b = 0
-        for (a, b), _ in self._terms.items():
-            w = a + 2 * b
-            if weight is None:
-                weight = w
-            elif w != weight:
-                return None
-            max_b = max(max_b, b)
-        coeffs = [0] * (max_b + 1)
-        for (_, b), c in self._terms.items():
-            coeffs[b] = c
-        return (weight, tuple(coeffs))
+        [profile] = self._parts.items()
+        return profile
 
     def exact_div(self, divisor: Poly2) -> Poly2:
         """Return r with divisor * r == self, over the integers.
 
         Raises DivisionByZero when divisor == 0 and NotDivisible when no such
         integer-coefficient polynomial exists.
+
+        Graded long division: the top part of a product is the product of the
+        top parts, so the remainder's top part divided by the divisor's is
+        the quotient's next part.  Subtracting that part times the divisor's
+        lower parts leaves a remainder whose top weight is strictly lower.
         """
-        if not divisor._terms:
+        if not divisor._parts:
             raise DivisionByZero("polynomial division by zero")
-        if not self._terms:
-            return Poly2()
-        pp, pq = self.weighted_profile(), divisor.weighted_profile()
-        if pp is not None and pq is not None:
-            return _hom_exact_div(pp, pq)
-        return _lex_exact_div(self._terms, divisor._terms)
+        top = max(divisor._parts)
+        lead = divisor._parts[top]
+        lower = [(m, tuple(-c for c in seq)) for m, seq in divisor._parts.items() if m != top]
+        rem: dict[int, Sequence[int]] = dict(self._parts)
+        quot: dict[int, Part] = {}
+        while rem:
+            n = max(rem)
+            f = _trimmed(rem.pop(n))
+            if not f:
+                continue
+            h = quot[n - top] = _hom_exact_div(n, f, top, lead)
+            for m, neg in lower:
+                _add_part(rem, n - top + m, _convolve(h, neg))
+        return _graded(quot)
 
     # -- substitutions -------------------------------------------------------
 
@@ -257,7 +236,7 @@ class Poly2:
 
     def pretty(self) -> str:
         """Render like the display style ``s^3 + 2*s*t``; 0 for the zero poly."""
-        if not self._terms:
+        if not self._parts:
             return "0"
         parts: list[str] = []
         for (a, b), c in self.terms():
@@ -288,24 +267,52 @@ class Poly2:
         return Poly2({(int(t["s"]), int(t["t"])): int(t["c"]) for t in data["terms"]})
 
 
-def _wrap(terms: dict[Monomial, int]) -> Poly2:
-    p = Poly2()
-    p._terms = terms
+def _trimmed(seq: Sequence[int]) -> Part:
+    end = len(seq)
+    while end and not seq[end - 1]:
+        end -= 1
+    return tuple(seq[:end])
+
+
+def _canonical(parts: Mapping[int, Sequence[int]]) -> dict[int, Part]:
+    """Trim every part and drop the ones left empty."""
+    out = {}
+    for n, seq in parts.items():
+        seq = _trimmed(seq)
+        if seq:
+            out[n] = seq
+    return out
+
+
+def _graded(parts: Mapping[int, Sequence[int]]) -> Poly2:
+    """The polynomial whose weight-N part is ``parts[N]``, in canonical form."""
+    p = Poly2.__new__(Poly2)
+    p._parts = _canonical(parts)
+    p._hash = None
     return p
 
 
-def _from_profile(weight: int, coeffs: Iterable[int]) -> Poly2:
-    terms: dict[Monomial, int] = {}
-    for k, c in enumerate(coeffs):
-        if c:
-            terms[(weight - 2 * k, k)] = c
-    return _wrap(terms)
+def _add_part(parts: dict[int, Sequence[int]], n: int, seq: Sequence[int]) -> None:
+    """parts[n] += seq, coefficientwise and untrimmed."""
+    old = parts.get(n, ())
+    if len(old) < len(seq):
+        old, seq = seq, old
+    parts[n] = (*map(add, old, seq), *old[len(seq) :])
 
 
-def _hom_exact_div(pp: tuple[int, tuple[int, ...]], pq: tuple[int, tuple[int, ...]]) -> Poly2:
-    """Exact division of weighted-homogeneous polynomials via their sequences."""
-    np_, f = pp
-    nq, g = pq
+def _convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """The part of a product: c_k = sum of f_i g_j over i + j = k."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        if x:
+            for j, y in enumerate(g):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _hom_exact_div(np_: int, f: Part, nq: int, g: Part) -> Part:
+    """The part h of weight np_ - nq with h * g == f, for trimmed nonzero f and g."""
     if np_ < nq:
         raise NotDivisible("weight of dividend is below weight of divisor")
     # Strip the divisor's t-valuation; the dividend must carry at least as much.
@@ -335,32 +342,7 @@ def _hom_exact_div(pp: tuple[int, tuple[int, ...]], pq: tuple[int, tuple[int, ..
     weight = np_ - nq
     if any(h[k] and weight - 2 * k < 0 for k in range(len(h))):
         raise NotDivisible("quotient would need a negative s exponent")
-    return _from_profile(weight, h)
-
-
-def _lex_exact_div(p: dict[Monomial, int], q: dict[Monomial, int]) -> Poly2:
-    """Multivariate long division in lex order (s > t); exactness enforced."""
-    q_lead = max(q)
-    q_lc = q[q_lead]
-    rem = dict(p)
-    quot: dict[Monomial, int] = {}
-    while rem:
-        lead = max(rem)
-        da, db = lead[0] - q_lead[0], lead[1] - q_lead[1]
-        if da < 0 or db < 0:
-            raise NotDivisible("leading monomial not divisible")
-        c, r = divmod(rem[lead], q_lc)
-        if r:
-            raise NotDivisible("leading coefficient not divisible")
-        quot[(da, db)] = c
-        for (a, b), qc in q.items():
-            mono = (a + da, b + db)
-            new = rem.get(mono, 0) - qc * c
-            if new:
-                rem[mono] = new
-            elif mono in rem:
-                del rem[mono]
-    return _wrap(quot)
+    return tuple(h)
 
 
 # -- coefficient sequences ---------------------------------------------------
@@ -378,7 +360,7 @@ class CoeffSeq:
     coeffs: tuple[int, ...]
 
     def to_poly2(self) -> Poly2:
-        return _from_profile(self.weight, self.coeffs)
+        return _graded({self.weight: self.coeffs})
 
     def generating_function(self) -> Poly1:
         """f(y) = sum a_k y^k."""

@@ -2,22 +2,22 @@
 
 Nothing here but ``brute_block_partition`` goes through Poly2 division or the
 tiling machinery: integer sequences come from their defining recurrences,
-q-analogues from univariate q-factorial quotients, and Coxeter products from
-exact Fraction arithmetic.  ``brute_block_partition`` reuses the library's
-per-tiling greedy walk (``_walk``), so it is independent of
-``block_partition`` only in how it aggregates: it visits every tiling one by
-one instead of folding rows.
+q-analogues from univariate q-factorial quotients, Coxeter products from
+exact Fraction arithmetic, and ``lex_exact_div`` divides term maps by
+lexicographic long division, with no Poly2 arithmetic.  ``brute_block_partition``
+reuses the library's greedy step (``_step``, ``_fixed_row``), so it is
+independent of ``block_partition`` only in how it aggregates: it visits every
+tiling one by one instead of folding rows.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
-from lucaskit.polyring import Poly1, Poly2
-from lucaskit.shapes_tilings import LatticePath, PartialTiling, _path_from_xs, _row_data, _walk, row_tilings
+from lucaskit.polyring import Monomial, NotDivisible, Poly1, Poly2
+from lucaskit.shapes_tilings import LatticePath, PartialTiling, _fixed_row, _path_from_xs, _row_data, _step, row_tilings
 
 
 @lru_cache(maxsize=None)
@@ -85,37 +85,79 @@ def narayana_number(n: int, k: int) -> int:
     return math.comb(n, k) * math.comb(n, k - 1) // n
 
 
+def lex_exact_div(p: dict[Monomial, int], q: dict[Monomial, int]) -> dict[Monomial, int]:
+    """The term map r with q * r == p, by long division in lex order (s > t).
+
+    Raises NotDivisible when the leading monomial or coefficient of a
+    remainder does not divide; ``q`` must be nonzero.
+    """
+    q_lead = max(q)
+    q_lc = q[q_lead]
+    rem = {m: c for m, c in p.items() if c}
+    quot: dict[Monomial, int] = {}
+    while rem:
+        lead = max(rem)
+        da, db = lead[0] - q_lead[0], lead[1] - q_lead[1]
+        if da < 0 or db < 0:
+            raise NotDivisible("leading monomial not divisible")
+        c, r = divmod(rem[lead], q_lc)
+        if r:
+            raise NotDivisible("leading coefficient not divisible")
+        quot[(da, db)] = c
+        for (a, b), qc in q.items():
+            mono = (a + da, b + db)
+            new = rem.get(mono, 0) - qc * c
+            if new:
+                rem[mono] = new
+            elif mono in rem:
+                del rem[mono]
+    return quot
+
+
 def brute_block_partition(variant) -> dict[PartialTiling, Poly2]:
     """Group all tilings of the variant's shape by their partial tiling.
 
     Returns each distinct partial tiling with the exact weight of its block.
-    Streams the row-tiling product, so nothing is materialized.
+    Takes the row product depth first.  A row's greedy step depends only on
+    the walk state (x, used -1 lines) and that row's tiles, so the state and
+    the path prefix are carried down and each (row, x, used, tiles) step is
+    computed once.  Every tiling is still a leaf of the search, added to its
+    block on its own.  Rows past the shape are empty rows.
     """
     shape = variant.shape()
-    row_lens = [shape.cells(r) for r in range(1, shape.n_rows + 1)]
-    per_row = [row_tilings(m) for m in row_lens]
-    start = variant.start_x()
+    n_rows, terminal, start, mod_d = shape.n_rows, variant.terminal(), variant.start_x(), variant.mod_d()
+
+    @lru_cache(maxsize=None)
+    def row_steps(r: int, x: int, used: frozenset[int]) -> list[tuple]:
+        """(x, label, used, fixed runs, #monominoes, #dominoes) of each tiling of row r."""
+        row_len = shape.cells(r) if r <= n_rows else 0
+        steps = []
+        for tiles in row_tilings(row_len):
+            blocked, _, monos, doms = _row_data(tiles)
+            x2, label, used2 = _step(x, used, row_len, blocked, mod_d)
+            steps.append((x2, label, used2, _fixed_row(variant, r, tiles, x2, label), monos, doms))
+        return steps
 
     acc: dict[tuple, dict[tuple[int, int], int]] = {}
-    labels_of: dict[tuple, list[str]] = {}
-    datas = [[_row_data(t) for t in options] for options in per_row]
-    for combo in itertools.product(*(range(len(options)) for options in per_row)):
-        rows = tuple(per_row[i][j] for i, j in enumerate(combo))
-        xs, labels, fixed = _walk(variant, rows)
-        key = (tuple(xs), fixed)
-        monos = sum(datas[i][j][2] for i, j in enumerate(combo))
-        doms = sum(datas[i][j][3] for i, j in enumerate(combo))
-        bucket = acc.get(key)
-        if bucket is None:
-            # The labels are a function of xs, so the block's first tiling has them.
-            bucket = acc[key] = {}
-            labels_of[key] = labels
-        bucket[(monos, doms)] = bucket.get((monos, doms), 0) + 1
+    labels_of: dict[tuple, tuple[str, ...]] = {}
 
+    def descend(r: int, x: int, used: frozenset[int], xs: tuple, labels: tuple, fixed: tuple, monos: int, doms: int):
+        if r > terminal:
+            key = (xs, fixed[:n_rows])
+            bucket = acc.get(key)
+            if bucket is None:
+                # The labels are a function of xs, so the block's first tiling has them.
+                bucket = acc[key] = {}
+                labels_of[key] = labels
+            bucket[(monos, doms)] = bucket.get((monos, doms), 0) + 1
+            return
+        for x2, label, used2, runs, m, d in row_steps(r, x, used):
+            descend(r + 1, x2, used2, xs + (x2,), labels + (label,), fixed + (runs,), monos + m, doms + d)
+
+    descend(1, start, frozenset(), (), (), (), 0, 0)
     out: dict[PartialTiling, Poly2] = {}
     for key, weight_terms in acc.items():
         xs, fixed = key
-        path = LatticePath((start, 0), _path_from_xs(start, xs), tuple(labels_of[key]))
-        partial = PartialTiling(variant, path, fixed)
-        out[partial] = Poly2(dict(weight_terms.items()))
+        path = LatticePath((start, 0), _path_from_xs(start, xs), labels_of[key])
+        out[PartialTiling(variant, path, fixed)] = Poly2(weight_terms)
     return out

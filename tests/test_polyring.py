@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import lex_exact_div
 from lucaskit.polyring import (
     CoeffSeq,
     DivisionByZero,
@@ -27,6 +28,8 @@ polys = st.dictionaries(
 ).map(Poly2)
 
 nonzero_polys = polys.filter(bool)
+# Two or more weights a + 2b: division is then graded, not one univariate quotient.
+mixed_polys = polys.filter(lambda p: p and p.weighted_profile() is None)
 
 
 def homogeneous(weight, coeffs) -> Poly2:
@@ -63,6 +66,72 @@ class TestAddMul:
         p = Poly2({(1, 0): 2, (0, 0): 0}) - 2 * S
         assert not p
         assert p == 0
+        assert hash(p) == hash(Poly2.zero())
+
+
+class TestCanonicalForm:
+    """Every construction route lands on one representation: equal and equal hashes."""
+
+    @pytest.mark.parametrize(
+        "built, plain",
+        [
+            ((S**2 + T) - T, {(2, 0): 1}),  # trims the emptied t-coefficient of weight 2
+            (S**3 + S * T - S * T, {(3, 0): 1}),
+            (Poly2({(1, 0): 2, (0, 0): 0}) - S, {(1, 0): 1}),
+            (Poly2([((0, 1), 1), ((0, 1), 2), ((1, 0), 0)]), {(0, 1): 3}),
+            (Poly2.monomial(1, 2, 5), {(1, 2): 5}),
+            (Poly2.monomial(0, 0, 0), {}),
+            (Poly2.const(7), {(0, 0): 7}),
+            (Poly2.const(0), {}),
+            (Poly2.one(), {(0, 0): 1}),
+            (Poly2.var_s(), {(1, 0): 1}),
+            (Poly2.var_t(), {(0, 1): 1}),
+            (3 * T - 3 * T + 1, {(0, 0): 1}),
+            (CoeffSeq(4, (1, 2, 0, 0)).to_poly2(), {(4, 0): 1, (2, 1): 2}),
+            (CoeffSeq(2, (0, 0)).to_poly2(), {}),
+        ],
+    )
+    def test_routes_agree(self, built, plain):
+        assert built == Poly2(plain)
+        assert hash(built) == hash(Poly2(plain))
+        assert dict(built.terms()) == plain
+
+    def test_coeff_seq_drops_trailing_zeros(self):
+        p = CoeffSeq(4, (1, 2, 0)).to_poly2()
+        assert coeff_view(p) == CoeffSeq(4, (1, 2))
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            Poly2({(-1, 1): 1})
+        with pytest.raises(ValueError):
+            Poly2.monomial(0, -1)
+
+    @given(polys)
+    def test_terms_round_trip(self, p):
+        assert Poly2(p.terms()) == p
+        assert hash(Poly2(p.terms())) == hash(p)
+
+
+class TestTracedSurface:
+    """What bench/tracing.py reads off a Poly2: the term map and the weighted profile."""
+
+    @given(polys)
+    def test_terms_map(self, p):
+        assert p._terms == dict(p.terms())
+
+    def test_terms_map_is_a_copy(self):
+        p = S**2 + T
+        terms = p._terms
+        terms[(2, 0)] = 9
+        terms[(5, 5)] = 1
+        assert p == S**2 + T
+        assert p._terms == {(2, 0): 1, (0, 1): 1}
+
+    def test_weighted_profile(self):
+        assert (S**3 + 2 * S * T).weighted_profile() == (3, (1, 2))
+        assert (T**2).weighted_profile() == (4, (0, 0, 1))
+        assert (S + T).weighted_profile() is None
+        assert Poly2.zero().weighted_profile() is None
 
 
 class TestExactDiv:
@@ -96,6 +165,33 @@ class TestExactDiv:
     def test_rational_quotient_rejected(self):
         with pytest.raises(NotDivisible):
             S.exact_div(Poly2.const(2))
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            (S + 1, S + 2),
+            (S**2 + 1, S + T + 1),
+            (S**2 + T, S + 1),
+            (T + 1, 2 * S + 1),
+        ],
+        ids=str,
+    )
+    def test_not_divisible_mixed_weights(self, p, q):
+        with pytest.raises(NotDivisible):
+            p.exact_div(q)
+        with pytest.raises(NotDivisible):
+            lex_exact_div(p._terms, q._terms)
+
+    @given(polys, mixed_polys, st.booleans())
+    def test_graded_division_matches_lex(self, p, q, multiple):
+        dividend = p * q if multiple else p
+        try:
+            expected = Poly2(lex_exact_div(dividend._terms, q._terms))
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                dividend.exact_div(q)
+        else:
+            assert dividend.exact_div(q) == expected
 
 
 class TestEval:

@@ -98,6 +98,16 @@ def _parse_shape(spec: str) -> shapes_tilings.Shape:
     raise ValueError(f"unknown shape spec {spec!r} (want delta:n, ddelta:n:d or skew:...)")
 
 
+def _bound(args, flag: str, default: int) -> int:
+    """The sweep bound ``--flag``, or ``default`` when the flag is absent; never negative."""
+    value = getattr(args, flag)
+    if value is None:
+        return default
+    if value < 0:
+        raise ValueError(f"--{flag.replace('_', '-')} must be >= 0")
+    return value
+
+
 def _require(args, *names: str) -> list[int]:
     values = []
     for name in names:
@@ -261,10 +271,13 @@ def _cmd_involution(args) -> int:
 
 
 def _verify_involution_types(args) -> int:
-    if args.n is not None and args.k is not None and args.r is not None:
+    missing = [f"--{flag}" for flag in "nkr" if getattr(args, flag) is None]
+    if 0 < len(missing) < 3:
+        raise ValueError(f"one involution type needs --n, --k and --r; missing {', '.join(missing)}")
+    if not missing:
         types = [(args.n, args.k, args.r)]
     else:
-        max_n = args.max_n or 5
+        max_n = _bound(args, "max_n", 5)
         types = [
             (n, k, r)
             for n in range(max_n + 1)
@@ -293,14 +306,14 @@ def _cmd_verify(args) -> int:
     what = args.what
     checks: list[tuple[str, bool]] = []
     if what == "recursion":
-        n_max = args.max_n or 12
+        n_max = _bound(args, "max_n", 12)
         checks = [
             (f"recursion n={n} k={k}", verify_lucasnomial_recursion(n, k))
             for n in range(2, n_max + 1)
             for k in range(1, n)
         ]
     elif what == "symmetry":
-        n_max = args.max_n or 10
+        n_max = _bound(args, "max_n", 10)
         checks = [
             (f"symmetry n={n} k={k} r={r}", verify_symmetry_identity(n, k, r))
             for n in range(n_max + 1)
@@ -308,20 +321,20 @@ def _cmd_verify(args) -> int:
             for r in range(k + 1)
         ]
     elif what == "catalan-id":
-        n_max = args.max_n or 12
+        n_max = _bound(args, "max_n", 12)
         checks = [(f"catalan identity n={n}", coxcat.verify_catalan_identity(n)) for n in range(2, n_max + 1)]
     elif what == "fuss-id":
-        n_max, k_max = args.max_n or 6, args.max_k or 3
+        n_max, k_max = _bound(args, "max_n", 6), _bound(args, "max_k", 3)
         checks = [
             (f"fuss identity n={n} k={k}", coxcat.verify_fuss_identity(n, k))
             for n in range(2, n_max + 1)
             for k in range(1, k_max + 1)
         ]
     elif what == "catD":
-        n_max = args.max_n or 6
+        n_max = _bound(args, "max_n", 6)
         checks = [(f"Cat D_{n}", coxcat.verify_catD(n)) for n in range(3, n_max + 1)]
     elif what == "genCatD":
-        bound, n_max = args.max_d or 6, args.max_n or 4
+        bound, n_max = _bound(args, "max_d", 6), _bound(args, "max_n", 4)
         for d in range(1, bound + 1):
             for m in range(2, bound // d + 1):
                 for k in range(1, m):
@@ -331,21 +344,21 @@ def _cmd_verify(args) -> int:
                                 ok = coxcat.verify_genCatD(l, k, m, d, n)
                                 checks.append((f"genCatD l={l} k={k} m={m} d={d} n={n}", ok))
     elif what == "hoggatt-long":
-        bound = args.max_n or 20
+        bound = _bound(args, "max_n", 20)
         for m in range(1, bound + 1):
             for n in range(1, bound + 1):
                 quotient = lucas_divides(m, n)  # raises on a violation
                 present = quotient is not None
                 checks.append((f"{{{m}}} | {{{n}}}: {present}", present == (n % m == 0)))
     elif what == "gcd-lemma":
-        bound = args.max_n or 12
+        bound = _bound(args, "max_n", 12)
         checks = [
             (f"gcd lemma m={m} n={n}", verify_gcd_lemma(m, n))
             for m in range(1, bound + 1)
             for n in range(1, bound + 1)
         ]
     elif what == "cheby":
-        bound = args.max_n or 30
+        bound = _bound(args, "max_n", 30)
         checks = [(f"chebyshev bridge n={n}", verify_chebyshev_bridge(n)) for n in range(1, bound + 1)]
     elif what == "involution":
         return _verify_involution_types(args)
@@ -363,7 +376,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_findings(args) -> int:
     sweep, flag, default = FINDINGS[args.conjecture]
-    findings = getattr(coxcat, sweep)(getattr(args, flag) or default)
+    findings = getattr(coxcat, sweep)(_bound(args, flag, default))
     _emit("\n".join(f.to_json_line() for f in findings), args.out)
     return PASS if all(f.status == "pass" for f in findings) else VERIFY_FAIL
 

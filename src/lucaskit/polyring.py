@@ -3,10 +3,11 @@
 A monomial ``s^a t^b`` has weight ``a + 2b``, and a ``Poly2`` is stored by
 weight: each weight N present maps to the integer sequence ``c_0, c_1, ...``
 with ``c_k`` the coefficient of ``s^(N-2k) t^k``, trailing zeros trimmed.
-Everything is exact: coefficients are Python ints, and the univariate
-``Poly1`` (used for coefficient generating functions, q-specializations and
-Chebyshev images) carries ``Fraction`` coefficients so that Sturm sequences
-and divisions never touch floating point.
+The univariate ``Poly1`` (used for coefficient generating functions,
+q-specializations and Chebyshev images) is one such trimmed sequence,
+``c_e`` the coefficient of ``y^e``, with exact rational entries so that Sturm
+chains and divisions never touch floating point.  Both classes add and
+multiply with the same kernels (``_add``, ``_convolve``, ``_trimmed``).
 
 Every Lucas quantity is *weighted homogeneous*, a single weight (its tilings
 cover a fixed number of cells), so it is one sequence (see ``CoeffSeq``).
@@ -14,15 +15,20 @@ Products convolve each pair of weights.  Exact division is graded long
 division: the dividend's top weight is divided by the divisor's top weight as
 a univariate exact quotient, and the divisor's lower weights times that
 quotient are subtracted from the lower weights of the dividend.
+
+One Euclidean remainder sequence, ``_remainder_chain``, serves the univariate
+gcd and Sturm's theorem alike: ``real_rooted`` builds the chain of (f, f')
+once, counts the distinct real roots off its signs and the distinct roots
+off its last entry, gcd(f, f').
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -57,9 +63,7 @@ class Poly2:
         for (a, b), c in items:
             if a < 0 or b < 0:
                 raise ValueError(f"negative exponent in monomial {(a, b)}")
-            seq = parts.setdefault(a + 2 * b, [])
-            seq.extend([0] * (b + 1 - len(seq)))
-            seq[b] += c
+            _scatter(parts.setdefault(a + 2 * b, []), b, c)
         self._parts = _canonical(parts)
         self._hash: int | None = None
 
@@ -267,7 +271,7 @@ class Poly2:
         return Poly2({(int(t["s"]), int(t["t"])): int(t["c"]) for t in data["terms"]})
 
 
-def _trimmed(seq: Sequence[int]) -> Part:
+def _trimmed(seq: Sequence) -> tuple:
     end = len(seq)
     while end and not seq[end - 1]:
         end -= 1
@@ -292,16 +296,26 @@ def _graded(parts: Mapping[int, Sequence[int]]) -> Poly2:
     return p
 
 
+def _scatter(seq: list, k: int, c) -> None:
+    """seq[k] += c, growing seq with zeros as needed."""
+    seq.extend([0] * (k + 1 - len(seq)))
+    seq[k] += c
+
+
+def _add(f: Sequence, g: Sequence) -> tuple:
+    """f + g, coefficientwise and untrimmed."""
+    if len(f) < len(g):
+        f, g = g, f
+    return (*map(add, f, g), *f[len(g) :])
+
+
 def _add_part(parts: dict[int, Sequence[int]], n: int, seq: Sequence[int]) -> None:
     """parts[n] += seq, coefficientwise and untrimmed."""
-    old = parts.get(n, ())
-    if len(old) < len(seq):
-        old, seq = seq, old
-    parts[n] = (*map(add, old, seq), *old[len(seq) :])
+    parts[n] = _add(parts.get(n, ()), seq)
 
 
-def _convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """The part of a product: c_k = sum of f_i g_j over i + j = k."""
+def _convolve(f: Sequence, g: Sequence) -> list:
+    """The coefficients of a product: c_k = sum of f_i g_j over i + j = k."""
     out = [0] * (len(f) + len(g) - 1)
     for i, x in enumerate(f):
         if x:
@@ -364,7 +378,7 @@ class CoeffSeq:
 
     def generating_function(self) -> Poly1:
         """f(y) = sum a_k y^k."""
-        return Poly1({k: c for k, c in enumerate(self.coeffs) if c})
+        return _dense(self.coeffs)
 
 
 def coeff_view(p: Poly2) -> CoeffSeq:
@@ -382,24 +396,23 @@ def coeff_view(p: Poly2) -> CoeffSeq:
 
 
 class Poly1:
-    """A univariate polynomial with exact rational coefficients."""
+    """A univariate polynomial with exact rational coefficients.
+
+    Stored as one trimmed tuple, ``c[e]`` the coefficient of ``y^e``, on the
+    same kernels as ``Poly2``'s parts.  Entries are ints or ``Fraction``s,
+    which compare and hash alike; ``coeff`` always returns a ``Fraction``.
+    """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int | Fraction] | Iterable[tuple[int, int | Fraction]] = ()):
-        data: dict[int, Fraction] = {}
+        seq: list = []
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         for e, c in items:
             if e < 0:
                 raise ValueError("negative exponent")
-            c = Fraction(c)
-            if c:
-                new = data.get(e, Fraction(0)) + c
-                if new:
-                    data[e] = new
-                elif e in data:
-                    del data[e]
-        self._coeffs = data
+            _scatter(seq, e, Fraction(c))
+        self._coeffs = _trimmed(seq)
 
     @staticmethod
     def const(c: int | Fraction) -> Poly1:
@@ -410,11 +423,11 @@ class Poly1:
         return Poly1({1: 1})
 
     def coeff(self, e: int) -> Fraction:
-        return self._coeffs.get(e, Fraction(0))
+        return Fraction(self._coeffs[e]) if 0 <= e < len(self._coeffs) else Fraction(0)
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return max(self._coeffs, default=-1)
+        return len(self._coeffs) - 1
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -427,28 +440,17 @@ class Poly1:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        return hash(self._coeffs)
 
     def __add__(self, other: Poly1 | int | Fraction) -> Poly1:
         if isinstance(other, (int, Fraction)):
             other = Poly1.const(other)
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            new = out.get(e, Fraction(0)) + c
-            if new:
-                out[e] = new
-            elif e in out:
-                del out[e]
-        p = Poly1()
-        p._coeffs = out
-        return p
+        return _dense(_add(self._coeffs, other._coeffs))
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly1:
-        p = Poly1()
-        p._coeffs = {e: -c for e, c in self._coeffs.items()}
-        return p
+        return _dense([-c for c in self._coeffs])
 
     def __sub__(self, other: Poly1 | int | Fraction) -> Poly1:
         if isinstance(other, (int, Fraction)):
@@ -461,18 +463,7 @@ class Poly1:
     def __mul__(self, other: Poly1 | int | Fraction) -> Poly1:
         if isinstance(other, (int, Fraction)):
             other = Poly1.const(other)
-        acc: dict[int, Fraction] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                new = acc.get(e, Fraction(0)) + c1 * c2
-                if new:
-                    acc[e] = new
-                elif e in acc:
-                    del acc[e]
-        p = Poly1()
-        p._coeffs = acc
-        return p
+        return _dense(_convolve(self._coeffs, other._coeffs))
 
     __rmul__ = __mul__
 
@@ -489,19 +480,17 @@ class Poly1:
         return result
 
     def __divmod__(self, other: Poly1) -> tuple[Poly1, Poly1]:
+        """Dense long division: self == quot * other + rem, deg rem < deg other."""
         if not other:
             raise DivisionByZero("univariate division by zero")
-        quot = Poly1()
-        rem = self
-        d = other.degree()
-        lc = other.coeff(d)
-        while rem and rem.degree() >= d:
-            e = rem.degree()
-            c = rem.coeff(e) / lc
-            term = Poly1({e - d: c})
-            quot = quot + term
-            rem = rem - term * other
-        return quot, rem
+        *low, lc = other._coeffs
+        rem = list(self._coeffs)
+        quot = [0] * max(len(rem) - len(low), 0)
+        for e in reversed(range(len(quot))):
+            c = quot[e] = Fraction(rem.pop(), lc)
+            for j, y in enumerate(low):
+                rem[e + j] -= c * y
+        return _dense(quot), _dense(rem)
 
     def exact_div(self, other: Poly1) -> Poly1:
         quot, rem = divmod(self, other)
@@ -510,38 +499,35 @@ class Poly1:
         return quot
 
     def derivative(self) -> Poly1:
-        return Poly1({e - 1: e * c for e, c in self._coeffs.items() if e})
+        return _dense([e * c for e, c in enumerate(self._coeffs) if e])
 
     def evaluate(self, x: int | Fraction) -> Fraction:
-        return sum((c * Fraction(x) ** e for e, c in self._coeffs.items()), Fraction(0))
+        return sum((c * Fraction(x) ** e for e, c in enumerate(self._coeffs) if c), Fraction(0))
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self._coeffs.values())
+        return all(c.denominator == 1 for c in self._coeffs)
 
     def int_coeffs(self) -> dict[int, int]:
         if not self.is_integral():
             raise ValueError("non-integer coefficients")
-        return {e: int(c) for e, c in self._coeffs.items()}
+        return {e: int(c) for e, c in enumerate(self._coeffs) if c}
 
     def primitive(self) -> Poly1:
         """Divide by the positive rational content; sign pattern is preserved."""
         if not self._coeffs:
             return self
-        num = gcd(*(abs(c.numerator) for c in self._coeffs.values()))
-        den = 1
-        for c in self._coeffs.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        scale = Fraction(den, num)
-        p = Poly1()
-        p._coeffs = {e: c * scale for e, c in self._coeffs.items()}
-        return p
+        den = lcm(*(c.denominator for c in self._coeffs))
+        scale = Fraction(den, gcd(*(c.numerator for c in self._coeffs)))
+        return _dense([c * scale for c in self._coeffs])
 
     def pretty(self, var: str = "y") -> str:
         if not self._coeffs:
             return "0"
         parts: list[str] = []
-        for e in sorted(self._coeffs, reverse=True):
+        for e in reversed(range(len(self._coeffs))):
             c = self._coeffs[e]
+            if not c:
+                continue
             body = []
             if abs(c) != 1 or e == 0:
                 body.append(str(abs(c)))
@@ -558,78 +544,73 @@ class Poly1:
         return f"Poly1({self.pretty()!r})"
 
 
+def _dense(seq: Sequence) -> Poly1:
+    """The polynomial with ``seq[e]`` the coefficient of ``y^e``, in canonical form."""
+    p = Poly1.__new__(Poly1)
+    p._coeffs = _trimmed(seq)
+    return p
+
+
 # -- exact real-rootedness ----------------------------------------------------
 
 
-def _sturm_chain(f: Poly1) -> list[Poly1]:
-    chain = [f.primitive(), f.derivative().primitive()]
+def _remainder_chain(f: Poly1, g: Poly1) -> list[Poly1]:
+    """f, g, then each negated remainder made primitive, down to the last nonzero one.
+
+    The last entry is gcd(f, g) up to a constant.  For g = f' the chain is
+    f's Sturm chain: making a remainder primitive scales it by a positive
+    constant, which changes no sign and keeps the coefficients small.
+    """
+    chain = [f, g]
     while chain[-1]:
         _, rem = divmod(chain[-2], chain[-1])
-        if not rem:
-            break
         chain.append((-rem).primitive())
+    chain.pop()  # the zero remainder, or g itself when g == 0
     return chain
 
 
-def _sign_at_infinity(f: Poly1, positive: bool) -> int:
-    d = f.degree()
-    if d < 0:
-        return 0
-    lc = f.coeff(d)
-    sign = 1 if lc > 0 else -1
-    if not positive and d % 2 == 1:
-        sign = -sign
-    return sign
+def _variations(signs: list[bool]) -> int:
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _variations(signs: Iterator[int]) -> int:
-    count = 0
-    prev = 0
-    for sg in signs:
-        if sg == 0:
-            continue
-        if prev and sg != prev:
-            count += 1
-        prev = sg
-    return count
+def _sturm_count(chain: list[Poly1]) -> int:
+    """Sign variations of a chain of nonzero polynomials at -oo minus those at +oo."""
+    at_pos = [p._coeffs[-1] > 0 for p in chain]
+    at_neg = [pos == (p.degree() % 2 == 0) for p, pos in zip(chain, at_pos)]
+    return _variations(at_neg) - _variations(at_pos)
 
 
 def count_real_roots(f: Poly1) -> int:
-    """Number of distinct real roots of f != 0, by Sturm's theorem."""
+    """Number of distinct real roots of f != 0, by Sturm's theorem.
+
+    The chain of (f, f') counts distinct roots even when f has repeated ones:
+    every entry is a multiple of the last one, gcd(f, f'), and dividing that
+    out gives the square-free part's chain while flipping all or none of the
+    signs at each of +-oo, which leaves both variation counts unchanged.
+    """
     if f.degree() <= 0:
         return 0
-    g = f.exact_div(poly1_gcd(f, f.derivative()))  # square-free part
-    chain = _sturm_chain(g)
-    at_neg = _variations(_sign_at_infinity(p, positive=False) for p in chain)
-    at_pos = _variations(_sign_at_infinity(p, positive=True) for p in chain)
-    return at_neg - at_pos
+    return _sturm_count(_remainder_chain(f, f.derivative()))
 
 
 def poly1_gcd(f: Poly1, g: Poly1) -> Poly1:
-    """Monic-free Euclidean gcd, normalized to a primitive polynomial."""
-    a, b = f, g
-    while b:
-        _, r = divmod(a, b)
-        a, b = b, r.primitive() if r else r
-    if not a:
+    """Euclidean gcd, primitive with a positive leading coefficient; 1 if f == g == 0."""
+    last = _remainder_chain(f, g)[-1]
+    if not last:
         return Poly1.const(1)
-    prim = a.primitive()
-    d = prim.degree()
-    if prim.coeff(d) < 0:
-        prim = -prim
-    return prim
+    prim = last.primitive()
+    return -prim if prim._coeffs[-1] < 0 else prim
 
 
 def real_rooted(f: Poly1) -> bool:
     """Exact test that every complex root of f != 0 is real.
 
-    The square-free part g = f / gcd(f, f') is extracted first, then Sturm's
-    theorem counts the distinct real roots; f is real-rooted iff that count
-    equals deg g.  Degree-0 inputs are vacuously real-rooted.
+    One remainder chain of (f, f') decides it: Sturm's theorem counts the
+    distinct real roots off its signs, and its last entry is gcd(f, f'), so
+    f has deg f - deg gcd(f, f') distinct complex roots.  f is real-rooted
+    iff the two counts agree.  Degree-0 inputs are vacuously real-rooted.
     """
     if not f:
         raise ValueError("real_rooted is undefined for the zero polynomial")
-    if f.degree() == 0:
-        return True
-    g = f.exact_div(poly1_gcd(f, f.derivative()))
-    return count_real_roots(g) == g.degree()
+    chain = _remainder_chain(f, f.derivative())
+    return _sturm_count(chain) == f.degree() - chain[-1].degree()

@@ -108,6 +108,52 @@ class TestVerifyCommands:
         code, out = run(capsys, "involution", "verify", "--n", "4", "--k", "2", "--r", "1")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "what, summary",
+        [("recursion", "recursion: 0/0 pass"), ("cheby", "cheby: 0/0 pass"), ("symmetry", "symmetry: 1/1 pass")],
+    )
+    def test_zero_bound_is_not_the_default(self, capsys, what, summary):
+        code, out = run(capsys, "verify", what, "--max-n", "0")
+        assert code == 0
+        assert out == summary + "\n"
+
+    def test_involution_zero_bound(self, capsys):
+        code, out = run(capsys, "verify", "involution", "--max-n", "0")
+        assert code == 0
+        assert out == "involution (0,0,0): pass [1 objects]\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify", "cheby", "--max-n", "-2"], "--max-n"),
+            (["verify", "recursion", "--max-n", "-1"], "--max-n"),
+            (["verify", "fuss-id", "--max-k", "-1"], "--max-k"),
+            (["verify", "genCatD", "--max-d", "-3"], "--max-d"),
+            (["verify", "involution", "--max-n", "-1"], "--max-n"),
+            (["involution", "verify", "--max-n", "-1"], "--max-n"),
+        ],
+    )
+    def test_negative_bound_refused(self, capsys, argv, flag):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be >= 0\n"
+
+    @pytest.mark.parametrize("command", [["involution", "verify"], ["verify", "involution"]], ids=" ".join)
+    @pytest.mark.parametrize(
+        "flags, missing",
+        [
+            (["--n", "3", "--k", "2"], "--r"),
+            (["--n", "3"], "--k, --r"),
+            (["--k", "1", "--r", "0"], "--n"),
+        ],
+    )
+    def test_partial_involution_type_refused(self, capsys, command, flags, missing):
+        assert cli.main([*command, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: one involution type needs --n, --k and --r; missing {missing}\n"
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         # force a failing report through the formatting path
         from lucaskit.involution import InvolutionReport
@@ -262,6 +308,23 @@ class TestFindings:
         assert cli.main(["findings", conjecture]) == 0
         assert cli.main(["findings", conjecture, f"--{flag.replace('_', '-')}", "2"]) == 0
         assert seen == [default, 2]
+
+
+    @pytest.mark.parametrize("conjecture", list(cli.FINDINGS))
+    def test_zero_bound_is_not_the_default(self, capsys, monkeypatch, conjecture):
+        sweep, flag, _ = cli.FINDINGS[conjecture]
+        seen = []
+        monkeypatch.setattr(cli.coxcat, sweep, lambda bound: seen.append(bound) or [])
+        assert cli.main(["findings", conjecture, f"--{flag.replace('_', '-')}", "0"]) == 0
+        assert seen == [0]
+
+    @pytest.mark.parametrize("conjecture", list(cli.FINDINGS))
+    def test_negative_bound_refused(self, capsys, monkeypatch, conjecture):
+        sweep, flag, _ = cli.FINDINGS[conjecture]
+        monkeypatch.setattr(cli.coxcat, sweep, lambda bound: pytest.fail("sweep ran"))
+        option = f"--{flag.replace('_', '-')}"
+        assert cli.main(["findings", conjecture, option, "-1"]) == 1
+        assert capsys.readouterr().err == f"error: {option} must be >= 0\n"
 
 
 class TestAnalyzeCli:

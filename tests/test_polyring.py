@@ -1,6 +1,12 @@
 """Exact arithmetic: canonical form, division, specialization, Sturm."""
 
+import json
+import subprocess
+import sys
 from fractions import Fraction
+from functools import reduce
+from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +21,7 @@ from lucaskit.polyring import (
     Poly2,
     coeff_view,
     count_real_roots,
+    poly1_gcd,
     real_rooted,
 )
 
@@ -30,6 +37,13 @@ polys = st.dictionaries(
 nonzero_polys = polys.filter(bool)
 # Two or more weights a + 2b: division is then graded, not one univariate quotient.
 mixed_polys = polys.filter(lambda p: p and p.weighted_profile() is None)
+
+
+# Univariate polynomials with int or Fraction coefficients.
+rationals = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=4))
+poly1s = st.dictionaries(st.integers(0, 6), rationals, max_size=5).map(Poly1)
+nonzero_poly1s = poly1s.filter(bool)
+Y = Poly1.var()
 
 
 def homogeneous(weight, coeffs) -> Poly2:
@@ -338,3 +352,118 @@ class TestPoly1:
 
     def test_derivative(self):
         assert Poly1({3: 2, 1: 5}).derivative() == Poly1({2: 6, 0: 5})
+
+
+class TestPoly1Properties:
+    @given(poly1s, poly1s, poly1s)
+    def test_ring_axioms(self, p, q, r):
+        assert (p + q) + r == p + (q + r)
+        assert p + q == q + p
+        assert p * q == q * p
+        assert (p * q) * r == p * (q * r)
+        assert p * (q + r) == p * q + p * r
+        assert p + Poly1() == p and p * 1 == p and p * Poly1() == Poly1()
+        assert p - p == Poly1() and p + -p == 0
+
+    @given(poly1s, poly1s, st.fractions(-3, 3, max_denominator=3))
+    def test_eval_homomorphism(self, p, q, x):
+        assert (p + q).evaluate(x) == p.evaluate(x) + q.evaluate(x)
+        assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
+
+    @given(poly1s, nonzero_poly1s)
+    def test_divmod(self, a, b):
+        q, r = divmod(a, b)
+        assert a == q * b + r
+        assert r.degree() < b.degree()
+
+    @given(st.dictionaries(st.integers(0, 6), rationals, max_size=5), st.lists(st.integers(0, 9), max_size=4))
+    def test_canonical_form_and_hash(self, coeffs, zeros):
+        plain = Poly1(coeffs)
+        as_fractions = Poly1({e: Fraction(c) for e, c in coeffs.items()})
+        padded = Poly1([*coeffs.items(), *((e, 0) for e in zeros)])
+        split = Poly1([pair for e, c in coeffs.items() for pair in ((e, 2 * c), (e, -c))])
+        for other in (as_fractions, padded, split, plain + Y**7 - Y**7):
+            assert other == plain
+            assert hash(other) == hash(plain)
+            assert other.degree() == plain.degree()
+
+    def test_zero_forms(self):
+        for zero in (Poly1({0: 0}), Poly1({3: 0}), Poly1.const(0), Y - Y, Poly1({2: Fraction(0)})):
+            assert zero == Poly1() and zero == 0 and not zero
+            assert hash(zero) == hash(Poly1())
+            assert zero.degree() == -1
+
+    def test_coefficient_sequence_route(self):
+        f = CoeffSeq(4, (1, 3, 2)).generating_function()
+        assert f == Poly1({0: 1, 1: 3, 2: 2}) == Poly1({0: Fraction(1), 1: Fraction(3), 2: Fraction(2)})
+        assert hash(f) == hash(Poly1({0: Fraction(1), 1: Fraction(3), 2: Fraction(2)}))
+        assert type(f.coeff(1)) is Fraction
+
+    @given(poly1s, st.integers(1, 4))
+    def test_coeff_out_of_range(self, p, gap):
+        for e in (-gap, p.degree() + gap):
+            assert p.coeff(e) == 0
+            assert type(p.coeff(e)) is Fraction
+        for e in range(p.degree() + 1):
+            assert type(p.coeff(e)) is Fraction
+        assert p == Poly1({e: p.coeff(e) for e in range(p.degree() + 1)})
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            Poly1({-1: 1})
+
+
+# Distinct rational real roots and distinct y^2 + b factors (b > 0), each with a multiplicity.
+real_roots = st.dictionaries(st.fractions(-4, 4, max_denominator=3), st.integers(1, 3), max_size=3)
+quadratics = st.dictionaries(st.fractions(0, 4, max_denominator=3).filter(bool), st.integers(1, 3), max_size=2)
+
+
+def product(factors) -> Poly1:
+    return reduce(mul, factors, Poly1.const(1))
+
+
+class TestSturmOracle:
+    """f = c * prod (y - a)^m * prod (y^2 + b)^n, built by multiplication only."""
+
+    @staticmethod
+    def factors(roots, quads, extra=0):
+        return [(Y - a) ** (m - extra) for a, m in roots.items()] + [(Y**2 + b) ** (n - extra) for b, n in quads.items()]
+
+    @given(real_roots, quadratics, st.fractions(-5, 5, max_denominator=4).filter(bool))
+    def test_known_roots(self, roots, quads, c):
+        f = c * product(self.factors(roots, quads))
+        assert count_real_roots(f) == len(roots)
+        assert real_rooted(f) == (not quads)
+        expected_gcd = product(self.factors(roots, quads, extra=1)).primitive()
+        assert poly1_gcd(f, f.derivative()) == expected_gcd
+        assert expected_gcd.coeff(expected_gcd.degree()) > 0
+
+    def test_repeated_roots_of_both_kinds(self):
+        f = -3 * (Y - 1) ** 3 * (Y + Fraction(1, 2)) ** 2 * (Y**2 + 2) ** 2
+        assert count_real_roots(f) == 2
+        assert not real_rooted(f)
+        assert poly1_gcd(f, f.derivative()) == (Y - 1) ** 2 * (2 * Y + 1) * (Y**2 + 2)
+
+
+class TestTracerHooks:
+    """bench/tracing.py wraps these names; a traced analyze must still run."""
+
+    def test_tracer_installs_and_reports(self):
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import importlib, json, sys\n"
+            f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'bench')!r}]\n"
+            "import tracing\n"
+            "from lucaskit import analysis\n"
+            "tracer = tracing.Tracer()\n"
+            "tracer.install()\n"
+            "analysis.analyze(importlib.import_module('lucaskit.lucas').lucasnomial(9, 4))\n"
+            "print(json.dumps(tracer.metrics(1.0)))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        metrics = json.loads(done.stdout)
+        assert metrics["analysis.analyze.calls"] == 1
+        assert metrics["polyring.real_rooted.calls"] == 1
+        assert metrics["lucas.lucasnomial.calls"] == 1
+        assert metrics["lucas.lucastorial.misses"] > 0

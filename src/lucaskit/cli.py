@@ -275,6 +275,8 @@ def _verify_involution_types(args) -> int:
     if 0 < len(missing) < 3:
         raise ValueError(f"one involution type needs --n, --k and --r; missing {', '.join(missing)}")
     if not missing:
+        if args.max_n is not None:
+            raise ValueError("--max-n bounds the sweep over every type; give it without --n, --k and --r")
         types = [(args.n, args.k, args.r)]
     else:
         max_n = _bound(args, "max_n", 5)
@@ -377,7 +379,8 @@ def _cmd_verify(args) -> int:
 def _cmd_findings(args) -> int:
     sweep, flag, default = FINDINGS[args.conjecture]
     findings = getattr(coxcat, sweep)(_bound(args, flag, default))
-    _emit("\n".join(f.to_json_line() for f in findings), args.out)
+    with _output(args.out) as fh:  # JSON lines: no findings, no bytes
+        fh.writelines(f.to_json_line() + "\n" for f in findings)
     return PASS if all(f.status == "pass" for f in findings) else VERIFY_FAIL
 
 

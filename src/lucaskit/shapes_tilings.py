@@ -13,6 +13,14 @@ set splits into blocks, one per *partial tiling* (the cells every member of
 the block agrees on).  The block sums recover Lucasnomials, the Catalan and
 Fuss-Catalan analogues, and their d-divisible versions, which is exactly what
 ``verify_block_partition`` checks against the algebraic side.
+
+Both partition functions fold the rows with one transfer step: the greedy
+path is Markov in rows, so each walk state groups the next row's tilings
+(``_row_groups``).  ``block_partition`` keeps every block, as a partial tiling
+with its weight.  ``verify_block_partition`` needs no block's identity, so it
+merges blocks into classes by walk state and *free product*, the tally of the
+cells a block leaves blank; every block weighs its fixed monomial times its
+free product, so one check per class covers every tiling exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from typing import AbstractSet, Iterator, Mapping
 
 from . import coxcat
 from .lucas import d_lucasnomial, d_lucastorial, lucas, lucastorial
-from .polyring import NotDivisible, Poly2
+from .polyring import Monomial, NotDivisible, Poly2
 
 MONO = 1
 DOMINO = 2
@@ -619,6 +627,22 @@ def _convolve(a: Tally, b: Tally) -> Tally:
     return out
 
 
+def _row_groups(
+    variant: Variant, r: int, row_len: int, x: int, used: frozenset[int], mod_d: int | None
+) -> dict[tuple, Tally]:
+    """Row r's tilings from walk state (x, used), grouped by their crossing and fixed runs.
+
+    Maps each (x, label, used, fixed runs) to its tally {#dominoes: #tilings}.
+    """
+    groups: dict[tuple, Tally] = {}
+    for tiles in row_tilings(row_len):
+        blocked, _, _, doms = _row_data(tiles)
+        x2, label, used2 = _step(x, used, row_len, blocked, mod_d)
+        row_tally = groups.setdefault((x2, label, used2, _fixed_row(variant, r, tiles, x2, label)), {})
+        row_tally[doms] = row_tally.get(doms, 0) + 1
+    return groups
+
+
 def block_partition(variant: Variant) -> dict[PartialTiling, Poly2]:
     """Group all tilings of the variant's shape by their partial tiling.
 
@@ -641,13 +665,7 @@ def block_partition(variant: Variant) -> dict[PartialTiling, Poly2]:
         row_len = shape.cells(r) if r <= shape.n_rows else 0
         successors: dict[tuple[int, frozenset[int]], dict[tuple, Tally]] = {}
         for (x, used), prefixes in frontier.items():
-            groups: dict[tuple, Tally] = {}
-            for tiles in row_tilings(row_len):
-                blocked, _, _, doms = _row_data(tiles)
-                x2, label, used2 = _step(x, used, row_len, blocked, mod_d)
-                row_tally = groups.setdefault((x2, label, used2, _fixed_row(variant, r, tiles, x2, label)), {})
-                row_tally[doms] = row_tally.get(doms, 0) + 1
-            for (x2, label, used2, runs), row_tally in groups.items():
+            for (x2, label, used2, runs), row_tally in _row_groups(variant, r, row_len, x, used, mod_d).items():
                 # The state is a function of the crossings, so no two
                 # (state, prefix) pairs extend to the same prefix.
                 dest = successors.setdefault((x2, used2), {})
@@ -672,31 +690,90 @@ def enumerate_partials(variant: Variant) -> list[PartialTiling]:
     return sorted(partials, key=lambda p: (p.path.steps, p.fixed))
 
 
-def verify_block_partition(variant: Variant) -> BlockPartitionReport:
-    """Exhaustively check the variant's block partition.
+Free = tuple[int, tuple[tuple[int, int], ...]]  # (free cells, their tally's sorted items)
 
-    Asserts that (a) the partial weights sum to the algebraic quantity, and
-    (b) every block's weight is exactly divisor * (partial weight) -- hence in
-    particular evenly divisible by the divisor.
+
+def _free_product(free: Free, row_len: int, runs: tuple[Run, ...], row_tally: Tally) -> tuple[int, int, Free]:
+    """(fixed monominoes, fixed dominoes, ``free`` times the row group's free factor).
+
+    The free factor is the group's tally with the fixed tiles taken out:
+    every tiling of the group holds the fixed runs, so what varies is a
+    tiling of the other cells, and the tally shifts down by the fixed
+    dominoes.
     """
-    blocks = block_partition(variant)
+    monos = doms = 0
+    for _, tiles in runs:
+        _, _, m, d = _row_data(tiles)
+        monos, doms = monos + m, doms + d
+    cells, tally = free
+    product = _convolve(dict(tally), {k - doms: count for k, count in row_tally.items()})
+    return monos, doms, (cells + row_len - monos - 2 * doms, tuple(sorted(product.items())))
+
+
+def verify_block_partition(variant: Variant) -> BlockPartitionReport:
+    """Exhaustively check the variant's block partition, merging blocks by class.
+
+    Asserts that (a) the partial weights sum to the algebraic quantity,
+    (b) every block's weight is exactly divisor * (partial weight), and
+    (c) the blocks cover every tiling.
+
+    A block's weight is a product over rows of a group's fixed runs times
+    its free factor, so it is the block's fixed monomial (its partial
+    weight) times the product of its free factors, and (b) holds for the
+    block exactly when that free product equals the divisor.  None of the
+    checks needs a block's identity, so this folds the rows of
+    ``block_partition`` over classes keyed by (x, used, free product so
+    far): prefixes with the same key merge into one tally
+    {(fixed monominoes, fixed dominoes): #blocks}.  Each final class is then
+    checked once: its free product against the divisor for (b), the summed
+    tallies against the expected total for (a), and the free product's
+    tiling count times the class's block count summed against the tiling
+    count for (c).  That is still exact over every tiling.  Each class
+    carries the path and partial weight of its first block as the witness a
+    failure names.
+    """
+    shape = variant.shape()
+    start, mod_d = variant.start_x(), variant.mod_d()
+    # (x, used, free product) -> (tally, (witness crossings, witness partial weight))
+    frontier: dict[tuple, tuple[dict[Monomial, int], tuple]] = {
+        (start, frozenset(), (0, ((0, 1),))): ({(0, 0): 1}, ((), (0, 0)))
+    }
+    for r in range(1, variant.terminal() + 1):
+        row_len = shape.cells(r) if r <= shape.n_rows else 0
+        successors: dict[tuple, tuple[dict[Monomial, int], tuple]] = {}
+        for (x, used, free), (tally, (xs, (wm, wd))) in frontier.items():
+            for (x2, _, used2, runs), row_tally in _row_groups(variant, r, row_len, x, used, mod_d).items():
+                monos, doms, free2 = _free_product(free, row_len, runs, row_tally)
+                key = (x2, used2, free2)
+                if key not in successors:
+                    successors[key] = ({}, (xs + (x2,), (wm + monos, wd + doms)))
+                dest = successors[key][0]
+                for (m, d), count in tally.items():
+                    dest[(m + monos, d + doms)] = dest.get((m + monos, d + doms), 0) + count
+        frontier = successors
+
     divisor = variant.divisor()
     expected = variant.expected_total()
     failures: list[str] = []
-    partial_sum = Poly2.zero()
-    tiling_count = count_tilings(variant.shape())
-    covered = 0
-    for partial, block_weight in blocks.items():
-        pw = partial.weight()
-        partial_sum = partial_sum + pw
-        covered += block_weight.evaluate(1, 1)  # block size
-        if divisor * pw != block_weight:
+    partial_terms: dict[Monomial, int] = {}
+    block_count = covered = 0
+    for (_, _, (cells, free_tally)), (tally, (xs, witness)) in frontier.items():
+        blocks = sum(tally.values())
+        block_count += blocks
+        covered += sum(count for _, count in free_tally) * blocks  # each block holds free(1, 1) tilings
+        for mono, count in tally.items():
+            partial_terms[mono] = partial_terms.get(mono, 0) + count
+        free = Poly2({(cells - 2 * k, k): count for k, count in free_tally})
+        if free != divisor:
+            pw = Poly2.monomial(*witness)
             try:
-                quotient = block_weight.exact_div(divisor)
+                quotient = (free * pw).exact_div(divisor)
                 detail = f"divisor*partial={divisor * pw}, block/divisor={quotient}"
             except NotDivisible:
                 detail = "block weight not even divisible by the divisor"
-            failures.append(f"block of path {partial.path.steps}: {detail}")
+            failures.append(f"block of path {_path_from_xs(start, xs)}: {detail}")
+    tiling_count = count_tilings(shape)
+    partial_sum = Poly2(partial_terms)
     if covered != tiling_count:
         failures.append(f"blocks cover {covered} of {tiling_count} tilings")
     if partial_sum != expected:
@@ -704,7 +781,7 @@ def verify_block_partition(variant: Variant) -> BlockPartitionReport:
     return BlockPartitionReport(
         variant=variant,
         tiling_count=tiling_count,
-        block_count=len(blocks),
+        block_count=block_count,
         partial_sum=partial_sum,
         expected_total=expected,
         failures=failures,

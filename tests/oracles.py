@@ -1,13 +1,16 @@
 """Independent oracles the tests check library results against.
 
-Nothing here but ``brute_block_partition`` goes through Poly2 division or the
-tiling machinery: integer sequences come from their defining recurrences,
-q-analogues from univariate q-factorial quotients, Coxeter products from
-exact Fraction arithmetic, and ``lex_exact_div`` divides term maps by
-lexicographic long division, with no Poly2 arithmetic.  ``brute_block_partition``
+Nothing here but ``brute_block_partition`` and ``materialised_verify`` goes
+through Poly2 division or the tiling machinery: integer sequences come from
+their defining recurrences, q-analogues from univariate q-factorial
+quotients, Coxeter products from exact Fraction arithmetic, and
+``lex_exact_div`` divides term maps by lexicographic long division, with no
+Poly2 arithmetic.  ``brute_block_partition``
 reuses the library's greedy step (``_step``, ``_fixed_row``), so it is
 independent of ``block_partition`` only in how it aggregates: it visits every
-tiling one by one instead of folding rows.
+tiling one by one instead of folding rows.  ``materialised_verify`` checks a
+block partition block by block on ``block_partition``, the cross-check for
+the class-merged ``verify_block_partition``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 from lucaskit.polyring import Monomial, NotDivisible, Poly1, Poly2
-from lucaskit.shapes_tilings import LatticePath, PartialTiling, _fixed_row, _path_from_xs, _row_data, _step, row_tilings
+from lucaskit.shapes_tilings import (
+    BlockPartitionReport,
+    LatticePath,
+    PartialTiling,
+    _fixed_row,
+    _path_from_xs,
+    _row_data,
+    _step,
+    block_partition,
+    count_tilings,
+    row_tilings,
+)
 
 
 @lru_cache(maxsize=None)
@@ -161,3 +175,37 @@ def brute_block_partition(variant) -> dict[PartialTiling, Poly2]:
         path = LatticePath((start, 0), _path_from_xs(start, xs), labels_of[key])
         out[PartialTiling(variant, path, fixed)] = Poly2(weight_terms)
     return out
+
+
+def materialised_verify(variant) -> BlockPartitionReport:
+    """``verify_block_partition`` block by block: list every block, multiply each by the divisor."""
+    blocks = block_partition(variant)
+    divisor = variant.divisor()
+    expected = variant.expected_total()
+    failures: list[str] = []
+    partial_sum = Poly2.zero()
+    tiling_count = count_tilings(variant.shape())
+    covered = 0
+    for partial, block_weight in blocks.items():
+        pw = partial.weight()
+        partial_sum = partial_sum + pw
+        covered += block_weight.evaluate(1, 1)  # block size
+        if divisor * pw != block_weight:
+            try:
+                quotient = block_weight.exact_div(divisor)
+                detail = f"divisor*partial={divisor * pw}, block/divisor={quotient}"
+            except NotDivisible:
+                detail = "block weight not even divisible by the divisor"
+            failures.append(f"block of path {partial.path.steps}: {detail}")
+    if covered != tiling_count:
+        failures.append(f"blocks cover {covered} of {tiling_count} tilings")
+    if partial_sum != expected:
+        failures.append(f"partial sum {partial_sum} != expected {expected}")
+    return BlockPartitionReport(
+        variant=variant,
+        tiling_count=tiling_count,
+        block_count=len(blocks),
+        partial_sum=partial_sum,
+        expected_total=expected,
+        failures=failures,
+    )

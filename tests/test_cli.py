@@ -154,6 +154,13 @@ class TestVerifyCommands:
         assert captured.out == ""
         assert captured.err == f"error: one involution type needs --n, --k and --r; missing {missing}\n"
 
+    @pytest.mark.parametrize("command", [["involution", "verify"], ["verify", "involution"]], ids=" ".join)
+    def test_sweep_bound_with_one_type_refused(self, capsys, command):
+        assert cli.main([*command, "--n", "3", "--k", "2", "--r", "1", "--max-n", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-n bounds the sweep over every type; give it without --n, --k and --r\n"
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         # force a failing report through the formatting path
         from lucaskit.involution import InvolutionReport
@@ -211,6 +218,15 @@ class TestTilings:
         )
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    def test_partition_reports_a_bad_class(self, capsys, monkeypatch):
+        right = Binomial.divisor
+        monkeypatch.setattr(Binomial, "divisor", lambda self: right(self) + Poly2.one())
+        code, out = run(capsys, "tilings", "partition", "--variant", "binomial", "--n", "5", "--k", "2")
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[-1] == "FAILED"
+        assert lines[5:-1] and all(line.startswith("FAIL: block of path ") for line in lines[5:-1])
 
     def test_render_shape_ascii(self, capsys):
         code, out = run(capsys, "tilings", "render", "--shape", "ddelta:3:2")
@@ -325,6 +341,13 @@ class TestFindings:
         option = f"--{flag.replace('_', '-')}"
         assert cli.main(["findings", conjecture, option, "-1"]) == 1
         assert capsys.readouterr().err == f"error: {option} must be >= 0\n"
+
+    @pytest.mark.parametrize("conjecture", list(cli.FINDINGS))
+    def test_empty_sweep_prints_nothing(self, capsys, conjecture):
+        _, flag, _ = cli.FINDINGS[conjecture]
+        code, out = run(capsys, "findings", conjecture, f"--{flag.replace('_', '-')}", "0")
+        assert code == 0
+        assert out == ""
 
 
 class TestAnalyzeCli:

@@ -1,8 +1,10 @@
 """Shapes, tilings, lattice paths, partial tilings and block partitions."""
 
+import math
+
 import pytest
 
-from oracles import brute_block_partition, fib
+from oracles import brute_block_partition, fib, materialised_verify
 from lucaskit.lucas import d_lucastorial, lucas, lucasnomial, lucastorial
 from lucaskit.polyring import Poly2
 from lucaskit.shapes_tilings import (
@@ -377,6 +379,24 @@ BEYOND_BRUTE_FORCE = (
     + [Binomial(8, k) for k in range(9)]
 )
 
+# Past the bounds the materialised check runs at: Catalan(10) has about
+# 7.3e18 blocks and Binomial(20, 10) about 6.5e20.
+LARGE_VARIANTS = (
+    [Catalan(n) for n in (8, 9, 10)]
+    + [Binomial(16, 8), Binomial(20, 10)]
+    + [FussCatalan(4, 2), FussCatalan(4, 4), FussCatalan(5, 3)]
+    + [DDivisible(8, k, 3) for k in range(9)]
+)
+
+
+def row_lengths(variant) -> list[int]:
+    """The row lengths of the variant's staircase, read off its definition."""
+    if isinstance(variant, FussCatalan):
+        return list(range((variant.k + 1) * variant.n - 1, 0, -1))
+    if variant.d == 1:
+        return list(range(variant.n - 1, 0, -1))
+    return [j * variant.d - 1 for j in range(variant.n, 0, -1)]
+
 
 class TestBlockPartition:
     @pytest.mark.parametrize("variant", CRITERIA_VARIANTS, ids=repr)
@@ -389,6 +409,18 @@ class TestBlockPartition:
         assert report.ok, report.failures
         # every partial weight is a monic monomial, so each block adds 1 at s = t = 1
         assert report.block_count == report.partial_sum.evaluate(1, 1)
+
+    @pytest.mark.parametrize("variant", CRITERIA_VARIANTS + BEYOND_BRUTE_FORCE, ids=repr)
+    def test_merged_fold_matches_materialised_check(self, variant):
+        assert verify_block_partition(variant).to_json_dict() == materialised_verify(variant).to_json_dict()
+
+    @pytest.mark.parametrize("variant", LARGE_VARIANTS, ids=repr)
+    def test_merged_fold_at_large_sizes(self, variant):
+        report = verify_block_partition(variant)
+        assert report.ok, report.failures
+        assert report.block_count == report.partial_sum.evaluate(1, 1)
+        # a row of m cells has F_{m+1} tilings
+        assert report.tiling_count == math.prod(fib(m + 1) for m in row_lengths(variant))
 
     def test_naive_grouping_matches_stream(self):
         for variant in (Binomial(5, 2), Catalan(2), FussCatalan(2, 2), DDivisible(3, 2, 2)):
@@ -424,6 +456,37 @@ class TestBlockPartition:
             partial = partial_from_tiling(tiling, variant)
             again = partial_from_tiling(tiling, variant)
             assert partial == again  # deterministic canonical representative
+
+
+# Wrong divisors: one monomial too many, and one factor s too many.
+WRONG_DIVISORS = {
+    "plus-one": lambda divisor: divisor + Poly2.one(),
+    "times-s": lambda divisor: divisor * Poly2.monomial(1, 0),
+}
+
+
+class TestBadClass:
+    """A wrong divisor fails its class, which names one real block as the witness."""
+
+    @pytest.mark.parametrize("mutation", WRONG_DIVISORS.values(), ids=list(WRONG_DIVISORS))
+    @pytest.mark.parametrize(
+        "variant",
+        [Binomial(5, 2), Catalan(3), FussCatalan(2, 2), DDivisible(4, 2, 2), DDivisible(3, 1, 3)],
+        ids=repr,
+    )
+    def test_wrong_divisor_names_a_real_block(self, monkeypatch, variant, mutation):
+        right = type(variant).divisor
+        monkeypatch.setattr(type(variant), "divisor", lambda self: mutation(right(self)))
+        report = verify_block_partition(variant)
+        assert not report.ok
+        paths = {partial.path.steps for partial in enumerate_partials(variant)}
+        blockwise = materialised_verify(variant).failures
+        for failure in report.failures:
+            assert failure.startswith("block of path ")
+            assert failure.removeprefix("block of path ").split(":")[0] in paths
+            # the witness's line is the one the block-by-block check prints for it
+            assert failure in blockwise
+        assert verify_block_partition(variant).failures == report.failures
 
 
 class TestRectangleModel:

@@ -1,11 +1,14 @@
 """Catalan-family analogues: Catalan, Fuss-Catalan, Coxeter-Catalan, rational
 Catalan and Narayana polynomials in s and t.
 
-Each is a quotient of products of Lucas polynomials, evaluated by exact
-division.  For the Coxeter versions the degrees of the finite irreducible
-groups are hard-coded from the classification table; Cat W multiplies
-{h + d_i}/{d_i} over the degrees with h the Coxeter number (largest degree),
-and the Fuss version uses kh + d_i.
+Each is a quotient of products of Lucas polynomials.  The Coxeter quotients
+and genCatD go through the atom engine ``lucas.lucas_quotient``; the Fuss,
+rational Catalan and Narayana quotients divide a cached Lucasnomial by one
+{m}, so they share ``lucasnomial``'s cache.  For the Coxeter versions the
+degrees of the finite irreducible groups are hard-coded from the
+classification table; Cat W is the quotient of {h + d_i} by {d_i} over the
+degrees with h the Coxeter number (largest degree), and the Fuss version
+uses kh + d_i.
 
 Some nonnegativity statements are theorems (types A, B, D, I2 and all the
 plain Coxeter-Catalan numbers) and are asserted; others are open (rational
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .lucas import d_lucasnomial, lucas, lucasnomial
+from .lucas import d_lucasnomial, lucas, lucas_quotient, lucasnomial, lucasnomial_indices
 from .polyring import NotDivisible, Poly2
 
 
@@ -155,12 +158,7 @@ def coxeter_fuss_catalan(w: CoxeterType, k: int) -> Poly2:
     if k < 1:
         raise ValueError("need k >= 1")
     h = w.coxeter_number()
-    numerator = Poly2.one()
-    denominator = Poly2.one()
-    for d in w.degrees():
-        numerator = numerator * lucas(k * h + d)
-        denominator = denominator * lucas(d)
-    value = numerator.exact_div(denominator)
+    value = lucas_quotient([k * h + d for d in w.degrees()], w.degrees())
     if (k == 1 or w.family in ("A", "B", "D", "I2")) and not value.is_nonnegative():
         raise AssertionError(f"Cat^({k}) {w} has a negative coefficient")
     return value
@@ -181,12 +179,10 @@ def genCatD(l: int, k: int, m: int, d: int, n: int) -> Poly2:
     """
     if not 0 < l < k * d < m * d:
         raise ValueError("need 0 < l < kd < md")
-    g = gcd(k * d, k * d - l)
-    top_index = (d * m - l) * n - (m - 1) * d
-    if top_index < 0 or k * n - 1 > m * (n - 1):
+    if not genCatD_in_range(l, k, m, d, n):
         raise ValueError("degenerate parameters: index out of range at this n")
-    numerator = lucas(top_index) * d_lucasnomial(m * (n - 1), k * n - 1, d)
-    return numerator.exact_div(lucas(g * n))
+    num, den = lucasnomial_indices(m * (n - 1), k * n - 1, d)
+    return lucas_quotient([(d * m - l) * n - (m - 1) * d, *num], [gcd(k * d, k * d - l) * n, *den])
 
 
 def genCatD_in_range(l: int, k: int, m: int, d: int, n: int) -> bool:

@@ -6,6 +6,12 @@ d-divisible analogues {n:d}! = {d}{2d}...{nd}, the divisibility facts
 ({m} | {n} iff m | n, gcd behaviour), and the Chebyshev image {n} = U_{n-1}
 under s = 2x, t = -1.  Everything returns exact ``Poly2``/``Poly1`` values.
 
+Every quotient prod {a_i} / prod {b_j} goes through one engine,
+``lucas_quotient``.  It factors each {n} into the Lucas atoms P_d, d | n,
+d >= 2 (Sagan and Tirrell), which are pairwise coprime irreducibles, so the
+quotient is a polynomial iff every atom's exponent is nonnegative, and then
+it is the product of the atom powers: no {n}! and no trial division.
+
 Specializations worth remembering: (s,t) = (1,1) gives Fibonacci numbers,
 (2,-1) gives the integers, and s = 1+q, t = -q gives q-integers.
 """
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache
+from typing import Iterable
 
 from .polyring import NotDivisible, Poly1, Poly2
 
@@ -53,7 +60,7 @@ def lucas(n: int) -> Poly2:
 
 @lru_cache(maxsize=None)
 def lucastorial(n: int) -> Poly2:
-    """{n}! = {1}{2}...{n}, with {0}! = 1 (empty product)."""
+    """{n}! = {1}{2}...{n}, with {0}! = 1 (empty product); the tilings' divisors are built from it."""
     if n < 0:
         raise ValueError("negative Lucastorial index")
     if n == 0:
@@ -62,17 +69,65 @@ def lucastorial(n: int) -> Poly2:
 
 
 @lru_cache(maxsize=None)
-def lucasnomial(n: int, k: int) -> Poly2:
-    """{n brace k} = {n}!/({k}!{n-k}!); zero outside 0 <= k <= n.
+def _atom_indices(n: int) -> tuple[int, ...]:
+    """The d >= 2 dividing n, in increasing order: {n} is the product of these P_d."""
+    return tuple(d for d in range(2, n + 1) if n % d == 0)
 
-    The quotient is exact by construction; a division failure would mean the
-    arithmetic itself is broken, so NotDivisible is allowed to escape.
+
+@lru_cache(maxsize=None)
+def lucas_atom(d: int) -> Poly2:
+    """The Lucas atom P_d: {d} divided by the atoms P_e of its divisors 2 <= e < d.
+
+    P_d(X+Y, -XY) is the homogenised cyclotomic polynomial Phi_d(X, Y), so
+    P_d is irreducible and its q-specialization is Phi_d(q).
     """
+    if d < 2:
+        raise ValueError("Lucas atoms are indexed by d >= 2")
+    proper = Poly2.one()
+    for e in _atom_indices(d)[:-1]:
+        proper = proper * lucas_atom(e)
+    return lucas(d).exact_div(proper)
+
+
+def lucas_quotient(num: Iterable[int], den: Iterable[int]) -> Poly2:
+    """prod {a} over a in num divided by prod {b} over b in den.
+
+    P_d's exponent is the number of indices in num that d divides minus the
+    number in den.  Raises ValueError for an index below 1 ({0} = 0 is no
+    empty product) and NotDivisible, naming the smallest atom, when an
+    exponent is negative.
+    """
+    exponents: dict[int, int] = {}
+    for sign, indices in ((1, num), (-1, den)):
+        for n in indices:
+            if n < 1:
+                raise ValueError(f"quotient index {n} < 1: {{{n}}} is not a product of atoms")
+            for d in _atom_indices(n):
+                exponents[d] = exponents.get(d, 0) + sign
+    negative = [d for d, e in exponents.items() if e < 0]
+    if negative:
+        d = min(negative)
+        raise NotDivisible(f"not a polynomial: atom P_{d} has exponent {exponents[d]}")
+    value = Poly2.one()
+    for d in sorted(exponents):
+        for _ in range(exponents[d]):
+            value = value * lucas_atom(d)
+    return value
+
+
+def lucasnomial_indices(n: int, k: int, d: int = 1) -> tuple[list[int], list[int]]:
+    """{n:d brace k:d} as ``lucas_quotient`` indices: d, 2d, ..., nd over d..kd and d..(n-k)d."""
+    return list(range(d, n * d + 1, d)), [*range(d, k * d + 1, d), *range(d, (n - k) * d + 1, d)]
+
+
+@lru_cache(maxsize=None)
+def lucasnomial(n: int, k: int) -> Poly2:
+    """{n brace k} = {n}!/({k}!{n-k}!); zero outside 0 <= k <= n."""
     if n < 0:
         raise ValueError("negative Lucasnomial index")
     if k < 0 or k > n:
         return Poly2.zero()
-    return lucastorial(n).exact_div(lucastorial(k) * lucastorial(n - k))
+    return lucas_quotient(*lucasnomial_indices(n, k))
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +147,7 @@ def d_lucasnomial(n: int, k: int, d: int) -> Poly2:
         raise ValueError("need n >= 0 and d >= 1")
     if k < 0 or k > n:
         return Poly2.zero()
-    return d_lucastorial(n, d).exact_div(d_lucastorial(k, d) * d_lucastorial(n - k, d))
+    return lucas_quotient(*lucasnomial_indices(n, k, d))
 
 
 def verify_lucasnomial_recursion(n: int, k: int) -> bool:

@@ -1,11 +1,13 @@
 """Independent oracles the tests check library results against.
 
-Nothing here but ``brute_block_partition`` and ``materialised_verify`` goes
-through Poly2 division or the tiling machinery: integer sequences come from
-their defining recurrences, q-analogues from univariate q-factorial
-quotients, Coxeter products from exact Fraction arithmetic, and
-``lex_exact_div`` divides term maps by lexicographic long division, with no
-Poly2 arithmetic.  ``brute_block_partition``
+Nothing here but ``factorial_quotient``, ``brute_block_partition`` and
+``materialised_verify`` goes through Poly2 division or the tiling machinery:
+integer sequences come from their defining recurrences, q-analogues and
+cyclotomic polynomials from univariate exact division, Coxeter products
+from exact Fraction arithmetic, and ``lex_exact_div`` divides term maps by
+lexicographic long division, with no Poly2 arithmetic.
+``factorial_quotient`` is the quotient path the atom engine replaced: it
+multiplies the Lucas polynomials out and divides once.  ``brute_block_partition``
 reuses the library's greedy step (``_step``, ``_fixed_row``), so it is
 independent of ``block_partition`` only in how it aggregates: it visits every
 tiling one by one instead of folding rows.  ``materialised_verify`` checks a
@@ -19,6 +21,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from lucaskit.lucas import lucas
 from lucaskit.polyring import Monomial, NotDivisible, Poly1, Poly2
 from lucaskit.shapes_tilings import (
     BlockPartitionReport,
@@ -57,6 +60,26 @@ def q_factorial(n: int) -> Poly1:
 def gaussian_binomial(n: int, k: int) -> Poly1:
     """[n]_q! / ([k]_q! [n-k]_q!) by exact univariate division."""
     return q_factorial(n).exact_div(q_factorial(k) * q_factorial(n - k))
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(d: int) -> Poly1:
+    """Phi_d(q): q^d - 1 divided by Phi_e for every e | d with e < d."""
+    value = Poly1({d: 1, 0: -1})
+    for e in range(1, d):
+        if d % e == 0:
+            value = value.exact_div(cyclotomic(e))
+    return value
+
+
+def factorial_quotient(num, den) -> Poly2:
+    """prod {a} over num exactly divided by prod {b} over den; raises NotDivisible."""
+    numerator = denominator = Poly2.one()
+    for a in num:
+        numerator = numerator * lucas(a)
+    for b in den:
+        denominator = denominator * lucas(b)
+    return numerator.exact_div(denominator)
 
 
 def integer_coxeter_catalan(degrees, k: int = 1) -> int:

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     catalan_number,
+    factorial_quotient,
     fuss_number,
     integer_coxeter_catalan,
     narayana_number,
@@ -150,6 +151,43 @@ class TestCoxeterFuss:
             for k in range(1, 4):
                 expected = integer_coxeter_catalan(w.degrees(), k)
                 assert coxeter_fuss_catalan(w, k).evaluate(2, -1) == expected
+
+
+class TestQuotientEngine:
+    """The atom-engine quotients against multiplying out and dividing once."""
+
+    TYPES = (
+        [CoxeterType("A", n) for n in range(1, 9)]
+        + [CoxeterType("B", n) for n in range(2, 9)]
+        + [CoxeterType("D", n) for n in range(4, 9)]
+        + [CoxeterType("I2", m) for m in range(5, 13)]
+        + [CoxeterType(family) for family in ("H3", "H4", "F4", "E6", "E7", "E8")]
+    )
+
+    @pytest.mark.parametrize("w", TYPES, ids=str)
+    def test_coxeter_fuss_matches_factorial_quotient(self, w):
+        h = w.coxeter_number()
+        for k in range(1, 4):
+            expected = factorial_quotient([k * h + d for d in w.degrees()], w.degrees())
+            assert coxeter_fuss_catalan(w, k) == expected, k
+
+    def test_genCatD_matches_factorial_quotient(self):
+        # The default sweep of ``lucaskit verify genCatD``.
+        checked = 0
+        for d in range(1, 7):
+            for m in range(2, 6 // d + 1):
+                for k in range(1, m):
+                    for l in range(1, k * d):
+                        for n in range(1, 5):
+                            if not genCatD_in_range(l, k, m, d, n):
+                                continue
+                            top, bottom = m * (n - 1), k * n - 1
+                            num = [(d * m - l) * n - (m - 1) * d, *range(d, top * d + 1, d)]
+                            den = [math.gcd(k * d, k * d - l) * n, *range(d, bottom * d + 1, d)]
+                            den += range(d, (top - bottom) * d + 1, d)
+                            assert genCatD(l, k, m, d, n) == factorial_quotient(num, den), (l, k, m, d, n)
+                            checked += 1
+        assert checked > 0
 
 
 class TestTypeD:

@@ -1,16 +1,19 @@
 """Lucas sequence, Lucastorials, Lucasnomials and their identities."""
 
+import itertools
 import math
 
 import pytest
 
-from oracles import fib, gaussian_binomial, integer_d_binomial
+from oracles import cyclotomic, factorial_quotient, fib, gaussian_binomial, integer_d_binomial
 from lucaskit.lucas import (
     chebyshev_U,
     d_lucasnomial,
     d_lucastorial,
     lucas,
+    lucas_atom,
     lucas_divides,
+    lucas_quotient,
     lucasnomial,
     lucastorial,
     verify_chebyshev_bridge,
@@ -18,7 +21,7 @@ from lucaskit.lucas import (
     verify_lucasnomial_recursion,
     verify_symmetry_identity,
 )
-from lucaskit.polyring import Poly1, Poly2, coeff_view
+from lucaskit.polyring import NotDivisible, Poly1, Poly2, coeff_view
 
 S = Poly2.var_s()
 T = Poly2.var_t()
@@ -143,6 +146,65 @@ class TestDDivisible:
 
     def test_edge_k(self):
         assert d_lucasnomial(5, 0, 3) == Poly2.one()
+
+
+class TestLucasAtoms:
+    def test_atoms_multiply_to_lucas(self):
+        for n in range(1, 61):
+            product = Poly2.one()
+            for d in range(2, n + 1):
+                if n % d == 0:
+                    product = product * lucas_atom(d)
+            assert product == lucas(n), n
+
+    def test_atoms_nonnegative(self):
+        assert all(lucas_atom(d).is_nonnegative() for d in range(2, 81))
+
+    def test_q_specialization_is_cyclotomic(self):
+        for d in range(2, 41):
+            assert lucas_atom(d).specialize_q() == cyclotomic(d), d
+
+
+class TestQuotientEngine:
+    """``lucas_quotient`` against multiplying out and dividing once."""
+
+    def test_lucasnomial_matches_factorial_quotient(self):
+        for n in range(25):
+            for k in range(n + 1):
+                expected = factorial_quotient(range(1, n + 1), [*range(1, k + 1), *range(1, n - k + 1)])
+                assert lucasnomial(n, k) == expected, (n, k)
+
+    def test_d_lucasnomial_matches_factorial_quotient(self):
+        for d in (2, 3, 4):
+            for n in range(11):
+                for k in range(n + 1):
+                    den = [*range(d, k * d + 1, d), *range(d, (n - k) * d + 1, d)]
+                    expected = factorial_quotient(range(d, n * d + 1, d), den)
+                    assert d_lucasnomial(n, k, d) == expected, (n, k, d)
+
+    def test_two_by_two_divisibility_matches_oracle(self):
+        pairs = list(itertools.combinations_with_replacement(range(1, 11), 2))
+        for num in pairs:
+            for den in pairs:
+                try:
+                    expected = factorial_quotient(num, den)
+                except NotDivisible:
+                    with pytest.raises(NotDivisible):
+                        lucas_quotient(num, den)
+                else:
+                    assert lucas_quotient(num, den) == expected, (num, den)
+
+    def test_index_below_one_rejected(self):
+        for num, den in (([0], []), ([3], [0]), ([4, -1], [2])):
+            with pytest.raises(ValueError):
+                lucas_quotient(num, den)
+
+    def test_names_the_blocking_atom(self):
+        with pytest.raises(NotDivisible, match="P_4"):
+            lucas_quotient([6], [4])
+        # {5} = P_5 and {6} = P_2 P_3 P_6: three atoms go negative, the smallest is named.
+        with pytest.raises(NotDivisible, match=r"P_2\b"):
+            lucas_quotient([5], [6])
 
 
 class TestDivides:

@@ -457,7 +457,9 @@ class TestTracerHooks:
             "from lucaskit import analysis\n"
             "tracer = tracing.Tracer()\n"
             "tracer.install()\n"
-            "analysis.analyze(importlib.import_module('lucaskit.lucas').lucasnomial(9, 4))\n"
+            "lucas = importlib.import_module('lucaskit.lucas')\n"
+            "analysis.analyze(lucas.lucasnomial(9, 4))\n"
+            "lucas.lucastorial(5)\n"
             "print(json.dumps(tracer.metrics(1.0)))\n"
         )
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)

@@ -1,12 +1,16 @@
 """Command-line surface.
 
 Every subcommand is deterministic: the same argv and input files produce
-byte-identical output.  Exit codes, and the exceptions that ``main`` maps to
-them (each printed as ``error: ...`` on stderr):
+byte-identical output.  Each leaf action has its own parser, which declares
+only the flags and ``--format`` values its handler reads.  Exit codes, and the
+exceptions that ``main`` maps to them (each printed as ``error: ...`` on
+stderr):
 
     0  success or verification pass
-    1  usage error: bad arguments, ValueError (malformed input documents
-       included), KeyError, OSError, json.JSONDecodeError
+    1  usage error: argparse's refusals (a flag the action does not take, a
+       format it does not render, a missing required flag), bad arguments,
+       ValueError (malformed input documents included), KeyError, OSError,
+       json.JSONDecodeError
     2  verification failure or conjecture counterexample: a failed check,
        AssertionError from a theorem guard, NotDivisible from a quotient
        that is not a polynomial
@@ -52,6 +56,60 @@ FINDINGS = {
     "exceptional-fuss": ("exceptional_fuss_findings", "max_k", 3),
 }
 
+
+def _divisibility(max_n: int) -> Iterator[tuple[str, bool]]:
+    """{m} | {n} exactly when m | n; ``lucas_divides`` raises on a violation."""
+    for m in range(1, max_n + 1):
+        for n in range(1, max_n + 1):
+            present = lucas_divides(m, n) is not None
+            yield f"{{{m}}} | {{{n}}}: {present}", present == (n % m == 0)
+
+
+# Check -> (its bound flags with their defaults, the (label, passed) pairs at
+# those bounds).  The bounds reach the function as keyword arguments.
+VERIFICATIONS = {
+    "recursion": ({"max_n": 12}, lambda max_n: (
+        (f"recursion n={n} k={k}", verify_lucasnomial_recursion(n, k))
+        for n in range(2, max_n + 1)
+        for k in range(1, n)
+    )),
+    "symmetry": ({"max_n": 10}, lambda max_n: (
+        (f"symmetry n={n} k={k} r={r}", verify_symmetry_identity(n, k, r))
+        for n in range(max_n + 1)
+        for k in range(n + 1)
+        for r in range(k + 1)
+    )),
+    "catalan-id": ({"max_n": 12}, lambda max_n: (
+        (f"catalan identity n={n}", coxcat.verify_catalan_identity(n)) for n in range(2, max_n + 1)
+    )),
+    "fuss-id": ({"max_n": 6, "max_k": 3}, lambda max_n, max_k: (
+        (f"fuss identity n={n} k={k}", coxcat.verify_fuss_identity(n, k))
+        for n in range(2, max_n + 1)
+        for k in range(1, max_k + 1)
+    )),
+    "catD": ({"max_n": 6}, lambda max_n: ((f"Cat D_{n}", coxcat.verify_catD(n)) for n in range(3, max_n + 1))),
+    "genCatD": ({"max_d": 6, "max_n": 4}, lambda max_d, max_n: (
+        (f"genCatD l={l} k={k} m={m} d={d} n={n}", coxcat.verify_genCatD(l, k, m, d, n))
+        for d in range(1, max_d + 1)
+        for m in range(2, max_d // d + 1)
+        for k in range(1, m)
+        for l in range(1, k * d)
+        for n in range(1, max_n + 1)
+        if coxcat.genCatD_in_range(l, k, m, d, n)
+    )),
+    "hoggatt-long": ({"max_n": 20}, _divisibility),
+    "gcd-lemma": ({"max_n": 12}, lambda max_n: (
+        (f"gcd lemma m={m} n={n}", verify_gcd_lemma(m, n))
+        for m in range(1, max_n + 1)
+        for n in range(1, max_n + 1)
+    )),
+    "cheby": ({"max_n": 30}, lambda max_n: (
+        (f"chebyshev bridge n={n}", verify_chebyshev_bridge(n)) for n in range(1, max_n + 1)
+    )),
+}
+
+POLY_FORMATS = ("pretty", "json", "csv")
+REPORT_FORMATS = ("pretty", "json")
 
 # `tilings enumerate` lists every tiling: delta_9's 2,227,680 still run, delta_10's 122,522,400 are refused.
 MAX_ENUMERATED_TILINGS = 10**7
@@ -108,21 +166,21 @@ def _bound(args, flag: str, default: int) -> int:
     return value
 
 
-def _require(args, *names: str) -> list[int]:
-    values = []
-    for name in names:
-        value = getattr(args, name, None)
-        if value is None:
-            raise ValueError(f"--{name} is required here")
-        values.append(value)
-    return values
+def _variant_flags() -> tuple[str, ...]:
+    """Every variant's integers, once each, in argument order: n, k, d."""
+    names = (shapes_tilings.variant_integers(cls) for cls in shapes_tilings.VARIANTS.values())
+    return tuple(dict.fromkeys(name for variant in names for name in variant))
 
 
 def _parse_variant(args) -> shapes_tilings.Variant:
-    if args.variant is None:
-        raise ValueError(f"--variant is required for partition ({'|'.join(shapes_tilings.VARIANTS)})")
+    """The ``--variant`` built from exactly its integer flags."""
     cls = shapes_tilings.VARIANTS[args.variant]
-    return cls(*_require(args, *shapes_tilings.variant_integers(cls)))
+    names = shapes_tilings.variant_integers(cls)
+    for flag in _variant_flags():
+        given = getattr(args, flag) is not None
+        if given != (flag in names):
+            raise ValueError(f"--variant {args.variant} {'takes no' if given else 'needs'} --{flag}")
+    return cls(*(getattr(args, name) for name in names))
 
 
 def _coxeter(family: str, param: int | None, fuss_k: int | None) -> Poly2:
@@ -176,98 +234,92 @@ def _named_quantity(expr: str) -> Poly2:
 # -- subcommand handlers -------------------------------------------------------
 
 
-def _cmd_poly(args) -> int:
-    if args.command == "coxeter":
-        # I2 takes --m; every other family takes --n or, if exceptional, nothing.
-        flag, other = ("m", "n") if args.type == "I2" else ("n", "m")
-        if getattr(args, other) is not None:
-            raise ValueError(f"--type {args.type} takes no --{other}")
-        value = _coxeter(args.type, getattr(args, flag), args.fuss_k)
-    else:
-        module, function, flags = QUANTITIES[args.command]
-        value = getattr(module, function)(*(getattr(args, flag) for flag in flags))
+def _cmd_quantity(args) -> int:
+    module, function, flags = QUANTITIES[args.command]
+    value = getattr(module, function)(*(getattr(args, flag) for flag in flags))
     _emit(_poly_output(value, args.format), args.out)
     return PASS
 
 
-def _cmd_tilings(args) -> int:
-    if args.action == "enumerate":
-        if not args.shape:
-            raise ValueError("enumerate needs --shape")
-        shape = _parse_shape(args.shape)
-        count = shapes_tilings.count_tilings(shape)
-        if count > MAX_ENUMERATED_TILINGS:
-            raise ValueError(f"{count} tilings; enumerate lists at most {MAX_ENUMERATED_TILINGS}")
-        tilings = shapes_tilings.enumerate_tilings(shape)
-        token_rows = ([shapes_tilings.tile_tokens(tiles) for tiles in t.rows] for t in tilings)
-        with _output(args.out) as fh:
-            if args.format == "json":
-                # Streamed, in the bytes json.dumps gives the whole document.
-                fh.write(f'{{"count": {count}, "tilings": [')
-                for i, rows in enumerate(token_rows):
-                    fh.write((", " if i else "") + json.dumps(rows))
-                fh.write("]}\n")
-            else:
-                for rows in token_rows:
-                    fh.write((" ".join("".join(row) for row in rows) or "(empty)") + "\n")
-                fh.write(f"count: {count}\n")
-        return PASS
-    if args.action == "partition":
-        variant = _parse_variant(args)
-        if args.shape and _parse_shape(args.shape) != variant.shape():
-            raise ValueError("--shape disagrees with the variant's shape")
-        report = shapes_tilings.verify_block_partition(variant)
+def _cmd_coxeter(args) -> int:
+    # I2 takes --m; every other family takes --n or, if exceptional, nothing.
+    flag, other = ("m", "n") if args.type == "I2" else ("n", "m")
+    if getattr(args, other) is not None:
+        raise ValueError(f"--type {args.type} takes no --{other}")
+    value = _coxeter(args.type, getattr(args, flag), args.fuss_k)
+    _emit(_poly_output(value, args.format), args.out)
+    return PASS
+
+
+def _cmd_enumerate(args) -> int:
+    shape = _parse_shape(args.shape)
+    count = shapes_tilings.count_tilings(shape)
+    if count > MAX_ENUMERATED_TILINGS:
+        raise ValueError(f"{count} tilings; enumerate lists at most {MAX_ENUMERATED_TILINGS}")
+    tilings = shapes_tilings.enumerate_tilings(shape)
+    token_rows = ([shapes_tilings.tile_tokens(tiles) for tiles in t.rows] for t in tilings)
+    with _output(args.out) as fh:
         if args.format == "json":
-            _emit(json.dumps(report.to_json_dict()), args.out)
+            # Streamed, in the bytes json.dumps gives the whole document.
+            fh.write(f'{{"count": {count}, "tilings": [')
+            for i, rows in enumerate(token_rows):
+                fh.write((", " if i else "") + json.dumps(rows))
+            fh.write("]}\n")
         else:
-            lines = [
-                f"variant: {variant}",
-                f"tilings: {report.tiling_count}",
-                f"blocks: {report.block_count}",
-                f"sum of partial weights: {report.partial_sum.pretty()}",
-                f"expected: {report.expected_total.pretty()}",
-            ]
-            lines += [f"FAIL: {f}" for f in report.failures]
-            lines.append("ok" if report.ok else "FAILED")
-            _emit("\n".join(lines), args.out)
-        return PASS if report.ok else VERIFY_FAIL
-    if args.action == "render":
-        if not args.input and not args.shape:
-            raise ValueError("render needs --input or --shape")
-        if args.input:
-            data = _read_json_input(args.input)
-            obj = (
-                shapes_tilings.PartialTiling.from_json_dict(data)
-                if isinstance(data, dict) and "path" in data
-                else shapes_tilings.Tiling.from_json_dict(data)
-            )
-        else:
-            obj = _parse_shape(args.shape)
-        text = render.svg_diagram(obj) if args.format == "svg" else render.ascii_diagram(obj)
-        _emit(text, args.out)
-        return PASS
-    raise ValueError(args.action)
+            for rows in token_rows:
+                fh.write((" ".join("".join(row) for row in rows) or "(empty)") + "\n")
+            fh.write(f"count: {count}\n")
+    return PASS
 
 
-def _cmd_involution(args) -> int:
-    if args.action == "apply":
-        if not args.input:
-            raise ValueError("apply needs --input (a file path or '-')")
+def _cmd_partition(args) -> int:
+    variant = _parse_variant(args)
+    if args.shape and _parse_shape(args.shape) != variant.shape():
+        raise ValueError("--shape disagrees with the variant's shape")
+    report = shapes_tilings.verify_block_partition(variant)
+    if args.format == "json":
+        _emit(json.dumps(report.to_json_dict()), args.out)
+    else:
+        lines = [
+            f"variant: {variant}",
+            f"tilings: {report.tiling_count}",
+            f"blocks: {report.block_count}",
+            f"sum of partial weights: {report.partial_sum.pretty()}",
+            f"expected: {report.expected_total.pretty()}",
+        ]
+        lines += [f"FAIL: {f}" for f in report.failures]
+        lines.append("ok" if report.ok else "FAILED")
+        _emit("\n".join(lines), args.out)
+    return PASS if report.ok else VERIFY_FAIL
+
+
+def _cmd_render(args) -> int:
+    if args.input:
         data = _read_json_input(args.input)
-        extended = involution.ExtendedTiling.from_json_dict(data)
-        result, trace = involution.iota_trace(extended)
-        if args.format == "json":
-            _emit(json.dumps({"trace": list(trace), "result": result.to_json_dict()}), args.out)
-        else:
-            lines = [f"cases: {','.join(trace) or '(identity)'}"]
-            lines.append(render.ascii_diagram(result.partial))
-            for i, strip in enumerate(result.strips, start=1):
-                lines.append(f"T{i}: {' '.join(shapes_tilings.tile_tokens(strip)) or '(empty)'}")
-            _emit("\n".join(lines), args.out)
-        return PASS
-    if args.action == "verify":
-        return _verify_involution_types(args)
-    raise ValueError(args.action)
+        obj = (
+            shapes_tilings.PartialTiling.from_json_dict(data)
+            if isinstance(data, dict) and "path" in data
+            else shapes_tilings.Tiling.from_json_dict(data)
+        )
+    else:
+        obj = _parse_shape(args.shape)
+    text = render.svg_diagram(obj) if args.format == "svg" else render.ascii_diagram(obj)
+    _emit(text, args.out)
+    return PASS
+
+
+def _cmd_apply(args) -> int:
+    extended = involution.ExtendedTiling.from_json_dict(_read_json_input(args.input))
+    result, trace = involution.iota_trace(extended)
+    if args.format == "json":
+        _emit(json.dumps({"trace": list(trace), "result": result.to_json_dict()}), args.out)
+    else:
+        lines = [f"cases: {','.join(trace) or '(identity)'}"]
+        lines.append(render.ascii_diagram(result.partial))
+        for i, strip in enumerate(result.strips, start=1):
+            lines.append(f"T{i}: {' '.join(shapes_tilings.tile_tokens(strip)) or '(empty)'}")
+        _emit("\n".join(lines), args.out)
+    return PASS
 
 
 def _verify_involution_types(args) -> int:
@@ -305,79 +357,20 @@ def _verify_involution_types(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    what = args.what
-    checks: list[tuple[str, bool]] = []
-    if what == "recursion":
-        n_max = _bound(args, "max_n", 12)
-        checks = [
-            (f"recursion n={n} k={k}", verify_lucasnomial_recursion(n, k))
-            for n in range(2, n_max + 1)
-            for k in range(1, n)
-        ]
-    elif what == "symmetry":
-        n_max = _bound(args, "max_n", 10)
-        checks = [
-            (f"symmetry n={n} k={k} r={r}", verify_symmetry_identity(n, k, r))
-            for n in range(n_max + 1)
-            for k in range(n + 1)
-            for r in range(k + 1)
-        ]
-    elif what == "catalan-id":
-        n_max = _bound(args, "max_n", 12)
-        checks = [(f"catalan identity n={n}", coxcat.verify_catalan_identity(n)) for n in range(2, n_max + 1)]
-    elif what == "fuss-id":
-        n_max, k_max = _bound(args, "max_n", 6), _bound(args, "max_k", 3)
-        checks = [
-            (f"fuss identity n={n} k={k}", coxcat.verify_fuss_identity(n, k))
-            for n in range(2, n_max + 1)
-            for k in range(1, k_max + 1)
-        ]
-    elif what == "catD":
-        n_max = _bound(args, "max_n", 6)
-        checks = [(f"Cat D_{n}", coxcat.verify_catD(n)) for n in range(3, n_max + 1)]
-    elif what == "genCatD":
-        bound, n_max = _bound(args, "max_d", 6), _bound(args, "max_n", 4)
-        for d in range(1, bound + 1):
-            for m in range(2, bound // d + 1):
-                for k in range(1, m):
-                    for l in range(1, k * d):
-                        for n in range(1, n_max + 1):
-                            if coxcat.genCatD_in_range(l, k, m, d, n):
-                                ok = coxcat.verify_genCatD(l, k, m, d, n)
-                                checks.append((f"genCatD l={l} k={k} m={m} d={d} n={n}", ok))
-    elif what == "hoggatt-long":
-        bound = _bound(args, "max_n", 20)
-        for m in range(1, bound + 1):
-            for n in range(1, bound + 1):
-                quotient = lucas_divides(m, n)  # raises on a violation
-                present = quotient is not None
-                checks.append((f"{{{m}}} | {{{n}}}: {present}", present == (n % m == 0)))
-    elif what == "gcd-lemma":
-        bound = _bound(args, "max_n", 12)
-        checks = [
-            (f"gcd lemma m={m} n={n}", verify_gcd_lemma(m, n))
-            for m in range(1, bound + 1)
-            for n in range(1, bound + 1)
-        ]
-    elif what == "cheby":
-        bound = _bound(args, "max_n", 30)
-        checks = [(f"chebyshev bridge n={n}", verify_chebyshev_bridge(n)) for n in range(1, bound + 1)]
-    elif what == "involution":
-        return _verify_involution_types(args)
-    else:
-        raise ValueError(f"unknown verification {what!r}")
-    failures = [name for name, ok in checks if not ok]
+    bounds, checks = VERIFICATIONS[args.action]
+    results = list(checks(**{flag: _bound(args, flag, default) for flag, default in bounds.items()}))
+    failures = [label for label, passed in results if not passed]
     if args.format == "json":
-        _emit(json.dumps({"checked": len(checks), "failures": failures}), args.out)
+        _emit(json.dumps({"checked": len(results), "failures": failures}), args.out)
     else:
-        lines = [f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in checks] if args.verbose else []
-        lines.append(f"{what}: {len(checks) - len(failures)}/{len(checks)} pass")
+        lines = [f"{label}: {'pass' if passed else 'FAIL'}" for label, passed in results] if args.verbose else []
+        lines.append(f"{args.action}: {len(results) - len(failures)}/{len(results)} pass")
         _emit("\n".join(lines), args.out)
     return PASS if not failures else VERIFY_FAIL
 
 
 def _cmd_findings(args) -> int:
-    sweep, flag, default = FINDINGS[args.conjecture]
+    sweep, flag, default = FINDINGS[args.action]
     findings = getattr(coxcat, sweep)(_bound(args, flag, default))
     with _output(args.out) as fh:  # JSON lines: no findings, no bytes
         fh.writelines(f.to_json_line() + "\n" for f in findings)
@@ -412,75 +405,77 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", default="pretty", choices=["pretty", "json", "csv", "svg", "ascii"])
+    def leaf(p, func, formats=()):
+        """Finish a leaf action: ``--format`` over ``formats`` (the first is the default), ``--out``."""
+        if formats:
+            p.add_argument("--format", default=formats[0], choices=formats)
         p.add_argument("--out", default=None, help="write output to this file")
+        p.set_defaults(func=func)
+
+    def actions(command: str):
+        return sub.add_parser(command).add_subparsers(dest="action", required=True)
+
+    def involution_types(p):
+        p.add_argument("--n", type=int, default=None)
+        p.add_argument("--k", type=int, default=None)
+        p.add_argument("--r", type=int, default=None)
+        p.add_argument("--max-n", type=int, default=None, dest="max_n")
+        leaf(p, _verify_involution_types, REPORT_FORMATS)
 
     for name, (_, _, flags) in QUANTITIES.items():
         p = sub.add_parser(name)
         for flag in flags:
             p.add_argument(f"--{flag}", type=int, required=True)
-        common(p)
-        p.set_defaults(func=_cmd_poly)
+        leaf(p, _cmd_quantity, POLY_FORMATS)
 
     p = sub.add_parser("coxeter")
     p.add_argument("--type", required=True, choices=list(coxcat.FAMILIES))
     p.add_argument("--n", type=int, default=None, help="rank for A, B, D")
     p.add_argument("--m", type=int, default=None, help="parameter for I2")
     p.add_argument("--fuss-k", type=int, default=None, dest="fuss_k")
-    common(p)
-    p.set_defaults(func=_cmd_poly)
+    leaf(p, _cmd_coxeter, POLY_FORMATS)
 
-    p = sub.add_parser("tilings")
-    p.add_argument("action", choices=["enumerate", "partition", "render"])
-    p.add_argument("--shape", default=None, help="delta:n | ddelta:n:d | skew:9.7.5/4")
-    p.add_argument("--variant", default=None, choices=list(shapes_tilings.VARIANTS))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--input", default=None, help="tiling/partial-tiling JSON file, '-' for stdin")
-    common(p)
-    p.set_defaults(func=_cmd_tilings)
+    tilings = actions("tilings")
+    shape_help = "delta:n | ddelta:n:d | skew:9.7.5/4"
+    p = tilings.add_parser("enumerate")
+    p.add_argument("--shape", required=True, help=shape_help)
+    leaf(p, _cmd_enumerate, REPORT_FORMATS)
+    p = tilings.add_parser("partition")
+    p.add_argument("--variant", required=True, choices=list(shapes_tilings.VARIANTS))
+    for flag in _variant_flags():
+        p.add_argument(f"--{flag}", type=int, default=None)
+    p.add_argument("--shape", default=None, help=f"{shape_help}; must be the variant's shape")
+    leaf(p, _cmd_partition, REPORT_FORMATS)
+    p = tilings.add_parser("render")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", default=None, help="tiling/partial-tiling JSON file, '-' for stdin")
+    source.add_argument("--shape", default=None, help=shape_help)
+    leaf(p, _cmd_render, ("pretty", "ascii", "svg"))
 
-    p = sub.add_parser("involution")
-    p.add_argument("action", choices=["apply", "verify"])
-    p.add_argument("--input", default=None, help="extended-tiling JSON, '-' for stdin")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
-    common(p)
-    p.set_defaults(func=_cmd_involution)
+    inv = actions("involution")
+    p = inv.add_parser("apply")
+    p.add_argument("--input", required=True, help="extended-tiling JSON, '-' for stdin")
+    leaf(p, _cmd_apply, REPORT_FORMATS)
+    involution_types(inv.add_parser("verify"))
 
-    p = sub.add_parser("verify")
-    p.add_argument(
-        "what",
-        choices=[
-            "recursion", "symmetry", "catalan-id", "fuss-id", "catD", "genCatD",
-            "hoggatt-long", "gcd-lemma", "cheby", "involution",
-        ],
-    )
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p.add_argument("--max-k", type=int, default=None, dest="max_k")
-    p.add_argument("--max-d", type=int, default=None, dest="max_d")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--verbose", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_verify)
+    verify = actions("verify")
+    for name, (bounds, _) in VERIFICATIONS.items():
+        p = verify.add_parser(name)
+        for flag in bounds:
+            p.add_argument(f"--{flag.replace('_', '-')}", type=int, default=None, dest=flag)
+        p.add_argument("--verbose", action="store_true")
+        leaf(p, _cmd_verify, REPORT_FORMATS)
+    involution_types(verify.add_parser("involution"))
 
-    p = sub.add_parser("findings")
-    p.add_argument("conjecture", choices=list(FINDINGS))
-    for _, flag, _ in FINDINGS.values():
+    findings = actions("findings")
+    for name, (_, flag, _) in FINDINGS.items():
+        p = findings.add_parser(name)
         p.add_argument(f"--{flag.replace('_', '-')}", type=int, default=None, dest=flag)
-    common(p)
-    p.set_defaults(func=_cmd_findings)
+        leaf(p, _cmd_findings)
 
     p = sub.add_parser("analyze")
     p.add_argument("--expr", required=True, help="e.g. lucasnomial:6:3 or coxeter:H3")
-    common(p)
-    p.set_defaults(func=_cmd_analyze)
+    leaf(p, _cmd_analyze, POLY_FORMATS)
 
     return parser
 

@@ -157,9 +157,13 @@ class Tiling:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> Tiling:
-        """Parse exactly ``shape`` and ``rows``, the rows lists of "M"/"D" tokens."""
+        """Parse exactly ``shape`` and ``rows``, the rows lists of "M"/"D" tokens that tile the shape."""
         check_keys(data, {"shape", "rows"})
-        return Tiling(Shape.from_json_dict(data["shape"]), tile_rows_from_json(data["rows"]))
+        shape, rows = Shape.from_json_dict(data["shape"]), tile_rows_from_json(data["rows"])
+        try:
+            return Tiling(shape, rows)
+        except ValueError as exc:
+            raise MalformedDocument(str(exc)) from exc
 
 
 def tile_rows_from_json(rows) -> tuple[Tiles, ...]:
@@ -483,7 +487,10 @@ class PartialTiling:
             raise MalformedPartial(str(exc)) from exc
         partial = partial_from_tiling(completed, variant)
         canonical = partial.to_json_dict()
-        wrong = sorted(key for key in canonical.keys() | data.keys() if canonical.get(key) != data.get(key))
+        # An extra key is wrong even when its value is null.
+        wrong = sorted(
+            key for key in canonical.keys() | data.keys() if key not in canonical or data.get(key) != canonical[key]
+        )
         if wrong:
             raise MalformedPartial(f"{', '.join(wrong)} disagree with the partial the rows describe")
         return partial

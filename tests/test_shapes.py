@@ -92,10 +92,13 @@ class TestTilingJson:
             {"shape": {"outer": [2, 1], "inner": "0"}},
             {"shape": {"outer": [2, 1], "extra": []}},
             {"shape": [2, 1]},
+            {"rows": [["M"], ["M"]]},
+            {"shape": {"outer": [2, 1], "inner": [1]}},
         ],
         ids=[
             "rows-string", "row-strings", "int-token", "extra-key", "outer-string",
             "outer-float", "inner-string", "shape-extra-key", "shape-list",
+            "rows-short", "rows-long",
         ],
     )
     def test_rejects_malformed(self, edit):
@@ -286,6 +289,12 @@ class TestPartials:
         data = binomial_4_2_document()
         data["start"], data["path"] = [0, 0], "WWWW"
         with pytest.raises(MalformedPartial, match="path, start"):
+            PartialTiling.from_json_dict(data)
+
+    @pytest.mark.parametrize("value", [None, 0, []])
+    def test_json_rejects_an_extra_key(self, value):
+        data = {**binomial_4_2_document(), "extra": value}
+        with pytest.raises(MalformedPartial, match="extra"):
             PartialTiling.from_json_dict(data)
 
     def test_json_rejects_missing_row(self):

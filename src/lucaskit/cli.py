@@ -357,6 +357,8 @@ def _verify_involution_types(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.verbose and args.format == "json":
+        raise ValueError("--format json takes no --verbose")
     bounds, checks = VERIFICATIONS[args.action]
     results = list(checks(**{flag: _bound(args, flag, default) for flag, default in bounds.items()}))
     failures = [label for label, passed in results if not passed]

@@ -5,9 +5,9 @@ weight: each weight N present maps to the integer sequence ``c_0, c_1, ...``
 with ``c_k`` the coefficient of ``s^(N-2k) t^k``, trailing zeros trimmed.
 The univariate ``Poly1`` (used for coefficient generating functions,
 q-specializations and Chebyshev images) is one such trimmed sequence,
-``c_e`` the coefficient of ``y^e``, with exact rational entries so that Sturm
-chains and divisions never touch floating point.  Both classes add and
-multiply with the same kernels (``_add``, ``_convolve``, ``_trimmed``).
+``c_e`` the coefficient of ``y^e``, with exact rational entries so that
+divisions never touch floating point.  Both classes add and multiply with
+the same kernels (``_add``, ``_convolve``, ``_trimmed``).
 
 Every Lucas quantity is *weighted homogeneous*, a single weight (its tilings
 cover a fixed number of cells), so it is one sequence (see ``CoeffSeq``).
@@ -16,10 +16,15 @@ division: the dividend's top weight is divided by the divisor's top weight as
 a univariate exact quotient, and the divisor's lower weights times that
 quotient are subtracted from the lower weights of the dividend.
 
-One Euclidean remainder sequence, ``_remainder_chain``, serves the univariate
-gcd and Sturm's theorem alike: ``real_rooted`` builds the chain of (f, f')
-once, counts the distinct real roots off its signs and the distinct roots
-off its last entry, gcd(f, f').
+One remainder sequence, ``_remainder_chain``, serves the univariate gcd and
+Sturm's theorem alike: ``real_rooted`` builds the chain of (f, f') once,
+counts the distinct real roots off its signs and the distinct roots off its
+last entry, gcd(f, f').  The chain is a primitive pseudo-remainder sequence
+on plain ints: inputs are cleared of denominators once, each step scales the
+dividend by a power of |lc| of the divisor, and each negated remainder is
+divided by its content.  Every scale factor is positive, so every entry has
+the signs of the rational Euclidean chain's entry, and no ``Fraction`` is
+made when the inputs have integer coefficients, as coefficient sequences do.
 """
 
 from __future__ import annotations
@@ -554,29 +559,55 @@ def _dense(seq: Sequence) -> Poly1:
 # -- exact real-rootedness ----------------------------------------------------
 
 
-def _remainder_chain(f: Poly1, g: Poly1) -> list[Poly1]:
-    """f, g, then each negated remainder made primitive, down to the last nonzero one.
+def _remainder_chain(f: Poly1, g: Poly1) -> list[tuple[int, ...]]:
+    """f, g, then each negated pseudo-remainder, as primitive int sequences.
 
-    The last entry is gcd(f, g) up to a constant.  For g = f' the chain is
-    f's Sturm chain: making a remainder primitive scales it by a positive
-    constant, which changes no sign and keeps the coefficients small.
+    Each step scales the dividend by a power of |lc| of the divisor, and
+    every entry is divided by its positive content: all positive factors, so
+    each entry is a positive multiple of the rational Euclidean chain's entry
+    and has its signs.  For g = f' the chain is f's Sturm chain; its last
+    entry is gcd(f, g) up to a constant.
     """
-    chain = [f, g]
+    chain = [_cleared(f._coeffs), _cleared(g._coeffs)]
     while chain[-1]:
-        _, rem = divmod(chain[-2], chain[-1])
-        chain.append((-rem).primitive())
+        chain.append(_primitive([-c for c in _pseudo_remainder(chain[-2], chain[-1])]))
     chain.pop()  # the zero remainder, or g itself when g == 0
     return chain
+
+
+def _cleared(seq: Sequence) -> tuple[int, ...]:
+    """A rational sequence times the positive lcm of its denominators, made primitive."""
+    den = lcm(*(c.denominator for c in seq))
+    return _primitive([c.numerator * (den // c.denominator) for c in seq])
+
+
+def _primitive(ints: list[int]) -> tuple[int, ...]:
+    """ints divided by their positive content, trimmed."""
+    content = gcd(*ints)
+    return _trimmed([c // content for c in ints] if content > 1 else ints)
+
+
+def _pseudo_remainder(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """|lc(g)|^j * f modulo g for some j >= 0, by integer long division."""
+    *low, lc = g
+    scale, sign = abs(lc), 1 if lc > 0 else -1
+    rem = list(f)
+    for e in reversed(range(len(rem) - len(low))):
+        c = sign * rem.pop()
+        if c:  # cancel the leading term: rem <- scale * rem - c * y^e * g
+            head = rem[:e] if scale == 1 else [scale * x for x in rem[:e]]
+            rem = head + [scale * x - c * y for x, y in zip(rem[e:], low)]
+    return rem
 
 
 def _variations(signs: list[bool]) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _sturm_count(chain: list[Poly1]) -> int:
+def _sturm_count(chain: list[tuple[int, ...]]) -> int:
     """Sign variations of a chain of nonzero polynomials at -oo minus those at +oo."""
-    at_pos = [p._coeffs[-1] > 0 for p in chain]
-    at_neg = [pos == (p.degree() % 2 == 0) for p, pos in zip(chain, at_pos)]
+    at_pos = [seq[-1] > 0 for seq in chain]
+    at_neg = [pos == (len(seq) % 2 == 1) for seq, pos in zip(chain, at_pos)]
     return _variations(at_neg) - _variations(at_pos)
 
 
@@ -598,8 +629,7 @@ def poly1_gcd(f: Poly1, g: Poly1) -> Poly1:
     last = _remainder_chain(f, g)[-1]
     if not last:
         return Poly1.const(1)
-    prim = last.primitive()
-    return -prim if prim._coeffs[-1] < 0 else prim
+    return _dense(last if last[-1] > 0 else [-c for c in last])
 
 
 def real_rooted(f: Poly1) -> bool:
@@ -613,4 +643,4 @@ def real_rooted(f: Poly1) -> bool:
     if not f:
         raise ValueError("real_rooted is undefined for the zero polynomial")
     chain = _remainder_chain(f, f.derivative())
-    return _sturm_count(chain) == f.degree() - chain[-1].degree()
+    return _sturm_count(chain) == f.degree() - (len(chain[-1]) - 1)

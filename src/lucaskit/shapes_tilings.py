@@ -101,13 +101,18 @@ class Shape:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> Shape:
-        """Parse ``outer`` and an optional ``inner`` (straight when omitted), integer lists."""
+        """Parse ``outer`` and an optional ``inner`` of the same length (straight when omitted), integer lists."""
         check_keys(data, {"outer"}, {"inner"})
         outer, inner = data["outer"], data.get("inner", [])
         for parts in (outer, inner):
             if not isinstance(parts, list) or any(type(x) is not int for x in parts):
                 raise MalformedDocument(f"want a list of integers, got {parts!r}")
-        return Shape(tuple(outer), tuple(inner))
+        if "inner" in data and len(inner) != len(outer):
+            raise MalformedDocument(f"inner {inner} and outer {outer} differ in length")
+        try:
+            return Shape(tuple(outer), tuple(inner))
+        except ValueError as exc:
+            raise MalformedDocument(str(exc)) from exc
 
 
 def staircase(n: int) -> Shape:

@@ -12,7 +12,11 @@ reuses the library's greedy step (``_step``, ``_fixed_row``), so it is
 independent of ``block_partition`` only in how it aggregates: it visits every
 tiling one by one instead of folding rows.  ``materialised_verify`` checks a
 block partition block by block on ``block_partition``, the cross-check for
-the class-merged ``verify_block_partition``.
+the class-merged ``verify_block_partition``.  ``fraction_remainder_chain``
+is the Euclidean chain ``polyring`` ran before its integer pseudo-remainder
+chain: ``Fraction`` long division through ``Poly1.__divmod__``, each negated
+remainder made primitive; ``fraction_real_rooted``, ``fraction_count_real_roots``
+and ``fraction_poly1_gcd`` decide on it as the library does on its own.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from lucaskit.lucas import lucas
-from lucaskit.polyring import Monomial, NotDivisible, Poly1, Poly2
+from lucaskit.analysis import CoeffReport, is_log_concave, is_unimodal
+from lucaskit.polyring import Monomial, NotDivisible, Poly1, Poly2, coeff_view
 from lucaskit.shapes_tilings import (
     BlockPartitionReport,
     LatticePath,
@@ -80,6 +85,59 @@ def factorial_quotient(num, den) -> Poly2:
     for b in den:
         denominator = denominator * lucas(b)
     return numerator.exact_div(denominator)
+
+
+def fraction_remainder_chain(f: Poly1, g: Poly1) -> list[Poly1]:
+    """f, g, then each negated remainder made primitive, down to the last nonzero one."""
+    chain = [f, g]
+    while chain[-1]:
+        _, rem = divmod(chain[-2], chain[-1])
+        chain.append((-rem).primitive())
+    chain.pop()  # the zero remainder, or g itself when g == 0
+    return chain
+
+
+def _fraction_sturm_count(chain: list[Poly1]) -> int:
+    def variations(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_pos = [p.coeff(p.degree()) > 0 for p in chain]
+    at_neg = [pos == (p.degree() % 2 == 0) for p, pos in zip(chain, at_pos)]
+    return variations(at_neg) - variations(at_pos)
+
+
+def fraction_count_real_roots(f: Poly1) -> int:
+    """Distinct real roots of f != 0: Sturm's theorem on the chain of (f, f')."""
+    if f.degree() <= 0:
+        return 0
+    return _fraction_sturm_count(fraction_remainder_chain(f, f.derivative()))
+
+
+def fraction_poly1_gcd(f: Poly1, g: Poly1) -> Poly1:
+    """gcd(f, g), primitive with a positive leading coefficient; 1 if f == g == 0."""
+    last = fraction_remainder_chain(f, g)[-1]
+    if not last:
+        return Poly1.const(1)
+    prim = last.primitive()
+    return -prim if prim.coeff(prim.degree()) < 0 else prim
+
+
+def fraction_real_rooted(f: Poly1) -> bool:
+    """Distinct real roots (Sturm) == distinct complex roots (deg f - deg gcd(f, f'))."""
+    chain = fraction_remainder_chain(f, f.derivative())
+    return _fraction_sturm_count(chain) == f.degree() - chain[-1].degree()
+
+
+def fraction_analyze(p: Poly2) -> CoeffReport:
+    """``analysis.analyze`` with real-rootedness decided on the ``Fraction`` chain."""
+    view = coeff_view(p)
+    return CoeffReport(
+        weight=view.weight,
+        coeffs=view.coeffs,
+        unimodal=is_unimodal(view.coeffs),
+        log_concave=is_log_concave(view.coeffs),
+        real_rooted=fraction_real_rooted(view.generating_function()),
+    )
 
 
 def integer_coxeter_catalan(degrees, k: int = 1) -> int:

@@ -1,16 +1,39 @@
 """Coefficient-sequence diagnostics."""
 
+import importlib.util
+import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
+from oracles import fraction_analyze
 from lucaskit.analysis import analyze, is_log_concave, is_unimodal
-from lucaskit.coxcat import CoxeterType, coxeter_catalan, lucas_catalan
+from lucaskit.coxcat import CoxeterType, coxeter_catalan, fuss_catalan, lucas_catalan
 from lucaskit.lucas import lucas, lucasnomial
 from lucaskit.polyring import NotWeightedHomogeneous, Poly2
 
 S = Poly2.var_s()
 T = Poly2.var_t()
+
+
+def _bench_coxeter_types() -> list[CoxeterType]:
+    """The benchmark's Coxeter types, read from bench/workloads.py without putting bench/ on sys.path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.COXETER_TYPES
+
+
+# The diagnostics workload's quantities, every benchmark Coxeter type, and Fuss-Catalan at k = 3.
+SWEEP = (
+    [(f"lucasnomial:{n}:{k}", lucasnomial, (n, k)) for n in range(1, 17) for k in range(n + 1)]
+    + [(f"catalan:{n}", lucas_catalan, (n,)) for n in range(1, 9)]
+    + [(f"coxeter:{w}", coxeter_catalan, (w,)) for w in _bench_coxeter_types()]
+    + [(f"fuss:{n}:3", fuss_catalan, (n, 3)) for n in range(1, 7)]
+)
 
 
 class TestPredicates:
@@ -77,3 +100,16 @@ class TestAnalyze:
     def test_json_fields(self):
         data = analyze(lucas(6)).to_json_dict()
         assert set(data) == {"weight", "coeffs", "unimodal", "log_concave", "real_rooted"}
+
+
+class TestFractionChainSweep:
+    """analyze() on the integer chain writes what it wrote on the Fraction chain."""
+
+    @pytest.mark.parametrize("name, quantity, args", SWEEP, ids=[name for name, _, _ in SWEEP])
+    def test_report_matches_oracle(self, name, quantity, args):
+        p = quantity(*args)
+        report, oracle = analyze(p).to_json_dict(), fraction_analyze(p).to_json_dict()
+        assert list(report) == list(oracle)
+        for field, value in oracle.items():
+            assert report[field] == value, field
+        assert json.dumps(report) == json.dumps(oracle)

@@ -81,6 +81,22 @@ def test_handler_reads_every_declared_flag(capsys, monkeypatch, argv):
     assert unread == ({"shape"} if argv[:2] == ["tilings", "render"] else set())
 
 
+@pytest.mark.parametrize("fmt", cli.REPORT_FORMATS)
+@pytest.mark.parametrize("check", cli.VERIFICATIONS)
+def test_verbose_changes_the_output_or_is_refused(capsys, check, fmt):
+    """A flag the handler reads but whose output ignores it counts as not read, so it must be refused."""
+    argv = ["verify", check, "--max-n", "3", "--format", fmt]
+    assert cli.main(argv) == cli.PASS
+    plain = capsys.readouterr().out
+    code = cli.main([*argv, "--verbose"])
+    captured = capsys.readouterr()
+    if fmt == "json":
+        assert code == cli.USAGE_ERROR and captured.out == ""
+        assert captured.err == "error: --format json takes no --verbose\n"
+    else:
+        assert code == cli.PASS and captured.out != plain
+
+
 @pytest.mark.parametrize("leaf", LEAF_IDS)
 def test_help_on_every_leaf_action(capsys, leaf):
     assert cli.main([*leaf.split(), "--help"]) == cli.PASS
@@ -93,6 +109,7 @@ def test_help_on_every_leaf_action(capsys, leaf):
         ["verify", "recursion", "--max-n", "3", "--max-k", "7"],
         ["verify", "cheby", "--n", "3"],
         ["verify", "involution", "--verbose"],
+        ["verify", "recursion", "--max-n", "3", "--verbose", "--format", "json"],
         ["verify", "--max-n", "3", "recursion"],
         ["findings", "narayana", "--max-ab", "3"],
         ["findings", "rational", "--format", "json"],

@@ -11,7 +11,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import lex_exact_div
+from oracles import (
+    fraction_count_real_roots,
+    fraction_poly1_gcd,
+    fraction_real_rooted,
+    fraction_remainder_chain,
+    lex_exact_div,
+)
+from lucaskit import polyring
 from lucaskit.polyring import (
     CoeffSeq,
     DivisionByZero,
@@ -443,6 +450,80 @@ class TestSturmOracle:
         assert count_real_roots(f) == 2
         assert not real_rooted(f)
         assert poly1_gcd(f, f.derivative()) == (Y - 1) ** 2 * (2 * Y + 1) * (Y**2 + 2)
+
+
+# Factors that reach every branch of the chain: rational roots, y^2 + b with
+# b > 0 (complex pair), b == 0 (double root) or b < 0 (irrational reals), and
+# arbitrary rational polynomials, each with a multiplicity.
+chain_factors = st.tuples(
+    st.one_of(
+        st.fractions(-4, 4, max_denominator=3).map(lambda a: Y - a),
+        st.fractions(-4, 4, max_denominator=3).map(lambda b: Y**2 + b),
+        nonzero_poly1s,
+    ),
+    st.integers(1, 3),
+).map(lambda fm: fm[0] ** fm[1])
+nonzero_chain_polys = st.tuples(
+    st.lists(chain_factors, max_size=4),
+    st.fractions(-5, 5, max_denominator=4).filter(bool),
+).map(lambda fc: fc[1] * product(fc[0]))
+maybe_zero_chain_polys = st.one_of(st.just(Poly1()), nonzero_chain_polys)
+
+
+class TestRemainderChainOracle:
+    """The integer pseudo-remainder chain decides as the Fraction chain does."""
+
+    @given(nonzero_chain_polys)
+    def test_real_rooted_and_root_count(self, f):
+        assert real_rooted(f) == fraction_real_rooted(f)
+        assert count_real_roots(f) == fraction_count_real_roots(f)
+
+    @given(maybe_zero_chain_polys, maybe_zero_chain_polys, maybe_zero_chain_polys)
+    def test_gcd(self, a, b, common):
+        f, g = a * common, b * common
+        expected = fraction_poly1_gcd(f, g)
+        assert poly1_gcd(f, g) == expected
+        assert expected.coeff(expected.degree()) > 0 and expected == expected.primitive()
+
+    @given(nonzero_chain_polys)
+    def test_gcd_with_derivative(self, f):
+        assert poly1_gcd(f, f.derivative()) == fraction_poly1_gcd(f, f.derivative())
+
+    @given(nonzero_chain_polys, maybe_zero_chain_polys)
+    def test_entries_are_positive_multiples(self, f, g):
+        """Entry by entry, the integer chain is the Fraction chain times a positive constant."""
+        chain = polyring._remainder_chain(f, g)
+        oracle = fraction_remainder_chain(f, g)
+        assert len(chain) == len(oracle)
+        for ints, rational in zip(chain, oracle):
+            assert all(type(c) is int for c in ints)
+            ratio = Fraction(ints[-1]) / rational.coeff(rational.degree())
+            assert ratio > 0 and Poly1(enumerate(ints)) == ratio * rational
+
+    def test_constant_and_linear(self):
+        for f in (Poly1.const(-3), Poly1.const(Fraction(1, 2)), Poly1({0: 1, 1: -2}), Poly1({1: Fraction(-2, 3)})):
+            assert real_rooted(f) and fraction_real_rooted(f)
+            assert count_real_roots(f) == fraction_count_real_roots(f) == f.degree()
+
+    def test_gcd_of_zeros(self):
+        assert poly1_gcd(Poly1(), Poly1()) == fraction_poly1_gcd(Poly1(), Poly1()) == Poly1.const(1)
+        assert poly1_gcd(Poly1(), -2 * Y + 1) == poly1_gcd(-2 * Y + 1, Poly1()) == 2 * Y - 1
+
+    def test_integer_input_creates_no_fraction(self, monkeypatch):
+        f = CoeffSeq(20, (1, 30, 255, 780, 780, 255, 30, 1)).generating_function()
+        g = f.derivative()
+        created = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            created.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        chain = polyring._remainder_chain(f, g)
+        monkeypatch.undo()
+        assert created == []
+        assert len(chain) == 8 and all(type(c) is int for seq in chain for c in seq)
 
 
 class TestTracerHooks:

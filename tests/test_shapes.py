@@ -68,6 +68,40 @@ class TestShape:
             Shape((2, 1), (3,))
 
 
+class TestShapeJson:
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"outer": [2, 1], "inner": [1]},
+            {"outer": [2, 1], "inner": [1, 0, 0]},
+            {"outer": [2, 1], "inner": []},
+            {"outer": [1, 2]},
+            {"outer": [2, -1]},
+            {"outer": [2, 1], "inner": [0, 1]},
+            {"outer": [2, 1], "inner": [3, 0]},
+            {"outer": 2},
+        ],
+        ids=["inner-short", "inner-long", "inner-empty", "outer-rising", "outer-negative",
+             "inner-rising", "inner-sticks-out", "outer-int"],
+    )
+    def test_rejects_malformed(self, document):
+        with pytest.raises(MalformedDocument):
+            Shape.from_json_dict(document)
+
+    @pytest.mark.parametrize(
+        "document, shape",
+        [
+            ({"outer": [2, 1]}, Shape((2, 1))),
+            ({"outer": [2, 1], "inner": [1, 0]}, Shape((2, 1), (1,))),
+            ({"outer": []}, Shape(())),
+            ({"outer": [], "inner": []}, Shape(())),
+        ],
+    )
+    def test_reads_canonical_and_straight(self, document, shape):
+        assert Shape.from_json_dict(document) == shape
+        assert Shape.from_json_dict(shape.to_json_dict()) == shape
+
+
 class TestTilingJson:
     DOCUMENT = {"shape": {"outer": [2, 1], "inner": [0, 0]}, "rows": [["D"], ["M"]]}
 
@@ -94,11 +128,12 @@ class TestTilingJson:
             {"shape": [2, 1]},
             {"rows": [["M"], ["M"]]},
             {"shape": {"outer": [2, 1], "inner": [1]}},
+            {"shape": {"outer": [2, 1], "inner": [1, 0]}},
         ],
         ids=[
             "rows-string", "row-strings", "int-token", "extra-key", "outer-string",
             "outer-float", "inner-string", "shape-extra-key", "shape-list",
-            "rows-short", "rows-long",
+            "rows-short", "rows-long", "rows-long-full-inner",
         ],
     )
     def test_rejects_malformed(self, edit):

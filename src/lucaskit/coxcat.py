@@ -2,9 +2,10 @@
 Catalan and Narayana polynomials in s and t.
 
 Each is a quotient of products of Lucas polynomials.  The Coxeter quotients
-and genCatD go through the atom engine ``lucas.lucas_quotient``; the Fuss,
-rational Catalan and Narayana quotients divide a cached Lucasnomial by one
-{m}, so they share ``lucasnomial``'s cache.  For the Coxeter versions the
+and genCatD go through the atom engine ``lucas.lucas_quotient``; the Fuss
+and rational Catalan quotients divide a cached Lucasnomial by one {m}, and
+Narayana divides two cached Lucasnomials by complementary factors of {n}, so
+they share ``lucasnomial``'s cache.  For the Coxeter versions the
 degrees of the finite irreducible groups are hard-coded from the
 classification table; Cat W is the quotient of {h + d_i} by {d_i} over the
 degrees with h the Coxeter number (largest degree), and the Fuss version
@@ -216,12 +217,26 @@ def rational_catalan(a: int, b: int) -> Poly2:
 def narayana(n: int, k: int) -> Poly2:
     """N_{n,k} = (1/{n}) {n brace k} {n brace k-1} for 1 <= k <= n.
 
+    The division by {n} is split between the two factors before they are
+    multiplied: with g = gcd(n, k),
+    N_{n,k} = ({n brace k} / ({n}/{g})) ({n brace k-1} / {g}).
+    Both quotients are exact.  {n} is the product of the Lucas atoms P_d,
+    d | n, d >= 2, and for such d the exponent of P_d in {n brace j} is
+    n/d - floor(j/d) - floor((n-j)/d), which is 1 when d does not divide j.
+    {n}/{g} is the product of the P_d with d | n and d not dividing k, each
+    a factor of {n brace k}; {g} is the product of those with d | k, and
+    such a d >= 2 does not divide k - 1, so each is a factor of
+    {n brace k-1}.  The factors come from ``lucasnomial``, so its cache
+    fills as before.
+
     Nonnegativity is conjectural; NotDivisible would be a counterexample to
     polynomiality and is deliberately allowed to propagate.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    return (lucasnomial(n, k) * lucasnomial(n, k - 1)).exact_div(lucas(n))
+    g = gcd(n, k)
+    left = lucasnomial(n, k).exact_div(lucas(n).exact_div(lucas(g)))
+    return left * lucasnomial(n, k - 1).exact_div(lucas(g))
 
 
 # -- findings sweeps -----------------------------------------------------------

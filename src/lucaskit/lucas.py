@@ -95,7 +95,10 @@ def lucas_quotient(num: Iterable[int], den: Iterable[int]) -> Poly2:
     P_d's exponent is the number of indices in num that d divides minus the
     number in den.  Raises ValueError for an index below 1 ({0} = 0 is no
     empty product) and NotDivisible, naming the smallest atom, when an
-    exponent is negative.
+    exponent is negative.  The atom powers are multiplied as a balanced
+    product tree, neighbours pairwise, level by level: the operands of the
+    late, large products are long, so ``polyring._convolve`` multiplies them
+    as packed integers rather than term by term.
     """
     exponents: dict[int, int] = {}
     for sign, indices in ((1, num), (-1, den)):
@@ -108,11 +111,11 @@ def lucas_quotient(num: Iterable[int], den: Iterable[int]) -> Poly2:
     if negative:
         d = min(negative)
         raise NotDivisible(f"not a polynomial: atom P_{d} has exponent {exponents[d]}")
-    value = Poly2.one()
-    for d in sorted(exponents):
-        for _ in range(exponents[d]):
-            value = value * lucas_atom(d)
-    return value
+    factors = [lucas_atom(d) ** e for d, e in sorted(exponents.items()) if e]
+    while len(factors) > 1:
+        pairs = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        factors = pairs + factors[-1:] if len(factors) % 2 else pairs
+    return factors[0] if factors else Poly2.one()
 
 
 def lucasnomial_indices(n: int, k: int, d: int = 1) -> tuple[list[int], list[int]]:

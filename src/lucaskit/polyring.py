@@ -5,16 +5,27 @@ weight: each weight N present maps to the integer sequence ``c_0, c_1, ...``
 with ``c_k`` the coefficient of ``s^(N-2k) t^k``, trailing zeros trimmed.
 The univariate ``Poly1`` (used for coefficient generating functions,
 q-specializations and Chebyshev images) is one such trimmed sequence,
-``c_e`` the coefficient of ``y^e``, with exact rational entries so that
-divisions never touch floating point.  Both classes add and multiply with
-the same kernels (``_add``, ``_convolve``, ``_trimmed``).
+``c_e`` the coefficient of ``y^e``, with exact rational entries.  Both
+classes add and multiply with the same kernels (``_add``, ``_convolve``,
+``_trimmed``).
 
 Every Lucas quantity is *weighted homogeneous*, a single weight (its tilings
 cover a fixed number of cells), so it is one sequence (see ``CoeffSeq``).
-Products convolve each pair of weights.  Exact division is graded long
-division: the dividend's top weight is divided by the divisor's top weight as
-a univariate exact quotient, and the divisor's lower weights times that
-quotient are subtracted from the lower weights of the dividend.
+Products convolve each pair of weights.  ``_convolve`` runs the schoolbook
+loop when the shorter sequence has fewer than ``PACK_MIN_TERMS`` = 16 terms
+or an entry is a ``Fraction``; otherwise it packs each int sequence into one
+integer, its value at 2^B, takes one bigint product (Karatsuba in CPython)
+and reads the coefficients back as balanced base-2^B digits.  B is a whole
+number of bytes of at least bits(max|f|) + bits(max|g|) +
+bits(min(len f, len g)) + 2, which bounds every coefficient of the product,
+so the digits are exact.  Measured on 4- to 300-bit entries, the packed
+product overtakes the loop at 12 to 20 terms for operands of equal length
+(latest for the widest entries) and at 8 to 14 against a 100-term partner.
+Exact division is graded long division: the dividend's top weight is divided
+by the divisor's top weight as a univariate exact quotient, and the
+divisor's lower weights times that quotient are subtracted from the lower
+weights of the dividend.  It stays a loop: on the quotients' short divisors
+a packed division measured slower.
 
 One remainder sequence, ``_remainder_chain``, serves the univariate gcd and
 Sturm's theorem alike: ``real_rooted`` builds the chain of (f, f') once,
@@ -167,16 +178,7 @@ class Poly2:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly2:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly2.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Poly2.one())
 
     def evaluate(self, s0: int, t0: int) -> int:
         """Exact evaluation at integer arguments; a ring homomorphism."""
@@ -276,6 +278,20 @@ class Poly2:
         return Poly2({(int(t["s"]), int(t["t"])): int(t["c"]) for t in data["terms"]})
 
 
+def _power(base, n: int, one):
+    """base**n by square-and-multiply: bit_length(n) - 1 squarings and popcount(n) - 1 products."""
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if result is None else result
+
+
 def _trimmed(seq: Sequence) -> tuple:
     end = len(seq)
     while end and not seq[end - 1]:
@@ -319,8 +335,49 @@ def _add_part(parts: dict[int, Sequence[int]], n: int, seq: Sequence[int]) -> No
     parts[n] = _add(parts.get(n, ()), seq)
 
 
+# Below this many terms in the shorter operand the loop is faster than packing.
+PACK_MIN_TERMS = 16
+
+
 def _convolve(f: Sequence, g: Sequence) -> list:
-    """The coefficients of a product: c_k = sum of f_i g_j over i + j = k."""
+    """The coefficients of a product: c_k = sum of f_i g_j over i + j = k.
+
+    Short operands and ``Fraction`` entries take the schoolbook loop.  Long
+    int sequences are multiplied as packed integers, in the style of
+    Kronecker substitution: each becomes its value at 2^B, one bigint product
+    is taken, and the product's base-2^B digits are read back.  B is a whole
+    number of bytes with B >= bits(max|f|) + bits(max|g|) + bits(min(len f,
+    len g)) + 2.  Each entry then fits a signed B-bit field, and each c_k
+    sums at most min(len f, len g) products, so |c_k| < 2^(B-2).  Every
+    digit c_k + 2^(B-1) of the product plus the offset sum_k 2^(B-1) 2^(Bk)
+    therefore lies in [0, 2^B): the digits read back are exactly c_k, with
+    no carry between them and no check afterwards.
+    """
+    if len(f) > len(g):
+        f, g = g, f
+    if len(f) < PACK_MIN_TERMS or {*map(type, f), *map(type, g)} != {int}:
+        return _schoolbook(f, g)
+    bits = max(map(abs, f)).bit_length() + max(map(abs, g)).bit_length() + len(f).bit_length() + 2
+    width = (bits + 7) // 8  # B / 8
+    n = len(f) + len(g) - 1
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    digits = (_pack(f, width) * _pack(g, width) + offset).to_bytes(width * n, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, width * n, width)]
+
+
+def _pack(seq: Sequence[int], width: int) -> int:
+    """sum seq[i] 2^(8 width i), for entries with |seq[i]| < 2^(8 width - 1)."""
+    value = int.from_bytes(b"".join(c.to_bytes(width, "little", signed=True) for c in seq), "little")
+    if min(seq) >= 0:
+        return value
+    # The field of an entry c < 0 reads c + 2^(8 width): take that carry back out of the next field.
+    one, zero = b"\x01" + bytes(width - 1), bytes(width)
+    return value - (int.from_bytes(b"".join(one if c < 0 else zero for c in seq), "little") << 8 * width)
+
+
+def _schoolbook(f: Sequence, g: Sequence) -> list:
+    """``_convolve`` term by term, for short operands and ``Fraction`` entries."""
     out = [0] * (len(f) + len(g) - 1)
     for i, x in enumerate(f):
         if x:
@@ -473,57 +530,13 @@ class Poly1:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly1:
-        if n < 0:
-            raise ValueError("negative power")
-        result = Poly1.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __divmod__(self, other: Poly1) -> tuple[Poly1, Poly1]:
-        """Dense long division: self == quot * other + rem, deg rem < deg other."""
-        if not other:
-            raise DivisionByZero("univariate division by zero")
-        *low, lc = other._coeffs
-        rem = list(self._coeffs)
-        quot = [0] * max(len(rem) - len(low), 0)
-        for e in reversed(range(len(quot))):
-            c = quot[e] = Fraction(rem.pop(), lc)
-            for j, y in enumerate(low):
-                rem[e + j] -= c * y
-        return _dense(quot), _dense(rem)
-
-    def exact_div(self, other: Poly1) -> Poly1:
-        quot, rem = divmod(self, other)
-        if rem:
-            raise NotDivisible(f"univariate remainder {rem.pretty()}")
-        return quot
+        return _power(self, n, Poly1.const(1))
 
     def derivative(self) -> Poly1:
         return _dense([e * c for e, c in enumerate(self._coeffs) if e])
 
     def evaluate(self, x: int | Fraction) -> Fraction:
         return sum((c * Fraction(x) ** e for e, c in enumerate(self._coeffs) if c), Fraction(0))
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self._coeffs)
-
-    def int_coeffs(self) -> dict[int, int]:
-        if not self.is_integral():
-            raise ValueError("non-integer coefficients")
-        return {e: int(c) for e, c in enumerate(self._coeffs) if c}
-
-    def primitive(self) -> Poly1:
-        """Divide by the positive rational content; sign pattern is preserved."""
-        if not self._coeffs:
-            return self
-        den = lcm(*(c.denominator for c in self._coeffs))
-        scale = Fraction(den, gcd(*(c.numerator for c in self._coeffs)))
-        return _dense([c * scale for c in self._coeffs])
 
     def pretty(self, var: str = "y") -> str:
         if not self._coeffs:

@@ -14,9 +14,13 @@ tiling one by one instead of folding rows.  ``materialised_verify`` checks a
 block partition block by block on ``block_partition``, the cross-check for
 the class-merged ``verify_block_partition``.  ``fraction_remainder_chain``
 is the Euclidean chain ``polyring`` ran before its integer pseudo-remainder
-chain: ``Fraction`` long division through ``Poly1.__divmod__``, each negated
-remainder made primitive; ``fraction_real_rooted``, ``fraction_count_real_roots``
-and ``fraction_poly1_gcd`` decide on it as the library does on its own.
+chain: ``Fraction`` long division through ``poly1_divmod``, each negated
+remainder made primitive by ``poly1_primitive``; ``fraction_real_rooted``,
+``fraction_count_real_roots`` and ``fraction_poly1_gcd`` decide on it as the
+library does on its own.  The ``poly1_*`` helpers read and build ``Poly1``
+through its public coefficients only.  ``monomial_product`` multiplies two
+coefficient sequences term by term into a map, the reference for the packed
+multiply in ``polyring._convolve``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from functools import lru_cache
 
 from lucaskit.lucas import lucas
 from lucaskit.analysis import CoeffReport, is_log_concave, is_unimodal
-from lucaskit.polyring import Monomial, NotDivisible, Poly1, Poly2, coeff_view
+from lucaskit.polyring import DivisionByZero, Monomial, NotDivisible, Poly1, Poly2, coeff_view
 from lucaskit.shapes_tilings import (
     BlockPartitionReport,
     LatticePath,
@@ -64,7 +68,7 @@ def q_factorial(n: int) -> Poly1:
 
 def gaussian_binomial(n: int, k: int) -> Poly1:
     """[n]_q! / ([k]_q! [n-k]_q!) by exact univariate division."""
-    return q_factorial(n).exact_div(q_factorial(k) * q_factorial(n - k))
+    return poly1_exact_div(q_factorial(n), q_factorial(k) * q_factorial(n - k))
 
 
 @lru_cache(maxsize=None)
@@ -73,8 +77,17 @@ def cyclotomic(d: int) -> Poly1:
     value = Poly1({d: 1, 0: -1})
     for e in range(1, d):
         if d % e == 0:
-            value = value.exact_div(cyclotomic(e))
+            value = poly1_exact_div(value, cyclotomic(e))
     return value
+
+
+def monomial_product(f, g) -> dict[int, int | Fraction]:
+    """{e: c} with c != 0 the coefficient of y^e in (sum f_i y^i)(sum g_j y^j), term by term."""
+    out: dict[int, int | Fraction] = {}
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {e: c for e, c in out.items() if c}
 
 
 def factorial_quotient(num, den) -> Poly2:
@@ -87,12 +100,52 @@ def factorial_quotient(num, den) -> Poly2:
     return numerator.exact_div(denominator)
 
 
+def poly1_divmod(f: Poly1, g: Poly1) -> tuple[Poly1, Poly1]:
+    """Dense long division over the rationals: f == quot * g + rem, deg rem < deg g."""
+    if not g:
+        raise DivisionByZero("univariate division by zero")
+    *low, lc = (g.coeff(e) for e in range(g.degree() + 1))
+    rem = [f.coeff(e) for e in range(f.degree() + 1)]
+    quot = [Fraction(0)] * max(len(rem) - len(low), 0)
+    for e in reversed(range(len(quot))):
+        c = quot[e] = rem.pop() / lc
+        for j, y in enumerate(low):
+            rem[e + j] -= c * y
+    return Poly1(enumerate(quot)), Poly1(enumerate(rem))
+
+
+def poly1_exact_div(f: Poly1, g: Poly1) -> Poly1:
+    """The quotient f / g; raises NotDivisible when the remainder is nonzero."""
+    quot, rem = poly1_divmod(f, g)
+    if rem:
+        raise NotDivisible(f"univariate remainder {rem.pretty()}")
+    return quot
+
+
+def poly1_primitive(f: Poly1) -> Poly1:
+    """f divided by its positive rational content; the sign pattern is preserved."""
+    if not f:
+        return f
+    coeffs = [f.coeff(e) for e in range(f.degree() + 1)]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    scale = Fraction(den, math.gcd(*(c.numerator for c in coeffs)))
+    return Poly1(enumerate(c * scale for c in coeffs))
+
+
+def poly1_int_coeffs(f: Poly1) -> dict[int, int]:
+    """The nonzero coefficients of f as ints; raises ValueError if one is not an integer."""
+    coeffs = {e: f.coeff(e) for e in range(f.degree() + 1)}
+    if any(c.denominator != 1 for c in coeffs.values()):
+        raise ValueError("non-integer coefficients")
+    return {e: int(c) for e, c in coeffs.items() if c}
+
+
 def fraction_remainder_chain(f: Poly1, g: Poly1) -> list[Poly1]:
     """f, g, then each negated remainder made primitive, down to the last nonzero one."""
     chain = [f, g]
     while chain[-1]:
-        _, rem = divmod(chain[-2], chain[-1])
-        chain.append((-rem).primitive())
+        _, rem = poly1_divmod(chain[-2], chain[-1])
+        chain.append(poly1_primitive(-rem))
     chain.pop()  # the zero remainder, or g itself when g == 0
     return chain
 
@@ -118,7 +171,7 @@ def fraction_poly1_gcd(f: Poly1, g: Poly1) -> Poly1:
     last = fraction_remainder_chain(f, g)[-1]
     if not last:
         return Poly1.const(1)
-    prim = last.primitive()
+    prim = poly1_primitive(last)
     return -prim if prim.coeff(prim.degree()) < 0 else prim
 
 

@@ -279,6 +279,23 @@ class TestNarayana:
             total = sum(narayana(n, k).evaluate(2, -1) for k in range(1, n + 1))
             assert total == catalan_number(n)
 
+    def test_divide_first_matches_product_then_divide(self):
+        for n in range(1, 41):
+            for k in range(1, n + 1):
+                expected = (lucasnomial(n, k) * lucasnomial(n, k - 1)).exact_div(lucas(n))
+                assert narayana(n, k) == expected, (n, k)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (9, 1), (9, 6), (12, 8), (12, 12)])
+    def test_fills_lucasnomial_cache(self, n, k):
+        narayana.cache_clear()
+        lucasnomial.cache_clear()
+        narayana(n, k)
+        before = lucasnomial.cache_info()
+        lucasnomial(n, k)
+        lucasnomial(n, k - 1)
+        after = lucasnomial.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+
 
 class TestFindings:
     def test_narayana_sweep_clean(self):

@@ -9,7 +9,7 @@ from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     fraction_count_real_roots,
@@ -17,6 +17,11 @@ from oracles import (
     fraction_real_rooted,
     fraction_remainder_chain,
     lex_exact_div,
+    monomial_product,
+    poly1_divmod,
+    poly1_exact_div,
+    poly1_int_coeffs,
+    poly1_primitive,
 )
 from lucaskit import polyring
 from lucaskit.polyring import (
@@ -347,15 +352,98 @@ class TestRingAxioms:
         assert real_rooted(f) == expected
 
 
+# Entries for the packed multiply: zeros, small and word-sized signed ints, and
+# signed ints above 10,000 bits (built from two small draws, since each drawn
+# bit counts against hypothesis's per-example budget).
+huge = st.tuples(st.integers(-(2**16), 2**16).filter(bool), st.integers(0, 2**32)).map(
+    lambda hl: hl[0] * 2**10_000 + hl[1]
+)
+small_rationals = st.tuples(st.integers(-9, 9), st.sampled_from([1, 1, 2, 3])).map(lambda nd: Fraction(*nd))
+# Lengths from 0 to well past the crossover, drawn uniformly so both sides of it occur.
+pack_lengths = st.integers(0, 2 * polyring.PACK_MIN_TERMS + 8)
+
+
+def seqs(entries):
+    return pack_lengths.flatmap(lambda n: st.lists(entries, min_size=n, max_size=n))
+
+
+packed_operands = st.one_of(
+    seqs(st.integers(-9, 9)),
+    seqs(st.integers(-(2**64), 2**64)),
+    seqs(st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**64), 2**64), huge)),
+)
+
+
+def as_map(seq) -> dict:
+    return {e: c for e, c in enumerate(seq) if c}
+
+
+class TestConvolve:
+    """``_convolve`` packs long int operands into one bigint product; the loop takes the rest."""
+
+    @settings(deadline=None)  # a 40 x 40 product of 10,000-bit entries takes tenths of a second
+    @given(packed_operands, packed_operands)
+    def test_matches_monomial_oracle(self, f, g):
+        product = polyring._convolve(f, g)
+        assert len(product) == max(len(f) + len(g) - 1, 0)
+        assert as_map(product) == monomial_product(f, g)
+
+    @given(seqs(small_rationals), seqs(small_rationals))
+    def test_poly1_fraction_products(self, f, g):
+        assert Poly1(enumerate(f)) * Poly1(enumerate(g)) == Poly1(monomial_product(f, g))
+
+    def test_long_operands_are_packed(self, monkeypatch):
+        monkeypatch.setattr(polyring, "_schoolbook", None)
+        n = polyring.PACK_MIN_TERMS
+        f = [(-1) ** i * (i + 1) ** 40 for i in range(n)]
+        g = [0] * (n + 5) + [-(2**10_001)]
+        assert as_map(polyring._convolve(f, g)) == monomial_product(f, g)
+        assert as_map(polyring._convolve(g, f)) == monomial_product(f, g)
+
+    def test_short_and_fraction_operands_take_the_loop(self, monkeypatch):
+        calls = []
+        schoolbook = polyring._schoolbook
+        monkeypatch.setattr(polyring, "_schoolbook", lambda f, g: calls.append(1) or schoolbook(f, g))
+        n = polyring.PACK_MIN_TERMS
+        polyring._convolve([1] * (n - 1), [2] * 100)
+        polyring._convolve([1] * 100, [2] * (n - 1))
+        polyring._convolve([1] * (n - 1) + [Fraction(1, 2)], [2] * 100)
+        assert len(calls) == 3
+        polyring._convolve([1] * n, [2] * 100)
+        assert len(calls) == 3
+
+
+class TestPower:
+    """``p ** n`` squares only while bits of n remain: bit_length(n) - 1 + popcount(n) - 1 products."""
+
+    @pytest.mark.parametrize("base", [S + 2 * T, Poly1({0: Fraction(1, 2), 1: -1})], ids=["Poly2", "Poly1"])
+    def test_multiply_count_and_value(self, base, monkeypatch):
+        cls, one = type(base), base ** 0
+        mul_ = cls.__mul__
+        count = []
+        monkeypatch.setattr(cls, "__mul__", lambda a, b: count.append(1) or mul_(a, b))
+        for n in range(34):
+            count.clear()
+            value = base**n
+            assert len(count) == (n.bit_length() + bin(n).count("1") - 2 if n else 0), n
+            assert value == reduce(mul_, [base] * n, one), n
+        assert one == 1
+
+    def test_negative_power_rejected(self):
+        for base in (S, Y):
+            with pytest.raises(ValueError):
+                base ** -1
+
+
 class TestPoly1:
     def test_divmod(self):
         num = Poly1({0: -1, 3: 1})  # y^3 - 1
         den = Poly1({0: -1, 1: 1})  # y - 1
-        assert num.exact_div(den) == Poly1({0: 1, 1: 1, 2: 1})
+        assert poly1_exact_div(num, den) == Poly1({0: 1, 1: 1, 2: 1})
 
     def test_fraction_coefficients(self):
         half = Poly1({1: Fraction(1, 2)})
-        assert (half * Poly1.const(2)).int_coeffs() == {1: 1}
+        assert poly1_int_coeffs(half * Poly1.const(2)) == {1: 1}
 
     def test_derivative(self):
         assert Poly1({3: 2, 1: 5}).derivative() == Poly1({2: 6, 0: 5})
@@ -379,7 +467,7 @@ class TestPoly1Properties:
 
     @given(poly1s, nonzero_poly1s)
     def test_divmod(self, a, b):
-        q, r = divmod(a, b)
+        q, r = poly1_divmod(a, b)
         assert a == q * b + r
         assert r.degree() < b.degree()
 
@@ -441,7 +529,7 @@ class TestSturmOracle:
         f = c * product(self.factors(roots, quads))
         assert count_real_roots(f) == len(roots)
         assert real_rooted(f) == (not quads)
-        expected_gcd = product(self.factors(roots, quads, extra=1)).primitive()
+        expected_gcd = poly1_primitive(product(self.factors(roots, quads, extra=1)))
         assert poly1_gcd(f, f.derivative()) == expected_gcd
         assert expected_gcd.coeff(expected_gcd.degree()) > 0
 
@@ -483,7 +571,7 @@ class TestRemainderChainOracle:
         f, g = a * common, b * common
         expected = fraction_poly1_gcd(f, g)
         assert poly1_gcd(f, g) == expected
-        assert expected.coeff(expected.degree()) > 0 and expected == expected.primitive()
+        assert expected.coeff(expected.degree()) > 0 and expected == poly1_primitive(expected)
 
     @given(nonzero_chain_polys)
     def test_gcd_with_derivative(self, f):

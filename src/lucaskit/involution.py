@@ -18,11 +18,12 @@ can never trigger it.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .lucas import symmetry_sides
-from .polyring import Poly2
+from .polyring import Monomial, Poly2
 from .shapes_tilings import (
     Binomial,
     FixedRows,
@@ -35,9 +36,9 @@ from .shapes_tilings import (
     enumerate_partials,
     partial_from_fixed,
     row_tilings,
+    tile_counts,
     tile_rows_from_json,
     tile_tokens,
-    tiles_weight,
 )
 
 Strip = Tiles  # a fully tiled strip is just its tile lengths, left to right
@@ -61,16 +62,17 @@ def strip_concat(left: Strip, right: Strip) -> Strip:
 
 def strip_first(strip: Strip, cells: int) -> Strip:
     """The first ``cells`` boxes; undefined if that would break a domino."""
-    if not 0 <= cells <= strip_cells(strip):
-        raise ValueError(f"cannot take {cells} cells of a {strip_cells(strip)}-cell strip")
     taken = 0
-    for i, tile in enumerate(strip):
+    if cells >= 0:
+        for i, tile in enumerate(strip):
+            if taken == cells:
+                return strip[:i]
+            taken += tile
+            if taken > cells:
+                raise BrokenDomino(f"cut at {cells} splits a domino")
         if taken == cells:
-            return strip[:i]
-        taken += tile
-        if taken > cells:
-            raise BrokenDomino(f"cut at {cells} splits a domino")
-    return tuple(strip)
+            return tuple(strip)
+    raise ValueError(f"cannot take {cells} cells of a {strip_cells(strip)}-cell strip")
 
 
 def strip_last(strip: Strip, cells: int) -> Strip:
@@ -140,8 +142,12 @@ class ExtendedTiling:
     def type_triple(self) -> tuple[int, int, int]:
         return (self.n, self.k, self.r)
 
+    def tile_counts(self) -> Monomial:
+        """(#monominoes, #dominoes) over B's fixed tiles and the strips."""
+        return tile_counts(self.partial.fixed_tiles() + list(self.strips))
+
     def weight(self) -> Poly2:
-        return tiles_weight(self.partial.fixed_tiles() + list(self.strips))
+        return Poly2.monomial(*self.tile_counts())
 
     def to_json_dict(self) -> dict:
         return {"B": self.partial.to_json_dict(), "strips": [tile_tokens(s) for s in self.strips]}
@@ -176,6 +182,9 @@ def iota_trace(extended: ExtendedTiling) -> tuple[ExtendedTiling, tuple[str, ...
 
     The input is valid by construction, so the recursion runs on bare fixed
     rows and strips; only the image is validated, once, as it is rebuilt.
+    ``partial_from_fixed`` does that by walking the image's completed rows
+    directly, as tile tuples; any refusal, like a strip cut through a
+    domino, is reported as ``Malformed``.
     """
     n, k, r = extended.type_triple()
     trace: list[str] = []
@@ -278,18 +287,22 @@ class InvolutionReport:
 
 
 def verify_involution(n: int, k: int, r: int) -> InvolutionReport:
-    """Check type contract, involutivity, weight preservation and class sums."""
+    """Check type contract, involutivity, weight preservation and class sums.
+
+    Each tiling's weight is the monomial of its (#monominoes, #dominoes), so
+    the class sums are tallied as counts per pair and built once, and an
+    image preserves weight when its pair is its source's.
+    """
     source = list(enumerate_extended(n, k, r))
     target = list(enumerate_extended(n, n - k + r, r))
     lhs, rhs = symmetry_sides(n, k, r)
     failures: list[str] = []
-    class_sum = Poly2.zero()
-    target_sum = Poly2.zero()
-    for ext in target:
-        target_sum = target_sum + ext.weight()
+    class_counts: Counter[Monomial] = Counter()
+    target_sum = Poly2(Counter(ext.tile_counts() for ext in target))
     images = []
     for ext in source:
-        class_sum = class_sum + ext.weight()
+        counts = ext.tile_counts()
+        class_counts[counts] += 1
         try:
             image, trace = iota_trace(ext)
         except Malformed as exc:
@@ -298,7 +311,7 @@ def verify_involution(n: int, k: int, r: int) -> InvolutionReport:
         if image.type_triple() != (n, n - k + r, r):
             failures.append(f"type {image.type_triple()} != {(n, n - k + r, r)} after {''.join(trace)}")
             continue
-        if image.weight() != ext.weight():
+        if image.tile_counts() != counts:
             failures.append(f"weight changed on {ext.to_json_dict()}")
         try:
             back = iota(image)
@@ -308,6 +321,7 @@ def verify_involution(n: int, k: int, r: int) -> InvolutionReport:
         if back != ext:
             failures.append(f"iota^2 != id on {ext.to_json_dict()}")
         images.append(image)
+    class_sum = Poly2(class_counts)
     if len(set(images)) != len(source):
         failures.append("iota is not injective on the class")
     if set(images) != set(target):

@@ -233,11 +233,24 @@ class Poly2:
     # -- substitutions -------------------------------------------------------
 
     def substitute(self, s_image: Poly1, t_image: Poly1) -> Poly1:
-        """Map s and t to univariate polynomials and expand exactly."""
-        out = Poly1()
-        for (a, b), c in self.terms():
-            out = out + (s_image**a) * (t_image**b) * c
-        return out
+        """Map s and t to univariate polynomials and expand exactly.
+
+        Each power of each image is built once, ascending, and each term
+        adds its coefficient times the product of its two powers.  Integral
+        images, as in ``specialize_q`` and the Chebyshev bridge, are taken
+        as int sequences, so ``_convolve`` may pack the products and the sum
+        becomes a ``Poly1`` of ``Fraction`` entries only at the end.
+        """
+        terms = self.terms()
+        s_seq, t_seq = s_image._coeffs, t_image._coeffs
+        if all(c.denominator == 1 for c in s_seq + t_seq):
+            s_seq, t_seq = [int(c) for c in s_seq], [int(c) for c in t_seq]
+        s_pows = _ascending_powers(s_seq, max((a for (a, _), _ in terms), default=0))
+        t_pows = _ascending_powers(t_seq, max((b for (_, b), _ in terms), default=0))
+        total: Sequence = ()
+        for (a, b), c in terms:
+            total = _add(total, [c * x for x in _convolve(s_pows[a], t_pows[b])])
+        return Poly1(enumerate(total))
 
     def specialize_q(self) -> Poly1:
         """Substitute s -> 1 + q, t -> -q; sends {n} to the q-integer [n]_q."""
@@ -290,6 +303,14 @@ def _power(base, n: int, one):
         if n:
             base = base * base
     return one if result is None else result
+
+
+def _ascending_powers(seq: Sequence, n: int) -> list[Sequence]:
+    """seq^0, seq^1, ..., seq^n as coefficient sequences, each one product from the last."""
+    powers: list[Sequence] = [(1,)]
+    for _ in range(n):
+        powers.append(_convolve(powers[-1], seq))
+    return powers
 
 
 def _trimmed(seq: Sequence) -> tuple:

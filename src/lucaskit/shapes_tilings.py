@@ -115,13 +115,19 @@ class Shape:
             raise MalformedDocument(str(exc)) from exc
 
 
+@lru_cache(maxsize=None)
 def staircase(n: int) -> Shape:
-    """delta_n = (n-1, n-2, ..., 1); empty for n <= 1."""
+    """delta_n = (n-1, n-2, ..., 1); empty for n <= 1.
+
+    Cached, like ``d_staircase``: every variant asks for its shape on each
+    walk, and a ``Shape`` is frozen, so one instance serves every caller.
+    """
     if n < 0:
         raise ValueError("negative staircase index")
     return Shape(tuple(range(n - 1, 0, -1)))
 
 
+@lru_cache(maxsize=None)
 def d_staircase(n: int, d: int) -> Shape:
     """delta_{n:d} = (nd-1, (n-1)d-1, ..., d-1).
 
@@ -185,19 +191,48 @@ def tile_tokens(tiles: Tiles) -> list[str]:
     return ["M" if t == MONO else "D" for t in tiles]
 
 
-def _row_tokens(cells: int, runs) -> list[str]:
-    """A row of ``cells`` cells holding fixed ``runs``: "M"/"D" per tile, "." per blank cell."""
-    row: list[str] = []
+def _row_gaps(cells: int, runs) -> Iterator[tuple[int, Tiles]]:
+    """(blank cells before it, its tiles) per fixed run of a ``cells``-cell row, then (blank cells left, ()).
+
+    Runs that overlap or start left of column 1, and a run past the row's
+    end, raise MalformedPartial.
+    """
     col = 1
     for start, tiles in runs:
         if start < col:
             raise MalformedPartial("overlapping fixed runs")
-        row += ["."] * (start - col)
-        row += tile_tokens(tiles)
+        yield start - col, tiles
         col = start + sum(tiles)
     if col > cells + 1:
         raise MalformedPartial("a fixed run sticks out of its row")
-    return row + ["."] * (cells + 1 - col)
+    yield cells + 1 - col, ()
+
+
+def _row_tokens(cells: int, runs) -> list[str]:
+    """A row of ``cells`` cells holding fixed ``runs``: "M"/"D" per tile, "." per blank cell."""
+    row: list[str] = []
+    for blanks, tiles in _row_gaps(cells, runs):
+        row += ["."] * blanks
+        row += tile_tokens(tiles)
+    return row
+
+
+def _completed_rows(shape: Shape, fixed: FixedRows) -> tuple[Tiles, ...]:
+    """Each row of ``shape`` holding its ``fixed`` runs, every blank cell a monomino.
+
+    Refuses what ``_row_gaps`` refuses, and any tile other than a monomino
+    or a domino, with MalformedPartial.
+    """
+    rows = []
+    for r in range(1, shape.n_rows + 1):
+        row: list[int] = []
+        for blanks, tiles in _row_gaps(shape.cells(r), fixed[r - 1]):
+            if not {*tiles} <= {MONO, DOMINO}:
+                raise MalformedPartial("fixed tiles must be monominoes or dominoes")
+            row += [MONO] * blanks
+            row += tiles
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _filled(shape: Shape, token_rows) -> Tiling:
@@ -219,10 +254,15 @@ def _row_data(tiles: Tiles) -> tuple[frozenset[int], dict[int, int], int, int]:
     return frozenset(blocked), bounds, tiles.count(MONO), tiles.count(DOMINO)
 
 
-def tiles_weight(rows) -> Poly2:
-    """s^(#monominoes) t^(#dominoes) over every tile of ``rows``, each a tuple of tile lengths."""
+def tile_counts(rows) -> Monomial:
+    """(#monominoes, #dominoes) over every tile of ``rows``, each a tuple of tile lengths."""
     counts = [_row_data(tiles)[2:] for tiles in rows]
-    return Poly2.monomial(sum(m for m, _ in counts), sum(d for _, d in counts))
+    return sum(m for m, _ in counts), sum(d for _, d in counts)
+
+
+def tiles_weight(rows) -> Poly2:
+    """s^(#monominoes) t^(#dominoes) over every tile of ``rows``."""
+    return Poly2.monomial(*tile_counts(rows))
 
 
 @lru_cache(maxsize=None)
@@ -553,9 +593,10 @@ def _fuss_first_row(variant: FussCatalan, tiles: Tiles, bounds) -> tuple[Run, ..
     return tuple(runs)
 
 
-def _walk(variant: Variant, rows: tuple[Tiles, ...]) -> tuple[list[int], list[str], FixedRows]:
-    """The greedy path through one tiling's rows: (x per crossing, NI/NL labels, fixed rows)."""
-    x, used, mod_d = variant.start_x(), frozenset(), variant.mod_d()
+def _walk(variant: Variant, rows: tuple[Tiles, ...]) -> PartialTiling:
+    """The partial tiling the variant's greedy path fixes in a tiling with these rows."""
+    start, mod_d = variant.start_x(), variant.mod_d()
+    x, used = start, frozenset()
     xs: list[int] = []
     labels: list[str] = []
     fixed: list[tuple[Run, ...]] = []
@@ -566,35 +607,36 @@ def _walk(variant: Variant, rows: tuple[Tiles, ...]) -> tuple[list[int], list[st
         xs.append(x)
         labels.append(label)
         fixed.append(_fixed_row(variant, r, tiles, x, label))
-    return xs, labels, tuple(fixed[: len(rows)])
+    path = LatticePath((start, 0), _path_from_xs(start, xs), tuple(labels))
+    return PartialTiling(variant, path, tuple(fixed[: len(rows)]))
 
 
 def partial_from_tiling(tiling: Tiling, variant: Variant) -> PartialTiling:
     """The canonical partial tiling of the block containing ``tiling``."""
     if tiling.shape != variant.shape():
         raise ValueError("tiling does not live on the variant's shape")
-    xs, labels, fixed = _walk(variant, tiling.rows)
-    start = variant.start_x()
-    path = LatticePath((start, 0), _path_from_xs(start, xs), tuple(labels))
-    return PartialTiling(variant, path, fixed)
+    return _walk(variant, tiling.rows)
 
 
 def completion(variant: Variant, fixed: FixedRows) -> Tiling:
     """Fill every blank cell with a monomino; a member of the intended block."""
     shape = variant.shape()
-    return _filled(shape, [_row_tokens(shape.cells(r), fixed[r - 1]) for r in range(1, shape.n_rows + 1)])
+    return Tiling(shape, _completed_rows(shape, fixed))
 
 
 def partial_from_fixed(variant: Variant, fixed: FixedRows) -> PartialTiling:
     """Rebuild the canonical partial with the given fixed tiles, validating it.
 
     The monomino completion of the fixed cells must map back onto exactly the
-    same fixed cells; otherwise no block has this representative.
+    same fixed cells; otherwise no block has this representative.  The
+    completed rows are built as tile tuples and walked directly, with no
+    ``Tiling`` and no token rows in between; ``_completed_rows`` refuses
+    runs that no row can hold, and the round trip refuses the rest.
     """
-    n_rows = variant.shape().n_rows
-    if len(fixed) != n_rows:
-        raise MalformedPartial(f"{len(fixed)} fixed rows for a shape with {n_rows}")
-    candidate = partial_from_tiling(completion(variant, fixed), variant)
+    shape = variant.shape()
+    if len(fixed) != shape.n_rows:
+        raise MalformedPartial(f"{len(fixed)} fixed rows for a shape with {shape.n_rows}")
+    candidate = _walk(variant, _completed_rows(shape, fixed))
     if candidate.fixed != tuple(tuple(runs) for runs in fixed):
         raise MalformedPartial("fixed cells are not a block representative")
     return candidate

@@ -1,8 +1,8 @@
 """Independent oracles the tests check library results against.
 
-Nothing here but ``factorial_quotient``, ``brute_block_partition`` and
-``materialised_verify`` goes through Poly2 division or the tiling machinery:
-integer sequences come from their defining recurrences, q-analogues and
+Nothing here but ``factorial_quotient``, ``brute_block_partition``,
+``materialised_verify`` and ``token_completion`` goes through Poly2
+division or the tiling machinery: integer sequences come from their defining recurrences, q-analogues and
 cyclotomic polynomials from univariate exact division, Coxeter products
 from exact Fraction arithmetic, and ``lex_exact_div`` divides term maps by
 lexicographic long division, with no Poly2 arithmetic.
@@ -20,7 +20,11 @@ remainder made primitive by ``poly1_primitive``; ``fraction_real_rooted``,
 library does on its own.  The ``poly1_*`` helpers read and build ``Poly1``
 through its public coefficients only.  ``monomial_product`` multiplies two
 coefficient sequences term by term into a map, the reference for the packed
-multiply in ``polyring._convolve``.
+multiply in ``polyring._convolve``.  ``term_substitute`` expands a substitution
+term by term in ``Poly1`` arithmetic, as ``Poly2.substitute`` did for every
+image before it built integral images' powers once.  ``token_completion`` is
+the monomino completion ``partial_from_fixed`` used before it walked tile
+tuples: each row written out as "M"/"D"/"." tokens, then parsed back.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ from lucaskit.polyring import DivisionByZero, Monomial, NotDivisible, Poly1, Pol
 from lucaskit.shapes_tilings import (
     BlockPartitionReport,
     LatticePath,
+    MalformedPartial,
     PartialTiling,
+    Tiling,
     _fixed_row,
     _path_from_xs,
     _row_data,
@@ -43,6 +49,8 @@ from lucaskit.shapes_tilings import (
     block_partition,
     count_tilings,
     row_tilings,
+    tile_rows_from_json,
+    tile_tokens,
 )
 
 
@@ -88,6 +96,33 @@ def monomial_product(f, g) -> dict[int, int | Fraction]:
         for j, y in enumerate(g):
             out[i + j] = out.get(i + j, 0) + x * y
     return {e: c for e, c in out.items() if c}
+
+
+def term_substitute(p: Poly2, s_image: Poly1, t_image: Poly1) -> Poly1:
+    """p(s_image, t_image): sum of c * s_image^a * t_image^b over p's terms, one term at a time."""
+    out = Poly1()
+    for (a, b), c in p.terms():
+        out = out + (s_image**a) * (t_image**b) * c
+    return out
+
+
+def token_completion(variant, fixed) -> Tiling:
+    """The tiling of the variant's shape holding ``fixed``, each blank a monomino, through token rows."""
+    shape = variant.shape()
+    token_rows = []
+    for r in range(1, shape.n_rows + 1):
+        row: list[str] = []
+        col = 1
+        for start, tiles in fixed[r - 1]:
+            if start < col:
+                raise MalformedPartial("overlapping fixed runs")
+            row += ["."] * (start - col) + tile_tokens(tiles)
+            col = start + sum(tiles)
+        if col > shape.cells(r) + 1:
+            raise MalformedPartial("a fixed run sticks out of its row")
+        row += ["."] * (shape.cells(r) + 1 - col)
+        token_rows.append(["M" if tok == "." else tok for tok in row])
+    return Tiling(shape, tile_rows_from_json(token_rows))
 
 
 def factorial_quotient(num, den) -> Poly2:

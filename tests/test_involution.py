@@ -2,9 +2,11 @@
 
 import pytest
 
+from lucaskit import involution
 from lucaskit.involution import (
     BrokenDomino,
     ExtendedTiling,
+    Malformed,
     classify_point,
     enumerate_extended,
     iota,
@@ -62,6 +64,13 @@ class TestStrips:
             strip_first((2,), 1)
         with pytest.raises(BrokenDomino):
             strip_last(S1, 2)
+
+    def test_cut_outside_the_strip(self):
+        for cells in (-1, 5):
+            with pytest.raises(ValueError, match=f"cannot take {cells} cells of a 4-cell strip"):
+                strip_first(S1, cells)
+        with pytest.raises(ValueError, match="cannot take -1 cells of a 4-cell strip"):
+            strip_last(S1, 5)
 
     def test_reverse(self):
         assert strip_reverse(S2) == (1, 2)
@@ -200,6 +209,48 @@ class TestVerifyInvolution:
         assert lhs == lucas(5) * lucas(4) * lucasnomial(7, 5)
         assert rhs == lucas(4) * lucas(3) * lucasnomial(7, 4)
         assert lhs == rhs
+
+
+class TestTalliedSums:
+    def test_class_sums_are_plain_weight_sums(self):
+        checked = 0
+        for n in range(6):
+            for k in range(n + 1):
+                for r in range(k + 1):
+                    report = verify_involution(n, k, r)
+                    assert report.ok
+                    for ext_type, tallied in (((n, k, r), report.class_sum), ((n, n - k + r, r), report.target_sum)):
+                        plain = Poly2.zero()
+                        for ext in enumerate_extended(*ext_type):
+                            plain = plain + ext.weight()
+                        assert tallied == plain, ext_type
+                    checked += 1
+        assert checked == 56
+
+    def test_weight_is_monomial_of_tile_counts(self):
+        for ext in enumerate_extended(5, 3, 2):
+            assert ext.weight() == Poly2.monomial(*ext.tile_counts())
+
+
+class TestImageValidation:
+    """iota_trace validates its image with partial_from_fixed and reports every refusal as Malformed."""
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (((1, (1, 1)), (2, (1,))), "overlapping fixed runs"),
+            (((0, (1,)),), "overlapping fixed runs"),
+            (((3, (2,)),), "sticks out of its row"),
+            (((1, (3,)),), "monominoes or dominoes"),
+            (((1, (0,)),), "monominoes or dominoes"),
+        ],
+        ids=["overlap", "column-0", "sticks-out", "tile-3", "tile-0"],
+    )
+    def test_refused_image_is_malformed(self, monkeypatch, row, message):
+        ext = next(enumerate_extended(4, 2, 0))
+        monkeypatch.setattr(involution, "_iota", lambda n, k, rows, strips, trace: ((row, (), ()), strips))
+        with pytest.raises(Malformed, match=message):
+            iota_trace(ext)
 
 
 class TestJson:

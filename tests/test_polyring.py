@@ -22,6 +22,7 @@ from oracles import (
     poly1_exact_div,
     poly1_int_coeffs,
     poly1_primitive,
+    term_substitute,
 )
 from lucaskit import polyring
 from lucaskit.polyring import (
@@ -245,6 +246,52 @@ class TestSpecializeQ:
 
         p = S**4 + 3 * S**2 * T + 2 * T**2  # the (4, 2) Lucasnomial
         assert p.specialize_q() == gaussian_binomial(4, 2)
+
+
+class TestSubstitute:
+    """Integral images take ascending int powers; the term-by-term expansion is the oracle."""
+
+    def test_lucasnomials_against_term_expansion(self):
+        from lucaskit.lucas import lucasnomial
+
+        integral = [
+            (Poly1({0: 1, 1: 1}), Poly1({1: -1})),  # specialize_q
+            (Poly1({1: 2}), Poly1.const(-1)),  # the Chebyshev bridge
+        ]
+        rational = (Poly1({0: Fraction(1, 2), 1: 3}), Poly1({0: Fraction(-2, 3)}))
+        # (14, 7) and (16, 8) have terms whose s and t powers both reach 16 terms, so their products are packed.
+        for n, k in [(n, k) for n in range(9) for k in range(n + 1)] + [(14, 7), (16, 8)]:
+            p = lucasnomial(n, k)
+            for s_image, t_image in integral + ([rational] if n < 9 else []):
+                assert p.substitute(s_image, t_image) == term_substitute(p, s_image, t_image)
+
+    def test_zero_images_and_zero_poly(self):
+        p = 3 * S**2 * T - 5 * T**3 + 7 + S
+        for s_image, t_image in [(Poly1(), Poly1()), (Poly1(), Poly1({1: 2})), (Poly1({0: 4}), Poly1())]:
+            assert p.substitute(s_image, t_image) == term_substitute(p, s_image, t_image)
+        assert Poly2.zero().substitute(Poly1({1: 1}), Poly1({1: 1})) == Poly1()
+
+    def test_integral_image_keeps_rational_entries(self):
+        # The int path makes its result a Poly1 only at the end, with the
+        # Fraction entries every Poly1 built from coefficients holds.
+        image = (S**3 + 2 * S * T).specialize_q()  # {4} -> [4]_q
+        assert image == Poly1({0: 1, 1: 1, 2: 1, 3: 1})
+        assert {type(c) for c in image._coeffs} == {Fraction}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        terms=st.dictionaries(
+            st.tuples(st.integers(0, 6), st.integers(0, 4)), st.integers(-50, 50), max_size=8
+        ),
+        s_coeffs=st.lists(st.integers(-9, 9), max_size=5),
+        t_coeffs=st.lists(st.integers(-9, 9), max_size=5),
+        den=st.sampled_from([1, 1, 3]),
+    )
+    def test_matches_term_expansion(self, terms, s_coeffs, t_coeffs, den):
+        p = Poly2(terms)
+        s_image = Poly1({e: Fraction(c, den) for e, c in enumerate(s_coeffs)})
+        t_image = Poly1(enumerate(t_coeffs))
+        assert p.substitute(s_image, t_image) == term_substitute(p, s_image, t_image)
 
 
 class TestCoeffView:

@@ -1,10 +1,11 @@
 """Shapes, tilings, lattice paths, partial tilings and block partitions."""
 
+import dataclasses
 import math
 
 import pytest
 
-from oracles import brute_block_partition, fib, materialised_verify
+from oracles import brute_block_partition, fib, materialised_verify, token_completion
 from lucaskit.lucas import d_lucastorial, lucas, lucasnomial, lucastorial
 from lucaskit.polyring import Poly2
 from lucaskit.shapes_tilings import (
@@ -21,6 +22,7 @@ from lucaskit.shapes_tilings import (
     Shape,
     Tiling,
     block_partition,
+    completion,
     count_tilings,
     d_staircase,
     enumerate_partials,
@@ -55,6 +57,27 @@ class TestShape:
         assert staircase(1) == Shape(())
         assert d_staircase(4, 2).outer == (7, 5, 3, 1)
         assert d_staircase(3, 1) == staircase(3)
+
+    def test_cached_staircases_are_shared(self):
+        for n in range(8):
+            assert staircase(n) is staircase(n)
+            assert d_staircase(n, 1) == staircase(n)
+            assert d_staircase(n, 3) is d_staircase(n, 3)
+
+    def test_cached_staircase_is_frozen(self):
+        shape = staircase(5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shape.outer = (9,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d_staircase(3, 2).inner = ()
+        assert staircase(5).outer == (4, 3, 2, 1)
+
+    def test_staircase_refusals_are_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="negative staircase index"):
+                staircase(-1)
+            with pytest.raises(ValueError, match="need n >= 0 and d >= 1"):
+                d_staircase(3, 0)
 
     def test_skew_rows(self):
         skew = Shape((9, 7, 5, 3, 1), (5,))
@@ -298,6 +321,31 @@ class TestPartials:
             # a lone fixed monomino in the middle of row 1 fixes nothing a path makes
             partial_from_fixed(Binomial(4, 2), (((2, (1,)),), (), ()))
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (((1, (1, 1)), (2, (1,))), "overlapping fixed runs"),
+            (((0, (1,)),), "overlapping fixed runs"),
+            (((-1, (2,)),), "overlapping fixed runs"),
+            (((3, (2,)),), "sticks out of its row"),
+            (((1, (2,)), (3, (2,))), "sticks out of its row"),
+            (((1, (3,)),), "monominoes or dominoes"),
+            (((1, (0,)),), "monominoes or dominoes"),
+            (((1, (0, 4)),), "monominoes or dominoes"),
+        ],
+        ids=["overlap", "column-0", "column-minus-1", "sticks-out", "second-run-sticks-out",
+             "tile-3", "tile-0", "tiles-0-and-4"],
+    )
+    def test_partial_from_fixed_refuses_runs_no_row_holds(self, row, message):
+        fixed = (row, (), ())
+        with pytest.raises(MalformedPartial, match=message):
+            partial_from_fixed(Binomial(4, 2), fixed)
+        with pytest.raises(MalformedPartial, match=message):
+            completion(Binomial(4, 2), fixed)
+        # The token round trip refused the same rows, with a bare ValueError for the tile lengths.
+        with pytest.raises(ValueError):
+            partial_from_tiling(token_completion(Binomial(4, 2), fixed), Binomial(4, 2))
+
     def test_partial_from_fixed_rejects_too_few_rows(self):
         with pytest.raises(MalformedPartial, match="1 fixed rows for a shape with 3"):
             partial_from_fixed(Binomial(4, 2), ((),))
@@ -361,6 +409,62 @@ class TestPartials:
                         except MalformedPartial:
                             continue
                         assert parsed.to_json_dict() == mutated
+
+
+# Every variant family, including the Fuss first-row rule and both d-divisible moduli.
+COMPLETION_VARIANTS = (
+    [Binomial(n, k) for n in range(7) for k in range(n + 1)]
+    + [Catalan(3), FussCatalan(2, 2), FussCatalan(2, 3)]
+    + [DDivisible(3, k, d) for d in (2, 3) for k in range(4)]
+)
+
+
+def token_partial_from_fixed(variant, fixed) -> PartialTiling:
+    """``partial_from_fixed`` on the token-parsed completion, as it ran before it walked tile tuples."""
+    if len(fixed) != variant.shape().n_rows:
+        raise MalformedPartial("wrong number of fixed rows")
+    candidate = partial_from_tiling(token_completion(variant, fixed), variant)
+    if candidate.fixed != tuple(tuple(runs) for runs in fixed):
+        raise MalformedPartial("fixed cells are not a block representative")
+    return candidate
+
+
+def near_misses(fixed):
+    """``fixed`` with one run shifted, one tile swapped, grown or dropped, or one tile of length 0 or 3."""
+    for r, runs in enumerate(fixed):
+        for i, (start, tiles) in enumerate(runs):
+            edits = [(start - 1, tiles), (start + 1, tiles), (start, tiles + (1,)), (start, tiles[:-1])]
+            edits += [(start, tiles[:j] + (3 - t,) + tiles[j + 1 :]) for j, t in enumerate(tiles)]
+            edits += [(start, tiles[:1] + (bad,) + tiles[1:]) for bad in (0, 3)]
+            for edit in edits:
+                yield fixed[:r] + (runs[:i] + (edit,) + runs[i + 1 :],) + fixed[r + 1 :]
+        yield fixed[:r] + (runs + ((1, (1,)),),) + fixed[r + 1 :]
+
+
+class TestDirectCompletion:
+    """partial_from_fixed walks the completed rows; the token round trip is the oracle."""
+
+    @pytest.mark.parametrize("variant", COMPLETION_VARIANTS, ids=repr)
+    def test_every_partial_round_trips(self, variant):
+        for partial in enumerate_partials(variant):
+            completed = token_completion(variant, partial.fixed)
+            assert completion(variant, partial.fixed) == completed
+            assert partial_from_fixed(variant, partial.fixed) == partial == partial_from_tiling(completed, variant)
+
+    @pytest.mark.parametrize("variant", [Binomial(5, 2), Catalan(3), FussCatalan(2, 2), DDivisible(3, 1, 2)], ids=repr)
+    def test_near_misses_refused_alike(self, variant):
+        refused = 0
+        for partial in enumerate_partials(variant):
+            for fixed in near_misses(partial.fixed):
+                try:
+                    want = token_partial_from_fixed(variant, fixed)
+                except ValueError:
+                    with pytest.raises(MalformedPartial):
+                        partial_from_fixed(variant, fixed)
+                    refused += 1
+                else:
+                    assert partial_from_fixed(variant, fixed) == want
+        assert refused
 
 
 class TestVariantFamilies:

@@ -17,9 +17,10 @@ can never trigger it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .lucas import symmetry_sides
@@ -255,9 +256,13 @@ def enumerate_extended(n: int, k: int, r: int) -> Iterator[ExtendedTiling]:
             yield ExtendedTiling(partial, strips)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InvolutionReport:
-    """Exhaustive check of the involution on one type class."""
+    """Exhaustive check of the involution on one type class.
+
+    Frozen, with ``failures`` a tuple: ``verify_involution`` hands the same
+    cached report to every caller.
+    """
 
     n: int
     k: int
@@ -268,7 +273,10 @@ class InvolutionReport:
     target_sum: Poly2
     lhs: Poly2
     rhs: Poly2
-    failures: list[str] = field(default_factory=list)
+    failures: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "failures", tuple(self.failures))
 
     @property
     def ok(self) -> bool:
@@ -281,7 +289,7 @@ class InvolutionReport:
             "target_size": self.target_size,
             "class_sum": self.class_sum.to_json_dict(),
             "target_sum": self.target_sum.to_json_dict(),
-            "failures": self.failures,
+            "failures": list(self.failures),
             "ok": self.ok,
         }
 
@@ -289,42 +297,95 @@ class InvolutionReport:
 def verify_involution(n: int, k: int, r: int) -> InvolutionReport:
     """Check type contract, involutivity, weight preservation and class sums.
 
+    iota pairs type (n, k, r) with its mirror (n, n-k+r, r), so the two are
+    verified together, once (``_verify_pair``), and a later call for either
+    returns its cached report.
+    """
+    if not 0 <= r <= k <= n:
+        raise ValueError("need 0 <= r <= k <= n")
+    mirror = n - k + r
+    low, high = _verify_pair(n, min(k, mirror), max(k, mirror), r)
+    return low if k <= mirror else high
+
+
+# A class's members in enumeration order, and each member's (#monominoes,
+# #dominoes) with its iota_trace result or the Malformed that iota raised.
+_TracedClass = tuple[
+    list[ExtendedTiling], dict[ExtendedTiling, tuple[Monomial, tuple[ExtendedTiling, tuple[str, ...]] | Malformed]]
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _verify_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionReport, InvolutionReport]:
+    """The reports of the mirror types (n, k_lo, r) and (n, k_hi, r).
+
+    Each class is enumerated once and iota runs once on each member, so
+    iota^2 = id is read off the mirror class's traces.  Only the reports
+    are cached, never the tilings or the traces: the cache grows with the
+    number of types verified, not with their class sizes.  When k_lo =
+    k_hi the two classes are one, and so are the reports.
+    """
+    low = _trace_class(n, k_lo, r)
+    if k_hi == k_lo:
+        report = _class_report(n, k_lo, r, low, low)
+        return report, report
+    high = _trace_class(n, k_hi, r)
+    return _class_report(n, k_lo, r, low, high), _class_report(n, k_hi, r, high, low)
+
+
+def _trace_or_error(extended: ExtendedTiling) -> tuple[ExtendedTiling, tuple[str, ...]] | Malformed:
+    try:
+        return iota_trace(extended)
+    except Malformed as exc:
+        return exc
+
+
+def _trace_class(n: int, k: int, r: int) -> _TracedClass:
+    """Enumerate type (n, k, r) and run iota once on each member."""
+    members = list(enumerate_extended(n, k, r))
+    return members, {ext: (ext.tile_counts(), _trace_or_error(ext)) for ext in members}
+
+
+def _class_report(n: int, k: int, r: int, source: _TracedClass, target: _TracedClass) -> InvolutionReport:
+    """Check class (n, k, r) against its mirror class from both classes' traces.
+
     Each tiling's weight is the monomial of its (#monominoes, #dominoes), so
     the class sums are tallied as counts per pair and built once, and an
-    image preserves weight when its pair is its source's.
+    image preserves weight when its pair is its source's.  An image outside
+    the mirror class has no trace there and is counted and traced here.
     """
-    source = list(enumerate_extended(n, k, r))
-    target = list(enumerate_extended(n, n - k + r, r))
+    members, traced = source
+    target_members, target_traced = target
+    mirror = (n, n - k + r, r)
     lhs, rhs = symmetry_sides(n, k, r)
     failures: list[str] = []
-    class_counts: Counter[Monomial] = Counter()
-    target_sum = Poly2(Counter(ext.tile_counts() for ext in target))
     images = []
-    for ext in source:
-        counts = ext.tile_counts()
-        class_counts[counts] += 1
-        try:
-            image, trace = iota_trace(ext)
-        except Malformed as exc:
-            failures.append(f"iota failed on {ext.to_json_dict()}: {exc}")
+    for ext in members:
+        counts, result = traced[ext]
+        if isinstance(result, Malformed):
+            failures.append(f"iota failed on {ext.to_json_dict()}: {result}")
             continue
-        if image.type_triple() != (n, n - k + r, r):
-            failures.append(f"type {image.type_triple()} != {(n, n - k + r, r)} after {''.join(trace)}")
+        image, trace = result
+        if image.type_triple() != mirror:
+            failures.append(f"type {image.type_triple()} != {mirror} after {''.join(trace)}")
             continue
-        if image.tile_counts() != counts:
+        if image in target_traced:
+            image_counts, back = target_traced[image]
+        else:
+            image_counts, back = image.tile_counts(), _trace_or_error(image)
+        if image_counts != counts:
             failures.append(f"weight changed on {ext.to_json_dict()}")
-        try:
-            back = iota(image)
-        except Malformed as exc:
-            failures.append(f"iota failed on an image: {exc}")
+        if isinstance(back, Malformed):
+            failures.append(f"iota failed on an image: {back}")
             continue
-        if back != ext:
+        if back[0] != ext:
             failures.append(f"iota^2 != id on {ext.to_json_dict()}")
         images.append(image)
-    class_sum = Poly2(class_counts)
-    if len(set(images)) != len(source):
+    class_sum = Poly2(Counter(traced[ext][0] for ext in members))
+    target_sum = Poly2(Counter(target_traced[ext][0] for ext in target_members))
+    if len(set(images)) != len(members):
         failures.append("iota is not injective on the class")
-    if set(images) != set(target):
+    if set(images) != target_traced.keys():
         failures.append("iota does not map onto the mirror class")
     if class_sum != lhs:
         failures.append(f"class weight {class_sum} != symmetry LHS {lhs}")
@@ -334,8 +395,8 @@ def verify_involution(n: int, k: int, r: int) -> InvolutionReport:
         n=n,
         k=k,
         r=r,
-        class_size=len(source),
-        target_size=len(target),
+        class_size=len(members),
+        target_size=len(target_members),
         class_sum=class_sum,
         target_sum=target_sum,
         lhs=lhs,

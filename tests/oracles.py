@@ -25,16 +25,22 @@ term by term in ``Poly1`` arithmetic, as ``Poly2.substitute`` did for every
 image before it built integral images' powers once.  ``token_completion`` is
 the monomino completion ``partial_from_fixed`` used before it walked tile
 tuples: each row written out as "M"/"D"/"." tokens, then parsed back.
+``per_type_verify_involution`` is ``verify_involution`` as it was before it
+verified each mirror pair once: it enumerates its own class and the mirror
+class, runs iota on every member and again on every image, and caches
+nothing.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from lucaskit.lucas import lucas
+from lucaskit.lucas import lucas, symmetry_sides
 from lucaskit.analysis import CoeffReport, is_log_concave, is_unimodal
+from lucaskit.involution import InvolutionReport, Malformed, enumerate_extended, iota, iota_trace
 from lucaskit.polyring import DivisionByZero, Monomial, NotDivisible, Poly1, Poly2, coeff_view
 from lucaskit.shapes_tilings import (
     BlockPartitionReport,
@@ -376,5 +382,63 @@ def materialised_verify(variant) -> BlockPartitionReport:
         block_count=len(blocks),
         partial_sum=partial_sum,
         expected_total=expected,
+        failures=failures,
+    )
+
+
+def per_type_verify_involution(n: int, k: int, r: int) -> InvolutionReport:
+    """Check type contract, involutivity, weight preservation and class sums.
+
+    Each tiling's weight is the monomial of its (#monominoes, #dominoes), so
+    the class sums are tallied as counts per pair and built once, and an
+    image preserves weight when its pair is its source's.
+    """
+    source = list(enumerate_extended(n, k, r))
+    target = list(enumerate_extended(n, n - k + r, r))
+    lhs, rhs = symmetry_sides(n, k, r)
+    failures: list[str] = []
+    class_counts: Counter[Monomial] = Counter()
+    target_sum = Poly2(Counter(ext.tile_counts() for ext in target))
+    images = []
+    for ext in source:
+        counts = ext.tile_counts()
+        class_counts[counts] += 1
+        try:
+            image, trace = iota_trace(ext)
+        except Malformed as exc:
+            failures.append(f"iota failed on {ext.to_json_dict()}: {exc}")
+            continue
+        if image.type_triple() != (n, n - k + r, r):
+            failures.append(f"type {image.type_triple()} != {(n, n - k + r, r)} after {''.join(trace)}")
+            continue
+        if image.tile_counts() != counts:
+            failures.append(f"weight changed on {ext.to_json_dict()}")
+        try:
+            back = iota(image)
+        except Malformed as exc:
+            failures.append(f"iota failed on an image: {exc}")
+            continue
+        if back != ext:
+            failures.append(f"iota^2 != id on {ext.to_json_dict()}")
+        images.append(image)
+    class_sum = Poly2(class_counts)
+    if len(set(images)) != len(source):
+        failures.append("iota is not injective on the class")
+    if set(images) != set(target):
+        failures.append("iota does not map onto the mirror class")
+    if class_sum != lhs:
+        failures.append(f"class weight {class_sum} != symmetry LHS {lhs}")
+    if target_sum != rhs:
+        failures.append(f"mirror class weight {target_sum} != symmetry RHS {rhs}")
+    return InvolutionReport(
+        n=n,
+        k=k,
+        r=r,
+        class_size=len(source),
+        target_size=len(target),
+        class_sum=class_sum,
+        target_sum=target_sum,
+        lhs=lhs,
+        rhs=rhs,
         failures=failures,
     )

@@ -161,6 +161,13 @@ class TestVerifyCommands:
         assert captured.out == ""
         assert captured.err == "error: --max-n bounds the sweep over every type; give it without --n, --k and --r\n"
 
+    @pytest.mark.parametrize("command", [["involution", "verify"], ["verify", "involution"]], ids=" ".join)
+    def test_invalid_involution_type_refused(self, capsys, command):
+        assert cli.main([*command, "--n", "3", "--k", "4", "--r", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need 0 <= r <= k <= n\n"
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         # force a failing report through the formatting path
         from lucaskit.involution import InvolutionReport

@@ -1,6 +1,11 @@
 """Strips, extended tilings and the symmetry involution."""
 
+import dataclasses
+from collections import Counter
+
+import oracles
 import pytest
+from oracles import per_type_verify_involution
 
 from lucaskit import involution
 from lucaskit.involution import (
@@ -20,6 +25,15 @@ from lucaskit.involution import (
 )
 from lucaskit.polyring import Poly2
 from lucaskit.shapes_tilings import Binomial, MalformedDocument, partial_from_fixed
+
+
+@pytest.fixture
+def fresh_pairs():
+    """Empty verify_involution's pair cache around a test, so no report made under a patched iota outlives it."""
+    involution._verify_pair.cache_clear()
+    yield
+    involution._verify_pair.cache_clear()
+
 
 # Strips of the running example: S1 = M D M (4 cells), S2 = D M (3 cells).
 S1 = (1, 2, 1)
@@ -232,6 +246,109 @@ class TestTalliedSums:
             assert ext.weight() == Poly2.monomial(*ext.tile_counts())
 
 
+ORACLE_TYPES = [(n, k, r) for n in range(7) for k in range(n + 1) for r in range(k + 1)] + [
+    (7, 5, 2),
+    (7, 3, 1),
+    (7, 4, 4),
+]
+
+
+class TestVerifyPair:
+    """verify_involution verifies a type and its mirror together, with the per-type checks."""
+
+    @pytest.mark.parametrize("ext_type", ORACLE_TYPES, ids=lambda t: "%d-%d-%d" % t)
+    def test_matches_per_type_oracle(self, ext_type):
+        assert verify_involution(*ext_type).to_json_dict() == per_type_verify_involution(*ext_type).to_json_dict()
+
+    def test_cached_report_is_not_shared_mutable_state(self):
+        report = verify_involution(4, 2, 1)
+        before = report.to_json_dict()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.failures = ["forced"]
+        with pytest.raises(AttributeError):
+            report.failures.append("forced")
+        report.to_json_dict()["failures"].append("forced")
+        assert verify_involution(4, 2, 1).to_json_dict() == before
+
+    @pytest.mark.parametrize("ext_type", [(3, 4, 0), (3, 2, 3), (-1, 0, 0), (2, 1, -1)])
+    def test_refused_type_leaves_no_cache_entry(self, fresh_pairs, ext_type):
+        with pytest.raises(ValueError, match=r"^need 0 <= r <= k <= n$"):
+            verify_involution(*ext_type)
+        assert involution._verify_pair.cache_info().currsize == 0
+
+    def test_iota_runs_once_per_member(self, fresh_pairs, monkeypatch):
+        pair = Counter([*enumerate_extended(5, 2, 1), *enumerate_extended(5, 4, 1)])
+        own_mirror = Counter(enumerate_extended(4, 2, 0))
+        traced, partitioned = [], []
+        iota_trace, enumerate_partials = involution.iota_trace, involution.enumerate_partials
+        monkeypatch.setattr(involution, "iota_trace", lambda ext: traced.append(ext) or iota_trace(ext))
+        monkeypatch.setattr(involution, "enumerate_partials", lambda v: partitioned.append(v) or enumerate_partials(v))
+        verify_involution(5, 2, 1)
+        verify_involution(5, 4, 1)
+        assert Counter(traced) == pair
+        assert partitioned == [Binomial(5, 2), Binomial(5, 4)]
+        traced.clear()
+        partitioned.clear()
+        verify_involution(4, 2, 0)
+        assert Counter(traced) == own_mirror
+        assert partitioned == [Binomial(4, 2)]
+
+
+@pytest.mark.usefixtures("fresh_pairs")
+class TestVerifyPairCatchesFaults:
+    """A broken iota still fails the pair path's checks, with the oracle's report."""
+
+    def check(self, ext_type, *expected):
+        report = verify_involution(*ext_type)
+        for message in expected:
+            assert any(f.startswith(message) for f in report.failures), (message, report.failures)
+        assert report.to_json_dict() == per_type_verify_involution(*ext_type).to_json_dict()
+
+    def test_iota_onto_one_member(self, monkeypatch):
+        # Every member of (4,2,1) goes to one member of (4,3,1), and back.
+        to = {2: next(enumerate_extended(4, 3, 1)), 3: next(enumerate_extended(4, 2, 1))}
+        monkeypatch.setattr(involution, "_iota", lambda n, k, rows, strips, trace: (to[k].partial.fixed, to[k].strips))
+        self.check((4, 2, 1), "iota^2 != id", "iota is not injective", "iota does not map onto")
+
+    def test_two_images_swapped(self, monkeypatch):
+        a, b = [(ext.partial.fixed, ext.strips) for ext in enumerate_extended(4, 2, 1)][:2]
+        swap = {a: b, b: a}
+        inner = involution._iota
+
+        def swapped(n, k, rows, strips, trace):
+            return inner(n, k, *swap.get((rows, strips), (rows, strips)), trace)
+
+        monkeypatch.setattr(involution, "_iota", swapped)
+        self.check((4, 2, 1), "iota^2 != id")
+        self.check((4, 3, 1), "iota^2 != id")
+
+    def test_iota_fails_on_the_images(self, monkeypatch):
+        inner = involution._iota
+
+        def refuse_mirror(n, k, rows, strips, trace):
+            if (n, k) == (4, 3):
+                raise BrokenDomino("refused")
+            return inner(n, k, rows, strips, trace)
+
+        monkeypatch.setattr(involution, "_iota", refuse_mirror)
+        self.check((4, 2, 1), "iota failed on an image")
+        self.check((4, 3, 1), "iota failed on {")
+
+    def test_image_outside_the_mirror_class(self, monkeypatch):
+        # The enumeration loses one member of (4,3,1); its preimage's image is then traced on its own.
+        enumerate_all = involution.enumerate_extended
+
+        def lossy(n, k, r):
+            members = list(enumerate_all(n, k, r))
+            return iter(members[:-1] if (n, k, r) == (4, 3, 1) else members)
+
+        monkeypatch.setattr(involution, "enumerate_extended", lossy)
+        monkeypatch.setattr(oracles, "enumerate_extended", lossy)
+        self.check((4, 2, 1), "iota does not map onto", "mirror class weight")
+        self.check((4, 3, 1), "iota does not map onto", "class weight")
+
+
+@pytest.mark.usefixtures("fresh_pairs")
 class TestImageValidation:
     """iota_trace validates its image with partial_from_fixed and reports every refusal as Malformed."""
 

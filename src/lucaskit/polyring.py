@@ -1,26 +1,26 @@
-"""Exact arithmetic for polynomials in the indeterminates s and t.
+"""Exact arithmetic for polynomials with integer coefficients.
 
 A monomial ``s^a t^b`` has weight ``a + 2b``, and a ``Poly2`` is stored by
 weight: each weight N present maps to the integer sequence ``c_0, c_1, ...``
 with ``c_k`` the coefficient of ``s^(N-2k) t^k``, trailing zeros trimmed.
 The univariate ``Poly1`` (used for coefficient generating functions,
 q-specializations and Chebyshev images) is one such trimmed sequence,
-``c_e`` the coefficient of ``y^e``, with exact rational entries.  Both
-classes add and multiply with the same kernels (``_add``, ``_convolve``,
-``_trimmed``).
+``c_e`` the coefficient of ``y^e``.  Both classes hold ints only, checked at
+their public constructors, and add and multiply with the same kernels
+(``_add``, ``_convolve``, ``_trimmed``).
 
 Every Lucas quantity is *weighted homogeneous*, a single weight (its tilings
 cover a fixed number of cells), so it is one sequence (see ``CoeffSeq``).
 Products convolve each pair of weights.  ``_convolve`` runs the schoolbook
-loop when the shorter sequence has fewer than ``PACK_MIN_TERMS`` = 16 terms
-or an entry is a ``Fraction``; otherwise it packs each int sequence into one
-integer, its value at 2^B, takes one bigint product (Karatsuba in CPython)
-and reads the coefficients back as balanced base-2^B digits.  B is a whole
-number of bytes of at least bits(max|f|) + bits(max|g|) +
-bits(min(len f, len g)) + 2, which bounds every coefficient of the product,
-so the digits are exact.  Measured on 4- to 300-bit entries, the packed
-product overtakes the loop at 12 to 20 terms for operands of equal length
-(latest for the widest entries) and at 8 to 14 against a 100-term partner.
+loop when the shorter sequence has fewer than ``PACK_MIN_TERMS`` = 16 terms;
+otherwise it packs each sequence into one integer, its value at 2^B, takes
+one bigint product (Karatsuba in CPython) and reads the coefficients back as
+balanced base-2^B digits.  B is a whole number of bytes of at least
+bits(max|f|) + bits(max|g|) + bits(min(len f, len g)) + 2, which bounds
+every coefficient of the product, so the digits are exact.  Measured on 4-
+to 300-bit entries, the packed product overtakes the loop at 12 to 20 terms
+for operands of equal length (latest for the widest entries) and at 8 to 14
+against a 100-term partner.
 Exact division is graded long division: the dividend's top weight is divided
 by the divisor's top weight as a univariate exact quotient, and the
 divisor's lower weights times that quotient are subtracted from the lower
@@ -30,20 +30,19 @@ a packed division measured slower.
 One remainder sequence, ``_remainder_chain``, serves the univariate gcd and
 Sturm's theorem alike: ``real_rooted`` builds the chain of (f, f') once,
 counts the distinct real roots off its signs and the distinct roots off its
-last entry, gcd(f, f').  The chain is a primitive pseudo-remainder sequence
-on plain ints: inputs are cleared of denominators once, each step scales the
-dividend by a power of |lc| of the divisor, and each negated remainder is
-divided by its content.  Every scale factor is positive, so every entry has
-the signs of the rational Euclidean chain's entry, and no ``Fraction`` is
-made when the inputs have integer coefficients, as coefficient sequences do.
+last entry, gcd(f, f').  The chain is a primitive pseudo-remainder sequence:
+each step scales the dividend by a power of |lc| of the divisor, and each
+negated remainder is divided by its content.  Every scale factor is
+positive, so every entry has the signs of the rational Euclidean chain's
+entry, without leaving the integers.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
-from operator import add
+from math import gcd
+from operator import add, index
 from typing import Iterable, Mapping, Sequence
 
 
@@ -62,6 +61,8 @@ class NotWeightedHomogeneous(ValueError):
 Monomial = tuple[int, int]  # (s exponent, t exponent)
 Part = tuple[int, ...]  # c_k = coefficient of s^(N-2k) t^k within weight N
 
+_DECIMAL = re.compile(r"-?[0-9]+")  # a coefficient in the JSON wire format
+
 
 class Poly2:
     """A polynomial in s and t with integer coefficients, in canonical form.
@@ -79,7 +80,7 @@ class Poly2:
         for (a, b), c in items:
             if a < 0 or b < 0:
                 raise ValueError(f"negative exponent in monomial {(a, b)}")
-            _scatter(parts.setdefault(a + 2 * b, []), b, c)
+            _scatter(parts.setdefault(a + 2 * b, []), b, index(c))
         self._parts = _canonical(parts)
         self._hash: int | None = None
 
@@ -95,13 +96,13 @@ class Poly2:
 
     @staticmethod
     def const(c: int) -> Poly2:
-        return _graded({0: (c,)})
+        return _graded({0: (index(c),)})
 
     @staticmethod
     def monomial(s_exp: int, t_exp: int, coeff: int = 1) -> Poly2:
         if s_exp < 0 or t_exp < 0:
             raise ValueError(f"negative exponent in monomial {(s_exp, t_exp)}")
-        return _graded({s_exp + 2 * t_exp: (0,) * t_exp + (coeff,)})
+        return _graded({s_exp + 2 * t_exp: (0,) * t_exp + (index(coeff),)})
 
     @staticmethod
     def var_s() -> Poly2:
@@ -128,9 +129,7 @@ class Poly2:
         return bool(self._parts)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = Poly2.const(other)
-        if not isinstance(other, Poly2):
+        if (other := _lift(other, Poly2)) is NotImplemented:
             return NotImplemented
         return self._parts == other._parts
 
@@ -148,8 +147,8 @@ class Poly2:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: Poly2 | int) -> Poly2:
-        if isinstance(other, int):
-            other = Poly2.const(other)
+        if (other := _lift(other, Poly2)) is NotImplemented:
+            return NotImplemented
         parts: dict[int, Sequence[int]] = dict(self._parts)
         for n, seq in other._parts.items():
             _add_part(parts, n, seq)
@@ -161,14 +160,14 @@ class Poly2:
         return _graded({n: tuple(-c for c in seq) for n, seq in self._parts.items()})
 
     def __sub__(self, other: Poly2 | int) -> Poly2:
-        return self + (-other)
+        return self.__add__(-other)
 
     def __rsub__(self, other: int) -> Poly2:
-        return Poly2.const(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other: Poly2 | int) -> Poly2:
-        if isinstance(other, int):
-            other = Poly2.const(other)
+        if (other := _lift(other, Poly2)) is NotImplemented:
+            return NotImplemented
         parts: dict[int, Sequence[int]] = {}
         for na, fa in self._parts.items():
             for nb, fb in other._parts.items():
@@ -236,21 +235,16 @@ class Poly2:
         """Map s and t to univariate polynomials and expand exactly.
 
         Each power of each image is built once, ascending, and each term
-        adds its coefficient times the product of its two powers.  Integral
-        images, as in ``specialize_q`` and the Chebyshev bridge, are taken
-        as int sequences, so ``_convolve`` may pack the products and the sum
-        becomes a ``Poly1`` of ``Fraction`` entries only at the end.
+        adds its coefficient times the product of its two powers, all on
+        coefficient sequences, so ``_convolve`` may pack the long products.
         """
         terms = self.terms()
-        s_seq, t_seq = s_image._coeffs, t_image._coeffs
-        if all(c.denominator == 1 for c in s_seq + t_seq):
-            s_seq, t_seq = [int(c) for c in s_seq], [int(c) for c in t_seq]
-        s_pows = _ascending_powers(s_seq, max((a for (a, _), _ in terms), default=0))
-        t_pows = _ascending_powers(t_seq, max((b for (_, b), _ in terms), default=0))
-        total: Sequence = ()
+        s_pows = _ascending_powers(s_image._coeffs, max((a for (a, _), _ in terms), default=0))
+        t_pows = _ascending_powers(t_image._coeffs, max((b for (_, b), _ in terms), default=0))
+        total: Sequence[int] = ()
         for (a, b), c in terms:
             total = _add(total, [c * x for x in _convolve(s_pows[a], t_pows[b])])
-        return Poly1(enumerate(total))
+        return _dense(total)
 
     def specialize_q(self) -> Poly1:
         """Substitute s -> 1 + q, t -> -q; sends {n} to the q-integer [n]_q."""
@@ -288,7 +282,15 @@ class Poly2:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> Poly2:
-        return Poly2({(int(t["s"]), int(t["t"])): int(t["c"]) for t in data["terms"]})
+        """Read ``to_json_dict``'s format: in every term ``s`` and ``t`` are JSON
+        integers and ``c`` a decimal-integer string, else ValueError."""
+        terms = {}
+        for term in data["terms"]:
+            exps, c = (term["s"], term["t"]), term["c"]
+            if any(type(e) is not int for e in exps) or not (isinstance(c, str) and _DECIMAL.fullmatch(c)):
+                raise ValueError(f"malformed polynomial term {term!r}")
+            terms[exps] = int(c)
+        return Poly2(terms)
 
 
 def _power(base, n: int, one):
@@ -338,6 +340,13 @@ def _graded(parts: Mapping[int, Sequence[int]]) -> Poly2:
     return p
 
 
+def _lift(other, cls):
+    """other as a ``cls`` (an int becomes a constant), else NotImplemented, which Python turns into TypeError."""
+    if isinstance(other, int):
+        return cls.const(other)
+    return other if isinstance(other, cls) else NotImplemented
+
+
 def _scatter(seq: list, k: int, c) -> None:
     """seq[k] += c, growing seq with zeros as needed."""
     seq.extend([0] * (k + 1 - len(seq)))
@@ -360,23 +369,22 @@ def _add_part(parts: dict[int, Sequence[int]], n: int, seq: Sequence[int]) -> No
 PACK_MIN_TERMS = 16
 
 
-def _convolve(f: Sequence, g: Sequence) -> list:
+def _convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """The coefficients of a product: c_k = sum of f_i g_j over i + j = k.
 
-    Short operands and ``Fraction`` entries take the schoolbook loop.  Long
-    int sequences are multiplied as packed integers, in the style of
-    Kronecker substitution: each becomes its value at 2^B, one bigint product
-    is taken, and the product's base-2^B digits are read back.  B is a whole
-    number of bytes with B >= bits(max|f|) + bits(max|g|) + bits(min(len f,
-    len g)) + 2.  Each entry then fits a signed B-bit field, and each c_k
-    sums at most min(len f, len g) products, so |c_k| < 2^(B-2).  Every
-    digit c_k + 2^(B-1) of the product plus the offset sum_k 2^(B-1) 2^(Bk)
-    therefore lies in [0, 2^B): the digits read back are exactly c_k, with
-    no carry between them and no check afterwards.
+    Short operands take the schoolbook loop.  Long ones are multiplied as
+    packed integers, in the style of Kronecker substitution: each becomes its
+    value at 2^B, one bigint product is taken, and the product's base-2^B
+    digits are read back.  B is a whole number of bytes with B >= bits(max|f|)
+    + bits(max|g|) + bits(min(len f, len g)) + 2.  Each entry then fits a
+    signed B-bit field, and each c_k sums at most min(len f, len g) products,
+    so |c_k| < 2^(B-2).  Every digit c_k + 2^(B-1) of the product plus the
+    offset sum_k 2^(B-1) 2^(Bk) therefore lies in [0, 2^B): the digits read
+    back are exactly c_k, with no carry between them and no check afterwards.
     """
     if len(f) > len(g):
         f, g = g, f
-    if len(f) < PACK_MIN_TERMS or {*map(type, f), *map(type, g)} != {int}:
+    if len(f) < PACK_MIN_TERMS:
         return _schoolbook(f, g)
     bits = max(map(abs, f)).bit_length() + max(map(abs, g)).bit_length() + len(f).bit_length() + 2
     width = (bits + 7) // 8  # B / 8
@@ -397,8 +405,8 @@ def _pack(seq: Sequence[int], width: int) -> int:
     return value - (int.from_bytes(b"".join(one if c < 0 else zero for c in seq), "little") << 8 * width)
 
 
-def _schoolbook(f: Sequence, g: Sequence) -> list:
-    """``_convolve`` term by term, for short operands and ``Fraction`` entries."""
+def _schoolbook(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """``_convolve`` term by term, for short operands."""
     out = [0] * (len(f) + len(g) - 1)
     for i, x in enumerate(f):
         if x:
@@ -479,34 +487,33 @@ def coeff_view(p: Poly2) -> CoeffSeq:
 
 
 class Poly1:
-    """A univariate polynomial with exact rational coefficients.
+    """A univariate polynomial with integer coefficients.
 
-    Stored as one trimmed tuple, ``c[e]`` the coefficient of ``y^e``, on the
-    same kernels as ``Poly2``'s parts.  Entries are ints or ``Fraction``s,
-    which compare and hash alike; ``coeff`` always returns a ``Fraction``.
+    Stored as one trimmed tuple of ints, ``c[e]`` the coefficient of
+    ``y^e``, on the same kernels as ``Poly2``'s parts.
     """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int | Fraction] | Iterable[tuple[int, int | Fraction]] = ()):
-        seq: list = []
+    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+        seq: list[int] = []
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         for e, c in items:
             if e < 0:
                 raise ValueError("negative exponent")
-            _scatter(seq, e, Fraction(c))
+            _scatter(seq, e, index(c))
         self._coeffs = _trimmed(seq)
 
     @staticmethod
-    def const(c: int | Fraction) -> Poly1:
+    def const(c: int) -> Poly1:
         return Poly1({0: c})
 
     @staticmethod
     def var() -> Poly1:
         return Poly1({1: 1})
 
-    def coeff(self, e: int) -> Fraction:
-        return Fraction(self._coeffs[e]) if 0 <= e < len(self._coeffs) else Fraction(0)
+    def coeff(self, e: int) -> int:
+        return self._coeffs[e] if 0 <= e < len(self._coeffs) else 0
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -516,18 +523,16 @@ class Poly1:
         return bool(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly1.const(other)
-        if not isinstance(other, Poly1):
+        if (other := _lift(other, Poly1)) is NotImplemented:
             return NotImplemented
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
-    def __add__(self, other: Poly1 | int | Fraction) -> Poly1:
-        if isinstance(other, (int, Fraction)):
-            other = Poly1.const(other)
+    def __add__(self, other: Poly1 | int) -> Poly1:
+        if (other := _lift(other, Poly1)) is NotImplemented:
+            return NotImplemented
         return _dense(_add(self._coeffs, other._coeffs))
 
     __radd__ = __add__
@@ -535,17 +540,15 @@ class Poly1:
     def __neg__(self) -> Poly1:
         return _dense([-c for c in self._coeffs])
 
-    def __sub__(self, other: Poly1 | int | Fraction) -> Poly1:
-        if isinstance(other, (int, Fraction)):
-            other = Poly1.const(other)
-        return self + (-other)
+    def __sub__(self, other: Poly1 | int) -> Poly1:
+        return self.__add__(-other)
 
-    def __rsub__(self, other: int | Fraction) -> Poly1:
-        return Poly1.const(other) - self
+    def __rsub__(self, other: int) -> Poly1:
+        return (-self).__add__(other)
 
-    def __mul__(self, other: Poly1 | int | Fraction) -> Poly1:
-        if isinstance(other, (int, Fraction)):
-            other = Poly1.const(other)
+    def __mul__(self, other: Poly1 | int) -> Poly1:
+        if (other := _lift(other, Poly1)) is NotImplemented:
+            return NotImplemented
         return _dense(_convolve(self._coeffs, other._coeffs))
 
     __rmul__ = __mul__
@@ -556,8 +559,9 @@ class Poly1:
     def derivative(self) -> Poly1:
         return _dense([e * c for e, c in enumerate(self._coeffs) if e])
 
-    def evaluate(self, x: int | Fraction) -> Fraction:
-        return sum((c * Fraction(x) ** e for e, c in enumerate(self._coeffs) if c), Fraction(0))
+    def evaluate(self, x: int) -> int:
+        """The value at x, exact for an int or a rational x."""
+        return sum(c * x**e for e, c in enumerate(self._coeffs) if c)
 
     def pretty(self, var: str = "y") -> str:
         if not self._coeffs:
@@ -602,20 +606,14 @@ def _remainder_chain(f: Poly1, g: Poly1) -> list[tuple[int, ...]]:
     and has its signs.  For g = f' the chain is f's Sturm chain; its last
     entry is gcd(f, g) up to a constant.
     """
-    chain = [_cleared(f._coeffs), _cleared(g._coeffs)]
+    chain = [_primitive(f._coeffs), _primitive(g._coeffs)]
     while chain[-1]:
         chain.append(_primitive([-c for c in _pseudo_remainder(chain[-2], chain[-1])]))
     chain.pop()  # the zero remainder, or g itself when g == 0
     return chain
 
 
-def _cleared(seq: Sequence) -> tuple[int, ...]:
-    """A rational sequence times the positive lcm of its denominators, made primitive."""
-    den = lcm(*(c.denominator for c in seq))
-    return _primitive([c.numerator * (den // c.denominator) for c in seq])
-
-
-def _primitive(ints: list[int]) -> tuple[int, ...]:
+def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     """ints divided by their positive content, trimmed."""
     content = gcd(*ints)
     return _trimmed([c // content for c in ints] if content > 1 else ints)

@@ -14,15 +14,17 @@ tiling one by one instead of folding rows.  ``materialised_verify`` checks a
 block partition block by block on ``block_partition``, the cross-check for
 the class-merged ``verify_block_partition``.  ``fraction_remainder_chain``
 is the Euclidean chain ``polyring`` ran before its integer pseudo-remainder
-chain: ``Fraction`` long division through ``poly1_divmod``, each negated
-remainder made primitive by ``poly1_primitive``; ``fraction_real_rooted``,
+chain: ``Fraction`` long division through ``fraction_divmod``, each negated
+remainder made primitive by ``fraction_primitive``; ``fraction_real_rooted``,
 ``fraction_count_real_roots`` and ``fraction_poly1_gcd`` decide on it as the
-library does on its own.  The ``poly1_*`` helpers read and build ``Poly1``
-through its public coefficients only.  ``monomial_product`` multiplies two
-coefficient sequences term by term into a map, the reference for the packed
-multiply in ``polyring._convolve``.  ``term_substitute`` expands a substitution
-term by term in ``Poly1`` arithmetic, as ``Poly2.substitute`` did for every
-image before it built integral images' powers once.  ``token_completion`` is
+library does on its own.  ``Poly1`` holds ints only, so the ``fraction_*``
+helpers run on plain lists of ``Fraction``: ``fraction_coeffs`` reads a
+``Poly1`` through its public coefficients, and ``integral_poly1`` builds
+one back from a result whose entries are all integers.  ``monomial_product``
+multiplies two coefficient sequences term by term into a map, the reference
+for the packed multiply in ``polyring._convolve``.  ``term_substitute``
+expands a substitution term by term in ``Poly1`` arithmetic, as
+``Poly2.substitute`` did before it built each image's powers once.  ``token_completion`` is
 the monomino completion ``partial_from_fixed`` used before it walked tile
 tuples: each row written out as "M"/"D"/"." tokens, then parsed back.
 ``per_type_verify_involution`` is ``verify_involution`` as it was before it
@@ -141,54 +143,70 @@ def factorial_quotient(num, den) -> Poly2:
     return numerator.exact_div(denominator)
 
 
-def poly1_divmod(f: Poly1, g: Poly1) -> tuple[Poly1, Poly1]:
-    """Dense long division over the rationals: f == quot * g + rem, deg rem < deg g."""
+def fraction_coeffs(f: Poly1) -> list[Fraction]:
+    """The coefficients of f, constant term first, each a ``Fraction``; [] for f == 0."""
+    return [Fraction(f.coeff(e)) for e in range(f.degree() + 1)]
+
+
+def integral_poly1(coeffs) -> Poly1:
+    """The ``Poly1`` with ``coeffs[e]`` the coefficient of y^e; raises ValueError if one is not an integer."""
+    coeffs = [Fraction(c) for c in coeffs]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ValueError("non-integer coefficients")
+    return Poly1(enumerate(c.numerator for c in coeffs))
+
+
+def fraction_divmod(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Dense long division over the rationals: f == quot * g + rem, rem trimmed, deg rem < deg g."""
     if not g:
         raise DivisionByZero("univariate division by zero")
-    *low, lc = (g.coeff(e) for e in range(g.degree() + 1))
-    rem = [f.coeff(e) for e in range(f.degree() + 1)]
+    *low, lc = g
+    rem = list(f)
     quot = [Fraction(0)] * max(len(rem) - len(low), 0)
     for e in reversed(range(len(quot))):
         c = quot[e] = rem.pop() / lc
         for j, y in enumerate(low):
             rem[e + j] -= c * y
-    return Poly1(enumerate(quot)), Poly1(enumerate(rem))
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
 
 
 def poly1_exact_div(f: Poly1, g: Poly1) -> Poly1:
-    """The quotient f / g; raises NotDivisible when the remainder is nonzero."""
-    quot, rem = poly1_divmod(f, g)
-    if rem:
-        raise NotDivisible(f"univariate remainder {rem.pretty()}")
-    return quot
+    """The quotient f / g; raises NotDivisible when it is not a polynomial with integer coefficients."""
+    quot, rem = fraction_divmod(fraction_coeffs(f), fraction_coeffs(g))
+    if rem or any(c.denominator != 1 for c in quot):
+        raise NotDivisible("nonzero univariate remainder or non-integer quotient")
+    return integral_poly1(quot)
+
+
+def fraction_primitive(coeffs: list[Fraction]) -> list[Fraction]:
+    """coeffs divided by their positive rational content: integral, and the sign pattern is preserved."""
+    if not coeffs:
+        return coeffs
+    den = math.lcm(*(c.denominator for c in coeffs))
+    scale = Fraction(den, math.gcd(*(c.numerator for c in coeffs)))
+    return [c * scale for c in coeffs]
 
 
 def poly1_primitive(f: Poly1) -> Poly1:
-    """f divided by its positive rational content; the sign pattern is preserved."""
-    if not f:
-        return f
-    coeffs = [f.coeff(e) for e in range(f.degree() + 1)]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    scale = Fraction(den, math.gcd(*(c.numerator for c in coeffs)))
-    return Poly1(enumerate(c * scale for c in coeffs))
+    """f divided by its positive content, through ``fraction_primitive``."""
+    return integral_poly1(fraction_primitive(fraction_coeffs(f)))
 
 
-def poly1_int_coeffs(f: Poly1) -> dict[int, int]:
-    """The nonzero coefficients of f as ints; raises ValueError if one is not an integer."""
-    coeffs = {e: f.coeff(e) for e in range(f.degree() + 1)}
-    if any(c.denominator != 1 for c in coeffs.values()):
-        raise ValueError("non-integer coefficients")
-    return {e: int(c) for e, c in coeffs.items() if c}
+def _fraction_chain(f: Poly1, g: Poly1) -> list[list[Fraction]]:
+    """``fraction_remainder_chain`` with each entry a list of ``Fraction``."""
+    chain = [fraction_coeffs(f), fraction_coeffs(g)]
+    while chain[-1]:
+        _, rem = fraction_divmod(chain[-2], chain[-1])
+        chain.append(fraction_primitive([-c for c in rem]))
+    chain.pop()  # the zero remainder, or g itself when g == 0
+    return chain
 
 
 def fraction_remainder_chain(f: Poly1, g: Poly1) -> list[Poly1]:
     """f, g, then each negated remainder made primitive, down to the last nonzero one."""
-    chain = [f, g]
-    while chain[-1]:
-        _, rem = poly1_divmod(chain[-2], chain[-1])
-        chain.append(poly1_primitive(-rem))
-    chain.pop()  # the zero remainder, or g itself when g == 0
-    return chain
+    return [integral_poly1(seq) for seq in _fraction_chain(f, g)]
 
 
 def _fraction_sturm_count(chain: list[Poly1]) -> int:
@@ -209,11 +227,11 @@ def fraction_count_real_roots(f: Poly1) -> int:
 
 def fraction_poly1_gcd(f: Poly1, g: Poly1) -> Poly1:
     """gcd(f, g), primitive with a positive leading coefficient; 1 if f == g == 0."""
-    last = fraction_remainder_chain(f, g)[-1]
+    last = _fraction_chain(f, g)[-1]
     if not last:
         return Poly1.const(1)
-    prim = poly1_primitive(last)
-    return -prim if prim.coeff(prim.degree()) < 0 else prim
+    prim = fraction_primitive(last)
+    return integral_poly1(prim if prim[-1] > 0 else [-c for c in prim])
 
 
 def fraction_real_rooted(f: Poly1) -> bool:

@@ -1,4 +1,4 @@
-"""The library imports only the standard library: no undeclared numeric package."""
+"""The library imports only the standard library: no undeclared numeric package, and no ``fractions``."""
 
 import json
 import subprocess
@@ -25,3 +25,4 @@ def test_no_undeclared_numeric_package_is_imported():
     assert "lucaskit.polyring" in result["imported"] and "lucaskit.cli" in result["imported"]
     roots = {name.partition(".")[0] for name in result["loaded"]}
     assert roots.isdisjoint({"sympy", "numpy", "mpmath"})
+    assert "fractions" not in result["loaded"]  # every coefficient is an int

@@ -5,22 +5,24 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import reduce
-from operator import mul
+from itertools import zip_longest
+from operator import add, mul, sub
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    fraction_coeffs,
     fraction_count_real_roots,
+    fraction_divmod,
     fraction_poly1_gcd,
     fraction_real_rooted,
     fraction_remainder_chain,
+    integral_poly1,
     lex_exact_div,
     monomial_product,
-    poly1_divmod,
     poly1_exact_div,
-    poly1_int_coeffs,
     poly1_primitive,
     term_substitute,
 )
@@ -52,9 +54,8 @@ nonzero_polys = polys.filter(bool)
 mixed_polys = polys.filter(lambda p: p and p.weighted_profile() is None)
 
 
-# Univariate polynomials with int or Fraction coefficients.
-rationals = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=4))
-poly1s = st.dictionaries(st.integers(0, 6), rationals, max_size=5).map(Poly1)
+# Univariate polynomials with integer coefficients.
+poly1s = st.dictionaries(st.integers(0, 6), st.integers(-9, 9), max_size=5).map(Poly1)
 nonzero_poly1s = poly1s.filter(bool)
 Y = Poly1.var()
 
@@ -94,6 +95,36 @@ class TestAddMul:
         assert not p
         assert p == 0
         assert hash(p) == hash(Poly2.zero())
+
+
+class TestIntegersOnly:
+    """Both classes hold ints: constructors refuse other coefficients, arithmetic other operands."""
+
+    @pytest.mark.parametrize("c", [0.5, 2.0, Fraction(1, 2), Fraction(2), "1", None])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda c: Poly2({(0, 1): c}),
+            Poly2.const,
+            lambda c: Poly2.monomial(1, 0, c),
+            lambda c: Poly1({1: c}),
+            Poly1.const,
+        ],
+        ids=["Poly2", "Poly2.const", "Poly2.monomial", "Poly1", "Poly1.const"],
+    )
+    def test_non_integer_coefficient_rejected(self, build, c):
+        with pytest.raises(TypeError):
+            build(c)
+
+    @pytest.mark.parametrize("p, other_class", [(S, Y), (Y, S)], ids=["Poly2", "Poly1"])
+    def test_non_integer_operand_rejected(self, p, other_class):
+        for other in (0.5, 2.0, Fraction(1, 2), "s", None, other_class):
+            for op in (add, sub, mul):
+                with pytest.raises(TypeError):
+                    op(p, other)
+                with pytest.raises(TypeError):
+                    op(other, p)
+            assert p != other
 
 
 class TestCanonicalForm:
@@ -258,11 +289,11 @@ class TestSubstitute:
             (Poly1({0: 1, 1: 1}), Poly1({1: -1})),  # specialize_q
             (Poly1({1: 2}), Poly1.const(-1)),  # the Chebyshev bridge
         ]
-        rational = (Poly1({0: Fraction(1, 2), 1: 3}), Poly1({0: Fraction(-2, 3)}))
+        general = (Poly1({0: -3, 1: 2}), Poly1({0: 5, 2: -1}))
         # (14, 7) and (16, 8) have terms whose s and t powers both reach 16 terms, so their products are packed.
         for n, k in [(n, k) for n in range(9) for k in range(n + 1)] + [(14, 7), (16, 8)]:
             p = lucasnomial(n, k)
-            for s_image, t_image in integral + ([rational] if n < 9 else []):
+            for s_image, t_image in integral + ([general] if n < 9 else []):
                 assert p.substitute(s_image, t_image) == term_substitute(p, s_image, t_image)
 
     def test_zero_images_and_zero_poly(self):
@@ -271,12 +302,10 @@ class TestSubstitute:
             assert p.substitute(s_image, t_image) == term_substitute(p, s_image, t_image)
         assert Poly2.zero().substitute(Poly1({1: 1}), Poly1({1: 1})) == Poly1()
 
-    def test_integral_image_keeps_rational_entries(self):
-        # The int path makes its result a Poly1 only at the end, with the
-        # Fraction entries every Poly1 built from coefficients holds.
+    def test_image_holds_ints(self):
         image = (S**3 + 2 * S * T).specialize_q()  # {4} -> [4]_q
         assert image == Poly1({0: 1, 1: 1, 2: 1, 3: 1})
-        assert {type(c) for c in image._coeffs} == {Fraction}
+        assert {type(c) for c in image._coeffs} == {int}
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -285,11 +314,10 @@ class TestSubstitute:
         ),
         s_coeffs=st.lists(st.integers(-9, 9), max_size=5),
         t_coeffs=st.lists(st.integers(-9, 9), max_size=5),
-        den=st.sampled_from([1, 1, 3]),
     )
-    def test_matches_term_expansion(self, terms, s_coeffs, t_coeffs, den):
+    def test_matches_term_expansion(self, terms, s_coeffs, t_coeffs):
         p = Poly2(terms)
-        s_image = Poly1({e: Fraction(c, den) for e, c in enumerate(s_coeffs)})
+        s_image = Poly1(enumerate(s_coeffs))
         t_image = Poly1(enumerate(t_coeffs))
         assert p.substitute(s_image, t_image) == term_substitute(p, s_image, t_image)
 
@@ -344,6 +372,28 @@ class TestJson:
         data = p.to_json_dict()
         assert all(isinstance(term["c"], str) for term in data["terms"])
         assert Poly2.from_json_dict(data) == p
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            {"s": 1.9, "t": True, "c": 1.7},
+            {"s": 1.0, "t": 0, "c": "1"},
+            {"s": True, "t": 0, "c": "1"},
+            {"s": "1", "t": 0, "c": "1"},
+            {"s": 1, "t": None, "c": "1"},
+            {"s": 1, "t": 0, "c": 1},
+            {"s": 1, "t": 0, "c": "1.7"},
+            {"s": 1, "t": 0, "c": " 7"},
+            {"s": 1, "t": 0, "c": "1_000"},
+            {"s": 1, "t": 0, "c": "+7"},
+            {"s": 1, "t": 0, "c": "7e2"},
+            {"s": 1, "t": 0, "c": ""},
+            {"s": 1, "t": 0, "c": "\u0667"},  # ARABIC-INDIC DIGIT SEVEN, which int() reads as 7
+        ],
+    )
+    def test_non_integer_terms_rejected(self, term):
+        with pytest.raises(ValueError):
+            Poly2.from_json_dict({"terms": [term]})
 
     def test_term_order(self):
         p = T**2 + S**2 + S * T
@@ -405,7 +455,6 @@ class TestRingAxioms:
 huge = st.tuples(st.integers(-(2**16), 2**16).filter(bool), st.integers(0, 2**32)).map(
     lambda hl: hl[0] * 2**10_000 + hl[1]
 )
-small_rationals = st.tuples(st.integers(-9, 9), st.sampled_from([1, 1, 2, 3])).map(lambda nd: Fraction(*nd))
 # Lengths from 0 to well past the crossover, drawn uniformly so both sides of it occur.
 pack_lengths = st.integers(0, 2 * polyring.PACK_MIN_TERMS + 8)
 
@@ -435,8 +484,8 @@ class TestConvolve:
         assert len(product) == max(len(f) + len(g) - 1, 0)
         assert as_map(product) == monomial_product(f, g)
 
-    @given(seqs(small_rationals), seqs(small_rationals))
-    def test_poly1_fraction_products(self, f, g):
+    @given(seqs(st.integers(-9, 9)), seqs(st.integers(-9, 9)))
+    def test_poly1_products(self, f, g):
         assert Poly1(enumerate(f)) * Poly1(enumerate(g)) == Poly1(monomial_product(f, g))
 
     def test_long_operands_are_packed(self, monkeypatch):
@@ -447,23 +496,22 @@ class TestConvolve:
         assert as_map(polyring._convolve(f, g)) == monomial_product(f, g)
         assert as_map(polyring._convolve(g, f)) == monomial_product(f, g)
 
-    def test_short_and_fraction_operands_take_the_loop(self, monkeypatch):
+    def test_short_operands_take_the_loop(self, monkeypatch):
         calls = []
         schoolbook = polyring._schoolbook
         monkeypatch.setattr(polyring, "_schoolbook", lambda f, g: calls.append(1) or schoolbook(f, g))
         n = polyring.PACK_MIN_TERMS
         polyring._convolve([1] * (n - 1), [2] * 100)
         polyring._convolve([1] * 100, [2] * (n - 1))
-        polyring._convolve([1] * (n - 1) + [Fraction(1, 2)], [2] * 100)
-        assert len(calls) == 3
+        assert len(calls) == 2
         polyring._convolve([1] * n, [2] * 100)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
 
 class TestPower:
     """``p ** n`` squares only while bits of n remain: bit_length(n) - 1 + popcount(n) - 1 products."""
 
-    @pytest.mark.parametrize("base", [S + 2 * T, Poly1({0: Fraction(1, 2), 1: -1})], ids=["Poly2", "Poly1"])
+    @pytest.mark.parametrize("base", [S + 2 * T, Poly1({0: 3, 1: -2})], ids=["Poly2", "Poly1"])
     def test_multiply_count_and_value(self, base, monkeypatch):
         cls, one = type(base), base ** 0
         mul_ = cls.__mul__
@@ -488,9 +536,10 @@ class TestPoly1:
         den = Poly1({0: -1, 1: 1})  # y - 1
         assert poly1_exact_div(num, den) == Poly1({0: 1, 1: 1, 2: 1})
 
-    def test_fraction_coefficients(self):
-        half = Poly1({1: Fraction(1, 2)})
-        assert poly1_int_coeffs(half * Poly1.const(2)) == {1: 1}
+    def test_integral_fraction_coefficients(self):
+        assert integral_poly1([Fraction(1, 2) * 2, 0, Fraction(-6, 3)]) == Poly1({0: 1, 2: -2})
+        with pytest.raises(ValueError):
+            integral_poly1([1, Fraction(1, 2)])
 
     def test_derivative(self):
         assert Poly1({3: 2, 1: 5}).derivative() == Poly1({2: 6, 0: 5})
@@ -513,41 +562,41 @@ class TestPoly1Properties:
         assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
 
     @given(poly1s, nonzero_poly1s)
-    def test_divmod(self, a, b):
-        q, r = poly1_divmod(a, b)
-        assert a == q * b + r
-        assert r.degree() < b.degree()
+    def test_fraction_divmod(self, a, b):
+        f, g = fraction_coeffs(a), fraction_coeffs(b)
+        q, r = fraction_divmod(f, g)
+        assert as_map([x - y for x, y in zip_longest(f, r, fillvalue=0)]) == monomial_product(q, g)
+        assert len(r) < len(g) and (not r or r[-1])
 
-    @given(st.dictionaries(st.integers(0, 6), rationals, max_size=5), st.lists(st.integers(0, 9), max_size=4))
+    @given(st.dictionaries(st.integers(0, 6), st.integers(-9, 9), max_size=5), st.lists(st.integers(0, 9), max_size=4))
     def test_canonical_form_and_hash(self, coeffs, zeros):
         plain = Poly1(coeffs)
-        as_fractions = Poly1({e: Fraction(c) for e, c in coeffs.items()})
         padded = Poly1([*coeffs.items(), *((e, 0) for e in zeros)])
         split = Poly1([pair for e, c in coeffs.items() for pair in ((e, 2 * c), (e, -c))])
-        for other in (as_fractions, padded, split, plain + Y**7 - Y**7):
+        for other in (padded, split, plain + Y**7 - Y**7):
             assert other == plain
             assert hash(other) == hash(plain)
             assert other.degree() == plain.degree()
 
     def test_zero_forms(self):
-        for zero in (Poly1({0: 0}), Poly1({3: 0}), Poly1.const(0), Y - Y, Poly1({2: Fraction(0)})):
+        for zero in (Poly1({0: 0}), Poly1({3: 0}), Poly1.const(0), Y - Y):
             assert zero == Poly1() and zero == 0 and not zero
             assert hash(zero) == hash(Poly1())
             assert zero.degree() == -1
 
     def test_coefficient_sequence_route(self):
         f = CoeffSeq(4, (1, 3, 2)).generating_function()
-        assert f == Poly1({0: 1, 1: 3, 2: 2}) == Poly1({0: Fraction(1), 1: Fraction(3), 2: Fraction(2)})
-        assert hash(f) == hash(Poly1({0: Fraction(1), 1: Fraction(3), 2: Fraction(2)}))
-        assert type(f.coeff(1)) is Fraction
+        assert f == Poly1({0: 1, 1: 3, 2: 2})
+        assert hash(f) == hash(Poly1({0: 1, 1: 3, 2: 2}))
+        assert type(f.coeff(1)) is int
 
     @given(poly1s, st.integers(1, 4))
     def test_coeff_out_of_range(self, p, gap):
         for e in (-gap, p.degree() + gap):
             assert p.coeff(e) == 0
-            assert type(p.coeff(e)) is Fraction
+            assert type(p.coeff(e)) is int
         for e in range(p.degree() + 1):
-            assert type(p.coeff(e)) is Fraction
+            assert type(p.coeff(e)) is int
         assert p == Poly1({e: p.coeff(e) for e in range(p.degree() + 1)})
 
     def test_negative_exponent_rejected(self):
@@ -558,20 +607,33 @@ class TestPoly1Properties:
 # Distinct rational real roots and distinct y^2 + b factors (b > 0), each with a multiplicity.
 real_roots = st.dictionaries(st.fractions(-4, 4, max_denominator=3), st.integers(1, 3), max_size=3)
 quadratics = st.dictionaries(st.fractions(0, 4, max_denominator=3).filter(bool), st.integers(1, 3), max_size=2)
+nonzero_scalars = st.integers(-20, 20).filter(bool)
 
 
 def product(factors) -> Poly1:
     return reduce(mul, factors, Poly1.const(1))
 
 
+def linear(a: Fraction) -> Poly1:
+    """q*y - p for a = p/q: the primitive integer multiple of y - a."""
+    return a.denominator * Y - a.numerator
+
+
+def quadratic(b: Fraction) -> Poly1:
+    """q*y^2 + p for b = p/q: the primitive integer multiple of y^2 + b."""
+    return b.denominator * Y**2 + b.numerator
+
+
 class TestSturmOracle:
-    """f = c * prod (y - a)^m * prod (y^2 + b)^n, built by multiplication only."""
+    """f = c * prod (y - a)^m * prod (y^2 + b)^n, up to positive factors, built by multiplication only."""
 
     @staticmethod
     def factors(roots, quads, extra=0):
-        return [(Y - a) ** (m - extra) for a, m in roots.items()] + [(Y**2 + b) ** (n - extra) for b, n in quads.items()]
+        return [linear(a) ** (m - extra) for a, m in roots.items()] + [
+            quadratic(b) ** (n - extra) for b, n in quads.items()
+        ]
 
-    @given(real_roots, quadratics, st.fractions(-5, 5, max_denominator=4).filter(bool))
+    @given(real_roots, quadratics, nonzero_scalars)
     def test_known_roots(self, roots, quads, c):
         f = c * product(self.factors(roots, quads))
         assert count_real_roots(f) == len(roots)
@@ -581,7 +643,7 @@ class TestSturmOracle:
         assert expected_gcd.coeff(expected_gcd.degree()) > 0
 
     def test_repeated_roots_of_both_kinds(self):
-        f = -3 * (Y - 1) ** 3 * (Y + Fraction(1, 2)) ** 2 * (Y**2 + 2) ** 2
+        f = -3 * (Y - 1) ** 3 * (2 * Y + 1) ** 2 * (Y**2 + 2) ** 2
         assert count_real_roots(f) == 2
         assert not real_rooted(f)
         assert poly1_gcd(f, f.derivative()) == (Y - 1) ** 2 * (2 * Y + 1) * (Y**2 + 2)
@@ -589,19 +651,18 @@ class TestSturmOracle:
 
 # Factors that reach every branch of the chain: rational roots, y^2 + b with
 # b > 0 (complex pair), b == 0 (double root) or b < 0 (irrational reals), and
-# arbitrary rational polynomials, each with a multiplicity.
+# arbitrary integer polynomials, each with a multiplicity.
 chain_factors = st.tuples(
     st.one_of(
-        st.fractions(-4, 4, max_denominator=3).map(lambda a: Y - a),
-        st.fractions(-4, 4, max_denominator=3).map(lambda b: Y**2 + b),
+        st.fractions(-4, 4, max_denominator=3).map(linear),
+        st.fractions(-4, 4, max_denominator=3).map(quadratic),
         nonzero_poly1s,
     ),
     st.integers(1, 3),
 ).map(lambda fm: fm[0] ** fm[1])
-nonzero_chain_polys = st.tuples(
-    st.lists(chain_factors, max_size=4),
-    st.fractions(-5, 5, max_denominator=4).filter(bool),
-).map(lambda fc: fc[1] * product(fc[0]))
+nonzero_chain_polys = st.tuples(st.lists(chain_factors, max_size=4), nonzero_scalars).map(
+    lambda fc: fc[1] * product(fc[0])
+)
 maybe_zero_chain_polys = st.one_of(st.just(Poly1()), nonzero_chain_polys)
 
 
@@ -630,13 +691,13 @@ class TestRemainderChainOracle:
         chain = polyring._remainder_chain(f, g)
         oracle = fraction_remainder_chain(f, g)
         assert len(chain) == len(oracle)
-        for ints, rational in zip(chain, oracle):
+        for ints, entry in zip(chain, oracle):
             assert all(type(c) is int for c in ints)
-            ratio = Fraction(ints[-1]) / rational.coeff(rational.degree())
-            assert ratio > 0 and Poly1(enumerate(ints)) == ratio * rational
+            lead = entry.coeff(entry.degree())
+            assert ints[-1] * lead > 0 and lead * Poly1(enumerate(ints)) == ints[-1] * entry
 
     def test_constant_and_linear(self):
-        for f in (Poly1.const(-3), Poly1.const(Fraction(1, 2)), Poly1({0: 1, 1: -2}), Poly1({1: Fraction(-2, 3)})):
+        for f in (Poly1.const(-3), Poly1.const(2), Poly1({0: 1, 1: -2}), Poly1({1: -2}), 3 * Y + 2):
             assert real_rooted(f) and fraction_real_rooted(f)
             assert count_real_roots(f) == fraction_count_real_roots(f) == f.degree()
 

@@ -43,6 +43,7 @@ from .shapes_tilings import (
 )
 
 Strip = Tiles  # a fully tiled strip is just its tile lengths, left to right
+Key = tuple[FixedRows, tuple[Strip, ...]]  # an extended tiling as bare (B's fixed rows, strips)
 
 
 class BrokenDomino(ValueError):
@@ -185,16 +186,23 @@ def iota_trace(extended: ExtendedTiling) -> tuple[ExtendedTiling, tuple[str, ...
     rows and strips; only the image is validated, once, as it is rebuilt.
     ``partial_from_fixed`` does that by walking the image's completed rows
     directly, as tile tuples; any refusal, like a strip cut through a
-    domino, is reported as ``Malformed``.
+    domino, is reported as ``Malformed``.  ``verify_involution`` does not
+    call this: it validates an image by finding it in the mirror class
+    (``_trace_key``), and walks only an image that is not there.
     """
     n, k, r = extended.type_triple()
     trace: list[str] = []
     try:
-        rows, strips = _iota(n, k, extended.partial.fixed, extended.strips, trace)
-        result = ExtendedTiling(partial_from_fixed(Binomial(n, n - k + r), rows), strips)
+        result = _extended(n, n - k + r, _iota(n, k, extended.partial.fixed, extended.strips, trace))
     except ValueError as exc:
         raise Malformed(f"after cases {''.join(trace)}: {exc}") from exc
     return result, tuple(trace)
+
+
+def _extended(n: int, k: int, key: Key) -> ExtendedTiling:
+    """The key as an extended tiling of type (n, k, len(strips)), validated by ``partial_from_fixed``."""
+    fixed, strips = key
+    return ExtendedTiling(partial_from_fixed(Binomial(n, k), fixed), strips)
 
 
 def _iota(
@@ -308,84 +316,111 @@ def verify_involution(n: int, k: int, r: int) -> InvolutionReport:
     return low if k <= mirror else high
 
 
-# A class's members in enumeration order, and each member's (#monominoes,
-# #dominoes) with its iota_trace result or the Malformed that iota raised.
-_TracedClass = tuple[
-    list[ExtendedTiling], dict[ExtendedTiling, tuple[Monomial, tuple[ExtendedTiling, tuple[str, ...]] | Malformed]]
-]
+# A class as {member key: (#monominoes, #dominoes)}, and each member's image
+# key with its case letters, or the Malformed that iota raised.
+_Class = dict[Key, Monomial]
+_Traced = tuple[_Class, dict[Key, tuple[Key, str] | Malformed]]
 
 
 @functools.lru_cache(maxsize=None)
 def _verify_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionReport, InvolutionReport]:
     """The reports of the mirror types (n, k_lo, r) and (n, k_hi, r).
 
-    Each class is enumerated once and iota runs once on each member, so
-    iota^2 = id is read off the mirror class's traces.  Only the reports
-    are cached, never the tilings or the traces: the cache grows with the
-    number of types verified, not with their class sizes.  When k_lo =
-    k_hi the two classes are one, and so are the reports.
+    Each class is enumerated once as bare keys, and iota runs once on each
+    member's bare rows, with no ``ExtendedTiling`` built.  An image is valid
+    exactly when it is a member of the mirror class, since a partial tiling
+    is determined by its fixed rows; so a lookup in the mirror class
+    validates it (``_trace_key``), and iota^2 = id is read off the mirror
+    class's images.  Only the reports are cached, never the keys or the
+    images: the cache grows with the number of types verified, not with
+    their class sizes.  When k_lo = k_hi the two classes are one, and so
+    are the reports.
     """
-    low = _trace_class(n, k_lo, r)
+    low = dict(_class_keys(n, k_lo, r))
+    high = low if k_hi == k_lo else dict(_class_keys(n, k_hi, r))
+    low_traced = (low, {key: _trace_key(n, k_lo, key, high) for key in low})
     if k_hi == k_lo:
-        report = _class_report(n, k_lo, r, low, low)
+        report = _class_report(n, k_lo, r, low_traced, low_traced)
         return report, report
-    high = _trace_class(n, k_hi, r)
-    return _class_report(n, k_lo, r, low, high), _class_report(n, k_hi, r, high, low)
+    high_traced = (high, {key: _trace_key(n, k_hi, key, low) for key in high})
+    return _class_report(n, k_lo, r, low_traced, high_traced), _class_report(n, k_hi, r, high_traced, low_traced)
 
 
-def _trace_or_error(extended: ExtendedTiling) -> tuple[ExtendedTiling, tuple[str, ...]] | Malformed:
+def _class_keys(n: int, k: int, r: int) -> Iterator[tuple[Key, Monomial]]:
+    """Each member of type (n, k, r) as a key with its (#monominoes, #dominoes).
+
+    The members come in ``enumerate_extended``'s order.
+    """
+    strip_rows = [row_tilings(k - i) for i in range(1, r + 1)]
+    strip_choices = [(strips, tile_counts(strips)) for strips in itertools.product(*strip_rows)]
+    for partial in enumerate_partials(Binomial(n, k)):
+        monos, doms = tile_counts(partial.fixed_tiles())
+        for strips, (strip_monos, strip_doms) in strip_choices:
+            yield (partial.fixed, strips), (monos + strip_monos, doms + strip_doms)
+
+
+def _trace_key(n: int, k: int, key: Key, mirror: _Class) -> tuple[Key, str] | Malformed:
+    """iota of a key with its case letters, or the Malformed that ``iota_trace`` would raise.
+
+    An image in the ``mirror`` class is valid by membership.  Any other is
+    validated as ``iota_trace`` validates it, so a malformed image fails
+    with the same message.
+    """
+    fixed, strips = key
+    trace: list[str] = []
     try:
-        return iota_trace(extended)
-    except Malformed as exc:
-        return exc
+        image = _iota(n, k, fixed, strips, trace)
+        if image not in mirror:
+            _extended(n, n - k + len(strips), image)
+    except ValueError as exc:
+        return Malformed(f"after cases {''.join(trace)}: {exc}")
+    return image, "".join(trace)
 
 
-def _trace_class(n: int, k: int, r: int) -> _TracedClass:
-    """Enumerate type (n, k, r) and run iota once on each member."""
-    members = list(enumerate_extended(n, k, r))
-    return members, {ext: (ext.tile_counts(), _trace_or_error(ext)) for ext in members}
-
-
-def _class_report(n: int, k: int, r: int, source: _TracedClass, target: _TracedClass) -> InvolutionReport:
-    """Check class (n, k, r) against its mirror class from both classes' traces.
+def _class_report(n: int, k: int, r: int, source: _Traced, target: _Traced) -> InvolutionReport:
+    """Check class (n, k, r) against its mirror class from both classes' images.
 
     Each tiling's weight is the monomial of its (#monominoes, #dominoes), so
     the class sums are tallied as counts per pair and built once, and an
-    image preserves weight when its pair is its source's.  An image outside
-    the mirror class has no trace there and is counted and traced here.
+    image preserves weight when its pair is its source's.  Each image was
+    validated when it was traced (``_trace_key``).  An image outside the
+    mirror class has no entry there, so it is built as an ``ExtendedTiling``
+    to read its type and counts, and traced here; ``ExtendedTiling`` is
+    otherwise built only to write a failure line.
     """
-    members, traced = source
-    target_members, target_traced = target
-    mirror = (n, n - k + r, r)
+    counts, images = source
+    target_counts, target_images = target
+    k_mirror = n - k + r
+    mirror = (n, k_mirror, r)
     lhs, rhs = symmetry_sides(n, k, r)
     failures: list[str] = []
-    images = []
-    for ext in members:
-        counts, result = traced[ext]
+    hits = []
+    for key, result in images.items():
         if isinstance(result, Malformed):
-            failures.append(f"iota failed on {ext.to_json_dict()}: {result}")
+            failures.append(f"iota failed on {_extended(n, k, key).to_json_dict()}: {result}")
             continue
         image, trace = result
-        if image.type_triple() != mirror:
-            failures.append(f"type {image.type_triple()} != {mirror} after {''.join(trace)}")
-            continue
-        if image in target_traced:
-            image_counts, back = target_traced[image]
+        if image in target_counts:
+            image_counts, back = target_counts[image], target_images[image]
         else:
-            image_counts, back = image.tile_counts(), _trace_or_error(image)
-        if image_counts != counts:
-            failures.append(f"weight changed on {ext.to_json_dict()}")
+            outsider = _extended(n, k_mirror, image)
+            if outsider.type_triple() != mirror:
+                failures.append(f"type {outsider.type_triple()} != {mirror} after {trace}")
+                continue
+            image_counts, back = outsider.tile_counts(), _trace_key(n, k_mirror, image, counts)
+        if image_counts != counts[key]:
+            failures.append(f"weight changed on {_extended(n, k, key).to_json_dict()}")
         if isinstance(back, Malformed):
             failures.append(f"iota failed on an image: {back}")
             continue
-        if back[0] != ext:
-            failures.append(f"iota^2 != id on {ext.to_json_dict()}")
-        images.append(image)
-    class_sum = Poly2(Counter(traced[ext][0] for ext in members))
-    target_sum = Poly2(Counter(target_traced[ext][0] for ext in target_members))
-    if len(set(images)) != len(members):
+        if back[0] != key:
+            failures.append(f"iota^2 != id on {_extended(n, k, key).to_json_dict()}")
+        hits.append(image)
+    class_sum = Poly2(Counter(counts.values()))
+    target_sum = Poly2(Counter(target_counts.values()))
+    if len(set(hits)) != len(counts):
         failures.append("iota is not injective on the class")
-    if set(images) != target_traced.keys():
+    if set(hits) != target_counts.keys():
         failures.append("iota does not map onto the mirror class")
     if class_sum != lhs:
         failures.append(f"class weight {class_sum} != symmetry LHS {lhs}")
@@ -395,8 +430,8 @@ def _class_report(n: int, k: int, r: int, source: _TracedClass, target: _TracedC
         n=n,
         k=k,
         r=r,
-        class_size=len(members),
-        target_size=len(target_members),
+        class_size=len(counts),
+        target_size=len(target_counts),
         class_sum=class_sum,
         target_sum=target_sum,
         lhs=lhs,

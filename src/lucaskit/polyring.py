@@ -61,7 +61,7 @@ class NotWeightedHomogeneous(ValueError):
 Monomial = tuple[int, int]  # (s exponent, t exponent)
 Part = tuple[int, ...]  # c_k = coefficient of s^(N-2k) t^k within weight N
 
-_DECIMAL = re.compile(r"-?[0-9]+")  # a coefficient in the JSON wire format
+_DECIMAL = re.compile(r"-?[1-9][0-9]*")  # a coefficient in the JSON wire format, never zero
 
 
 class Poly2:
@@ -78,8 +78,7 @@ class Poly2:
         parts: dict[int, list[int]] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (a, b), c in items:
-            if a < 0 or b < 0:
-                raise ValueError(f"negative exponent in monomial {(a, b)}")
+            a, b = _exponents(a, b)
             _scatter(parts.setdefault(a + 2 * b, []), b, index(c))
         self._parts = _canonical(parts)
         self._hash: int | None = None
@@ -100,8 +99,7 @@ class Poly2:
 
     @staticmethod
     def monomial(s_exp: int, t_exp: int, coeff: int = 1) -> Poly2:
-        if s_exp < 0 or t_exp < 0:
-            raise ValueError(f"negative exponent in monomial {(s_exp, t_exp)}")
+        s_exp, t_exp = _exponents(s_exp, t_exp)
         return _graded({s_exp + 2 * t_exp: (0,) * t_exp + (index(coeff),)})
 
     @staticmethod
@@ -282,13 +280,18 @@ class Poly2:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> Poly2:
-        """Read ``to_json_dict``'s format: in every term ``s`` and ``t`` are JSON
-        integers and ``c`` a decimal-integer string, else ValueError."""
+        """Read ``to_json_dict``'s format, else ValueError.
+
+        In every term ``s`` and ``t`` are JSON integers and ``c`` a nonzero
+        decimal-integer string, and no two terms share their ``(s, t)``.
+        """
         terms = {}
         for term in data["terms"]:
             exps, c = (term["s"], term["t"]), term["c"]
             if any(type(e) is not int for e in exps) or not (isinstance(c, str) and _DECIMAL.fullmatch(c)):
                 raise ValueError(f"malformed polynomial term {term!r}")
+            if exps in terms:
+                raise ValueError(f"repeated polynomial term {term!r}")
             terms[exps] = int(c)
         return Poly2(terms)
 
@@ -338,6 +341,14 @@ def _graded(parts: Mapping[int, Sequence[int]]) -> Poly2:
     p._parts = _canonical(parts)
     p._hash = None
     return p
+
+
+def _exponents(a, b) -> Monomial:
+    """(a, b) as the exponents of a monomial: ints (``operator.index``), never negative."""
+    a, b = index(a), index(b)
+    if a < 0 or b < 0:
+        raise ValueError(f"negative exponent in monomial {(a, b)}")
+    return a, b
 
 
 def _lift(other, cls):

@@ -12,6 +12,7 @@ and review the diff.
 
 import contextlib
 import io
+import json
 import re
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from lucaskit import cli
+from lucaskit.polyring import Poly2
 
 GOLDEN = Path(__file__).parent / "golden"
 # A "{name}" argument stands for this input document under tests/golden/.
@@ -109,6 +111,29 @@ def run(argv: list[str]) -> str:
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_cli_matches_golden(argv):
     assert run(argv) == golden_path(argv).read_bytes().decode()
+
+
+def polynomial_documents(value):
+    """Every polynomial ({"terms": ...}) inside a JSON value."""
+    if isinstance(value, dict):
+        if "terms" in value:
+            yield value
+        else:
+            for item in value.values():
+                yield from polynomial_documents(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from polynomial_documents(item)
+
+
+def test_golden_polynomials_parse_strictly():
+    # The strict reader takes back every polynomial the JSON commands wrote.
+    found = 0
+    for path in sorted(GOLDEN.glob("*-format-json.txt")):
+        for doc in polynomial_documents(json.loads(path.read_text().split("\n", 1)[1])):
+            assert Poly2.from_json_dict(doc).to_json_dict() == doc, path.name
+            found += 1
+    assert found >= 19
 
 
 if __name__ == "__main__":

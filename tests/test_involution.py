@@ -246,6 +246,11 @@ class TestTalliedSums:
             assert ext.weight() == Poly2.monomial(*ext.tile_counts())
 
 
+def key_of(ext: ExtendedTiling):
+    """The bare (fixed rows, strips) key the pair verifier runs iota on."""
+    return ext.partial.fixed, ext.strips
+
+
 ORACLE_TYPES = [(n, k, r) for n in range(7) for k in range(n + 1) for r in range(k + 1)] + [
     (7, 5, 2),
     (7, 3, 1),
@@ -277,21 +282,30 @@ class TestVerifyPair:
         assert involution._verify_pair.cache_info().currsize == 0
 
     def test_iota_runs_once_per_member(self, fresh_pairs, monkeypatch):
-        pair = Counter([*enumerate_extended(5, 2, 1), *enumerate_extended(5, 4, 1)])
-        own_mirror = Counter(enumerate_extended(4, 2, 0))
-        traced, partitioned = [], []
-        iota_trace, enumerate_partials = involution.iota_trace, involution.enumerate_partials
-        monkeypatch.setattr(involution, "iota_trace", lambda ext: traced.append(ext) or iota_trace(ext))
+        pair = Counter(key_of(ext) for ext in [*enumerate_extended(5, 2, 1), *enumerate_extended(5, 4, 1)])
+        own_mirror = Counter(key_of(ext) for ext in enumerate_extended(4, 2, 0))
+        top, partitioned, rebuilt = [], [], []
+        inner, enumerate_partials = involution._iota, involution.enumerate_partials
+
+        def counting(n, k, rows, strips, trace):
+            # Every level appends its case letter before it recurses, so only a top-level call sees no trace.
+            if not trace:
+                top.append((rows, strips))
+            return inner(n, k, rows, strips, trace)
+
+        monkeypatch.setattr(involution, "_iota", counting)
         monkeypatch.setattr(involution, "enumerate_partials", lambda v: partitioned.append(v) or enumerate_partials(v))
-        verify_involution(5, 2, 1)
-        verify_involution(5, 4, 1)
-        assert Counter(traced) == pair
+        monkeypatch.setattr(involution, "partial_from_fixed", lambda *args: rebuilt.append(args))
+        assert verify_involution(5, 2, 1).ok
+        assert verify_involution(5, 4, 1).ok
+        assert Counter(top) == pair
         assert partitioned == [Binomial(5, 2), Binomial(5, 4)]
-        traced.clear()
+        top.clear()
         partitioned.clear()
-        verify_involution(4, 2, 0)
-        assert Counter(traced) == own_mirror
+        assert verify_involution(4, 2, 0).ok
+        assert Counter(top) == own_mirror
         assert partitioned == [Binomial(4, 2)]
+        assert rebuilt == []
 
 
 @pytest.mark.usefixtures("fresh_pairs")
@@ -336,38 +350,51 @@ class TestVerifyPairCatchesFaults:
 
     def test_image_outside_the_mirror_class(self, monkeypatch):
         # The enumeration loses one member of (4,3,1); its preimage's image is then traced on its own.
-        enumerate_all = involution.enumerate_extended
+        def lossy(enumerate_all):
+            def enumerate_some(n, k, r):
+                members = list(enumerate_all(n, k, r))
+                return iter(members[:-1] if (n, k, r) == (4, 3, 1) else members)
 
-        def lossy(n, k, r):
-            members = list(enumerate_all(n, k, r))
-            return iter(members[:-1] if (n, k, r) == (4, 3, 1) else members)
+            return enumerate_some
 
-        monkeypatch.setattr(involution, "enumerate_extended", lossy)
-        monkeypatch.setattr(oracles, "enumerate_extended", lossy)
+        monkeypatch.setattr(involution, "_class_keys", lossy(involution._class_keys))
+        monkeypatch.setattr(oracles, "enumerate_extended", lossy(oracles.enumerate_extended))
         self.check((4, 2, 1), "iota does not map onto", "mirror class weight")
         self.check((4, 3, 1), "iota does not map onto", "class weight")
 
 
+# Bottom rows of delta_4 that partial_from_fixed refuses, each with the refusal's message.
+MALFORMED_ROWS = pytest.mark.parametrize(
+    "row, message",
+    [
+        (((1, (1, 1)), (2, (1,))), "overlapping fixed runs"),
+        (((0, (1,)),), "overlapping fixed runs"),
+        (((3, (2,)),), "sticks out of its row"),
+        (((1, (3,)),), "monominoes or dominoes"),
+        (((1, (0,)),), "monominoes or dominoes"),
+    ],
+    ids=["overlap", "column-0", "sticks-out", "tile-3", "tile-0"],
+)
+
+
 @pytest.mark.usefixtures("fresh_pairs")
 class TestImageValidation:
-    """iota_trace validates its image with partial_from_fixed and reports every refusal as Malformed."""
+    """Every refused image is Malformed: in iota_trace, and in the pair verifier, where it is not in the mirror class."""
 
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            (((1, (1, 1)), (2, (1,))), "overlapping fixed runs"),
-            (((0, (1,)),), "overlapping fixed runs"),
-            (((3, (2,)),), "sticks out of its row"),
-            (((1, (3,)),), "monominoes or dominoes"),
-            (((1, (0,)),), "monominoes or dominoes"),
-        ],
-        ids=["overlap", "column-0", "sticks-out", "tile-3", "tile-0"],
-    )
+    @MALFORMED_ROWS
     def test_refused_image_is_malformed(self, monkeypatch, row, message):
         ext = next(enumerate_extended(4, 2, 0))
         monkeypatch.setattr(involution, "_iota", lambda n, k, rows, strips, trace: ((row, (), ()), strips))
         with pytest.raises(Malformed, match=message):
             iota_trace(ext)
+
+    @MALFORMED_ROWS
+    @pytest.mark.parametrize("ext_type", [(4, 2, 0), (4, 2, 1), (4, 3, 1)], ids=lambda t: "%d-%d-%d" % t)
+    def test_pair_verifier_reports_refused_image(self, monkeypatch, row, message, ext_type):
+        monkeypatch.setattr(involution, "_iota", lambda n, k, rows, strips, trace: ((row, (), ()), strips))
+        report = verify_involution(*ext_type)
+        assert report.failures[0].startswith("iota failed on {") and report.failures[0].endswith(message)
+        assert report.to_json_dict() == per_type_verify_involution(*ext_type).to_json_dict()
 
 
 class TestJson:

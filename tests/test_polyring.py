@@ -116,6 +116,21 @@ class TestIntegersOnly:
         with pytest.raises(TypeError):
             build(c)
 
+    @pytest.mark.parametrize("e", [1.5, 2.0, Fraction(1, 2), Fraction(2), "1", None])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda e: Poly2({(e, 0): 1}),
+            lambda e: Poly2({(0, e): 1}),
+            lambda e: Poly2.monomial(e, 0),
+            lambda e: Poly2.monomial(0, e),
+        ],
+        ids=["Poly2-s", "Poly2-t", "Poly2.monomial-s", "Poly2.monomial-t"],
+    )
+    def test_non_integer_exponent_rejected(self, build, e):
+        with pytest.raises(TypeError):
+            build(e)
+
     @pytest.mark.parametrize("p, other_class", [(S, Y), (Y, S)], ids=["Poly2", "Poly1"])
     def test_non_integer_operand_rejected(self, p, other_class):
         for other in (0.5, 2.0, Fraction(1, 2), "s", None, other_class):
@@ -394,6 +409,18 @@ class TestJson:
     def test_non_integer_terms_rejected(self, term):
         with pytest.raises(ValueError):
             Poly2.from_json_dict({"terms": [term]})
+
+    @pytest.mark.parametrize("c", ["0", "-0", "00", "007", "-07"])
+    def test_non_canonical_coefficient_rejected(self, c):
+        # to_json_dict writes no zero term and no leading zero.
+        with pytest.raises(ValueError):
+            Poly2.from_json_dict({"terms": [{"s": 1, "t": 0, "c": c}]})
+
+    @pytest.mark.parametrize("second", ["3", "-2"])
+    def test_repeated_term_rejected(self, second):
+        terms = [{"s": 1, "t": 0, "c": "2"}, {"s": 0, "t": 1, "c": "1"}, {"s": 1, "t": 0, "c": second}]
+        with pytest.raises(ValueError, match="repeated"):
+            Poly2.from_json_dict({"terms": terms})
 
     def test_term_order(self):
         p = T**2 + S**2 + S * T

@@ -5,11 +5,13 @@ Each is a quotient of products of Lucas polynomials.  The Coxeter quotients
 and genCatD go through the atom engine ``lucas.lucas_quotient``; the Fuss
 and rational Catalan quotients divide a cached Lucasnomial by one {m}, and
 Narayana divides two cached Lucasnomials by complementary factors of {n}, so
-they share ``lucasnomial``'s cache.  For the Coxeter versions the
-degrees of the finite irreducible groups are hard-coded from the
-classification table; Cat W is the quotient of {h + d_i} by {d_i} over the
-degrees with h the Coxeter number (largest degree), and the Fuss version
-uses kh + d_i.
+they share ``lucasnomial``'s cache.  Lucasnomials and Narayana polynomials
+are symmetric, {n brace k} = {n brace n-k} and N_{n,k} = N_{n,n+1-k}, so
+each is computed under its low key only and the mirror side is a cache hit.
+For the Coxeter versions the degrees of the finite irreducible groups are
+hard-coded from the classification table; Cat W is the quotient of
+{h + d_i} by {d_i} over the degrees with h the Coxeter number (largest
+degree), and the Fuss version uses kh + d_i.
 
 Some nonnegativity statements are theorems (types A, B, D, I2 and all the
 plain Coxeter-Catalan numbers) and are asserted; others are open (rational
@@ -229,11 +231,17 @@ def narayana(n: int, k: int) -> Poly2:
     {n brace k-1}.  The factors come from ``lucasnomial``, so its cache
     fills as before.
 
+    N_{n,k} = N_{n,n+1-k}: both are {n brace k}{n brace k-1}/{n}.  So a k
+    with 2k > n + 1 is looked up under its mirror key (n, n+1-k), and the
+    mirror side of a sweep is a cache hit.
+
     Nonnegativity is conjectural; NotDivisible would be a counterexample to
     polynomiality and is deliberately allowed to propagate.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
+    if 2 * k > n + 1:
+        return narayana(n, n + 1 - k)
     g = gcd(n, k)
     left = lucasnomial(n, k).exact_div(lucas(n).exact_div(lucas(g)))
     return left * lucasnomial(n, k - 1).exact_div(lucas(g))

@@ -125,11 +125,17 @@ def lucasnomial_indices(n: int, k: int, d: int = 1) -> tuple[list[int], list[int
 
 @lru_cache(maxsize=None)
 def lucasnomial(n: int, k: int) -> Poly2:
-    """{n brace k} = {n}!/({k}!{n-k}!); zero outside 0 <= k <= n."""
+    """{n brace k} = {n}!/({k}!{n-k}!); zero outside 0 <= k <= n.
+
+    {n brace k} = {n brace n-k}, so a k above n/2 is looked up under its
+    mirror key (n, n-k): both keys hold one value, computed once.
+    """
     if n < 0:
         raise ValueError("negative Lucasnomial index")
     if k < 0 or k > n:
         return Poly2.zero()
+    if 2 * k > n:
+        return lucasnomial(n, n - k)
     return lucas_quotient(*lucasnomial_indices(n, k))
 
 
@@ -145,11 +151,17 @@ def d_lucastorial(n: int, d: int) -> Poly2:
 
 @lru_cache(maxsize=None)
 def d_lucasnomial(n: int, k: int, d: int) -> Poly2:
-    """{n:d brace k:d} = {n:d}!/({k:d}!{n-k:d}!); zero outside 0 <= k <= n."""
+    """{n:d brace k:d} = {n:d}!/({k:d}!{n-k:d}!); zero outside 0 <= k <= n.
+
+    Symmetric in k and n - k like ``lucasnomial``: a k above n/2 is looked
+    up under its mirror key (n, n-k, d).
+    """
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
     if k < 0 or k > n:
         return Poly2.zero()
+    if 2 * k > n:
+        return d_lucasnomial(n, n - k, d)
     return lucas_quotient(*lucasnomial_indices(n, k, d))
 
 

@@ -455,8 +455,8 @@ def _hom_exact_div(np_: int, f: Part, nq: int, g: Part) -> Part:
             h[k] = q
         elif acc:
             raise NotDivisible("nonzero remainder")
-    weight = np_ - nq
-    if any(h[k] and weight - 2 * k < 0 for k in range(len(h))):
+    # h * g == f makes h[deg_h] = f[-1] / g[-1] nonzero: deg_h is h's top t-exponent.
+    if 2 * deg_h > np_ - nq:
         raise NotDivisible("quotient would need a negative s exponent")
     return tuple(h)
 

@@ -1,6 +1,10 @@
 """Command-line behaviour: outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -389,3 +393,16 @@ class TestDeterminism:
         _, second = run(capsys, "tilings", "partition", "--variant", "binomial",
                         "--n", "5", "--k", "2", "--format", "json")
         assert first == second
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self):
+        # A checkout runs the CLI as ``python -m lucaskit`` without installing it.
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "lucaskit", "narayana", "--n", "6", "--k", "3", "--format", "pretty"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        golden = (root / "tests" / "golden" / "narayana-n-6-k-3-format-pretty.txt").read_text()
+        assert (done.returncode, f"exit 0\n{done.stdout}") == (0, golden), done.stderr

@@ -38,6 +38,16 @@ S = Poly2.var_s()
 T = Poly2.var_t()
 
 
+def lucasnomial_oracle(n, k):
+    return factorial_quotient(range(1, n + 1), [*range(1, k + 1), *range(1, n - k + 1)])
+
+
+def narayana_oracle(n, k):
+    """{n}!^2 / ({k}!{n-k}!{k-1}!{n-k+1}!{n}), multiplied out and divided once."""
+    num = [*range(1, n + 1)] * 2
+    return factorial_quotient(num, [*range(1, k + 1), *range(1, n - k + 1), *range(1, k), *range(1, n - k + 2), n])
+
+
 class TestLucasCatalan:
     def test_low_values(self):
         assert lucas_catalan(0) == Poly2.one()
@@ -285,16 +295,28 @@ class TestNarayana:
                 expected = (lucasnomial(n, k) * lucasnomial(n, k - 1)).exact_div(lucas(n))
                 assert narayana(n, k) == expected, (n, k)
 
+    def test_matches_factorial_quotient(self):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                assert narayana(n, k) == narayana_oracle(n, k), (n, k)
+
     @pytest.mark.parametrize("n, k", [(1, 1), (9, 1), (9, 6), (12, 8), (12, 12)])
-    def test_fills_lucasnomial_cache(self, n, k):
+    def test_fills_lucasnomial_cache(self, monkeypatch, n, k):
+        # After N_{n,k}, its two Lucasnomials and its mirror N_{n,n+1-k} are
+        # lookups: no quotient is computed or divided again.
+        from lucaskit import lucas as lucas_module
+
+        expected = [lucasnomial_oracle(n, k), lucasnomial_oracle(n, k - 1), narayana_oracle(n, n + 1 - k)]
         narayana.cache_clear()
         lucasnomial.cache_clear()
         narayana(n, k)
-        before = lucasnomial.cache_info()
-        lucasnomial(n, k)
-        lucasnomial(n, k - 1)
-        after = lucasnomial.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+
+        def no_quotient_work(*args):
+            raise AssertionError("quotient recomputed")
+
+        monkeypatch.setattr(lucas_module, "lucas_quotient", no_quotient_work)
+        monkeypatch.setattr(Poly2, "exact_div", no_quotient_work)
+        assert [lucasnomial(n, k), lucasnomial(n, k - 1), narayana(n, n + 1 - k)] == expected
 
 
 class TestFindings:

@@ -106,10 +106,22 @@ class TestSymmetry:
         assert verify_symmetry_identity(7, 5, 2)
 
     def test_plain_symmetry(self):
-        # r = 0 is {n brace k} = {n brace n-k}
+        # r = 0 is {n brace k} = {n brace n-k}.  Both keys share one cached
+        # value, so each side is checked against its own index lists instead.
         for n in range(13):
             for k in range(n + 1):
-                assert lucasnomial(n, k) == lucasnomial(n, n - k)
+                for j in (k, n - k):
+                    expected = factorial_quotient(range(1, n + 1), [*range(1, j + 1), *range(1, n - j + 1)])
+                    assert lucasnomial(n, j) == expected, (n, k, j)
+
+    def test_d_symmetry(self):
+        for d in (2, 3):
+            for n in range(11):
+                for k in range(n + 1):
+                    for j in (k, n - k):
+                        den = [*range(d, j * d + 1, d), *range(d, (n - j) * d + 1, d)]
+                        expected = factorial_quotient(range(d, n * d + 1, d), den)
+                        assert d_lucasnomial(n, j, d) == expected, (n, k, j, d)
 
     def test_full_telescoping(self):
         # r = k: the prefix product is a whole Lucastorial

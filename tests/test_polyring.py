@@ -227,6 +227,12 @@ class TestExactDiv:
     def test_zero_dividend(self):
         assert Poly2.zero().exact_div(S + T) == Poly2.zero()
 
+    @pytest.mark.parametrize("p", [T, T**2 + S**4], ids=str)
+    def test_negative_s_exponent(self, p):
+        # t / s^2 and t^2 / s^2 would need s^-2: the quotient's top t-exponent is too high
+        with pytest.raises(NotDivisible, match="^quotient would need a negative s exponent$"):
+            p.exact_div(S**2)
+
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
             S.exact_div(Poly2.zero())

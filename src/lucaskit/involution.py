@@ -188,12 +188,14 @@ def iota_trace(extended: ExtendedTiling) -> tuple[ExtendedTiling, tuple[str, ...
     directly, as tile tuples; any refusal, like a strip cut through a
     domino, is reported as ``Malformed``.  ``verify_involution`` does not
     call this: it validates an image by finding it in the mirror class
-    (``_trace_key``), and walks only an image that is not there.
+    (``_trace_key``), and walks only an image that is not there.  The
+    recursion gets a fresh memo, which one tiling never hits: n falls at
+    every level.
     """
     n, k, r = extended.type_triple()
     trace: list[str] = []
     try:
-        result = _extended(n, n - k + r, _iota(n, k, extended.partial.fixed, extended.strips, trace))
+        result = _extended(n, n - k + r, _iota(n, k, extended.partial.fixed, extended.strips, trace, {}))
     except ValueError as exc:
         raise Malformed(f"after cases {''.join(trace)}: {exc}") from exc
     return result, tuple(trace)
@@ -205,10 +207,16 @@ def _extended(n: int, k: int, key: Key) -> ExtendedTiling:
     return ExtendedTiling(partial_from_fixed(Binomial(n, k), fixed), strips)
 
 
-def _iota(
-    n: int, k: int, rows: FixedRows, strips: tuple[Strip, ...], trace: list[str]
-) -> tuple[FixedRows, tuple[Strip, ...]]:
-    """iota on type (n, k, len(strips)) given B's fixed rows; returns the image's."""
+# A memo of recursive iota calls: (n, k, rows, strips) -> (image key, case letters).
+_Memo = dict[tuple[int, int, FixedRows, tuple[Strip, ...]], tuple[Key, tuple[str, ...]]]
+
+
+def _iota(n: int, k: int, rows: FixedRows, strips: tuple[Strip, ...], trace: list[str], memo: _Memo) -> Key:
+    """iota on type (n, k, len(strips)) given B's fixed rows; returns the image's.
+
+    Each level appends its case letter to ``trace`` and recurses through
+    ``_inner``, so a subcall already in ``memo`` is not run again.
+    """
     if n == 0:
         return rows, strips
     r = len(strips)
@@ -220,11 +228,11 @@ def _iota(
         if _classify_bottom(n - 1, bottom, k - r - 1) == "NI":
             trace.append("a")
             s_new = strip_first(R, k - r - 1)
-            res_rows, res_strips = _iota(n - 1, k, inner_rows, strips + (s_new,), trace)
+            res_rows, res_strips = _inner(n - 1, k, inner_rows, strips + (s_new,), trace, memo)
             row = strip_concat(res_strips[r], strip_reverse(strip_last(R, r + 1)))
             return _prepend_row(res_rows, "left", row, n), res_strips[:r]
         trace.append("b")
-        res_rows, res_strips = _iota(n - 1, k, inner_rows, strips, trace)
+        res_rows, res_strips = _inner(n - 1, k, inner_rows, strips, trace, memo)
         row = strip_reverse(strip_first(R, k - r))
         out_rows = _prepend_row(res_rows, "right", row, n)
         if r == 0:
@@ -240,14 +248,32 @@ def _iota(
         trace.append("c")
         # With r = 0 there is no S_1 to cut, and the inner call carries no strips.
         inner_strips = strips[1:] + (strip_first(s1, k - r - 1),) if r >= 1 else ()
-        res_rows, res_strips = _iota(n - 1, k - 1, inner_rows, inner_strips, trace)
+        res_rows, res_strips = _inner(n - 1, k - 1, inner_rows, inner_strips, trace, memo)
         row = strip_first(rs, n - k + r)
         return _prepend_row(res_rows, "left", row, n), res_strips
     trace.append("d")
-    res_rows, res_strips = _iota(n - 1, k - 1, inner_rows, strips[1:], trace)
+    res_rows, res_strips = _inner(n - 1, k - 1, inner_rows, strips[1:], trace, memo)
     row = strip_last(rs, k - r)
     first = strip_first(rs, n - k + r - 1)
     return _prepend_row(res_rows, "right", row, n), (first,) + res_strips
+
+
+def _inner(n: int, k: int, rows: FixedRows, strips: tuple[Strip, ...], trace: list[str], memo: _Memo) -> Key:
+    """A recursive iota call, run once per memo: a repeat extends ``trace`` with the stored letters.
+
+    A call that raises is not stored, so a later caller runs it again and
+    fails after its own case letters.
+    """
+    call = (n, k, rows, strips)
+    hit = memo.get(call)
+    if hit is not None:
+        image, letters = hit
+        trace.extend(letters)
+        return image
+    depth = len(trace)
+    image = _iota(n, k, rows, strips, trace, memo)
+    memo[call] = image, tuple(trace[depth:])
+    return image
 
 
 # -- enumeration and verification -----------------------------------------------
@@ -331,18 +357,22 @@ def _verify_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionReport
     exactly when it is a member of the mirror class, since a partial tiling
     is determined by its fixed rows; so a lookup in the mirror class
     validates it (``_trace_key``), and iota^2 = id is read off the mirror
-    class's images.  Only the reports are cached, never the keys or the
-    images: the cache grows with the number of types verified, not with
-    their class sizes.  When k_lo = k_hi the two classes are one, and so
-    are the reports.
+    class's images.  Members that differ only in what the recursion has
+    peeled off make the same recursive call, so both classes share one
+    memo of iota's subcalls, and each subcall runs once per pair.  The
+    memo, the keys and the images are dropped when the pair returns; only
+    the reports are cached, so the cache grows with the number of types
+    verified, not with their class sizes.  When k_lo = k_hi the two
+    classes are one, and so are the reports.
     """
+    memo: _Memo = {}
     low = dict(_class_keys(n, k_lo, r))
     high = low if k_hi == k_lo else dict(_class_keys(n, k_hi, r))
-    low_traced = (low, {key: _trace_key(n, k_lo, key, high) for key in low})
+    low_traced = (low, {key: _trace_key(n, k_lo, key, high, memo) for key in low})
     if k_hi == k_lo:
         report = _class_report(n, k_lo, r, low_traced, low_traced)
         return report, report
-    high_traced = (high, {key: _trace_key(n, k_hi, key, low) for key in high})
+    high_traced = (high, {key: _trace_key(n, k_hi, key, low, memo) for key in high})
     return _class_report(n, k_lo, r, low_traced, high_traced), _class_report(n, k_hi, r, high_traced, low_traced)
 
 
@@ -359,17 +389,19 @@ def _class_keys(n: int, k: int, r: int) -> Iterator[tuple[Key, Monomial]]:
             yield (partial.fixed, strips), (monos + strip_monos, doms + strip_doms)
 
 
-def _trace_key(n: int, k: int, key: Key, mirror: _Class) -> tuple[Key, str] | Malformed:
+def _trace_key(n: int, k: int, key: Key, mirror: _Class, memo: _Memo) -> tuple[Key, str] | Malformed:
     """iota of a key with its case letters, or the Malformed that ``iota_trace`` would raise.
 
-    An image in the ``mirror`` class is valid by membership.  Any other is
-    validated as ``iota_trace`` validates it, so a malformed image fails
-    with the same message.
+    The top-level call is never stored in ``memo``: each key is traced once.
+    Its subcalls are read from ``memo`` and stored there.  An image in the
+    ``mirror`` class is valid by membership.  Any other is validated as
+    ``iota_trace`` validates it, so a malformed image fails with the same
+    message.
     """
     fixed, strips = key
     trace: list[str] = []
     try:
-        image = _iota(n, k, fixed, strips, trace)
+        image = _iota(n, k, fixed, strips, trace, memo)
         if image not in mirror:
             _extended(n, n - k + len(strips), image)
     except ValueError as exc:
@@ -385,8 +417,8 @@ def _class_report(n: int, k: int, r: int, source: _Traced, target: _Traced) -> I
     image preserves weight when its pair is its source's.  Each image was
     validated when it was traced (``_trace_key``).  An image outside the
     mirror class has no entry there, so it is built as an ``ExtendedTiling``
-    to read its type and counts, and traced here; ``ExtendedTiling`` is
-    otherwise built only to write a failure line.
+    to read its type and counts, and traced here with a memo of its own;
+    ``ExtendedTiling`` is otherwise built only to write a failure line.
     """
     counts, images = source
     target_counts, target_images = target
@@ -400,14 +432,15 @@ def _class_report(n: int, k: int, r: int, source: _Traced, target: _Traced) -> I
             failures.append(f"iota failed on {_extended(n, k, key).to_json_dict()}: {result}")
             continue
         image, trace = result
-        if image in target_counts:
-            image_counts, back = target_counts[image], target_images[image]
+        image_counts = target_counts.get(image)
+        if image_counts is not None:
+            back = target_images[image]
         else:
             outsider = _extended(n, k_mirror, image)
             if outsider.type_triple() != mirror:
                 failures.append(f"type {outsider.type_triple()} != {mirror} after {trace}")
                 continue
-            image_counts, back = outsider.tile_counts(), _trace_key(n, k_mirror, image, counts)
+            image_counts, back = outsider.tile_counts(), _trace_key(n, k_mirror, image, counts, {})
         if image_counts != counts[key]:
             failures.append(f"weight changed on {_extended(n, k, key).to_json_dict()}")
         if isinstance(back, Malformed):
@@ -418,9 +451,10 @@ def _class_report(n: int, k: int, r: int, source: _Traced, target: _Traced) -> I
         hits.append(image)
     class_sum = Poly2(Counter(counts.values()))
     target_sum = Poly2(Counter(target_counts.values()))
-    if len(set(hits)) != len(counts):
+    distinct = set(hits)
+    if len(distinct) != len(counts):
         failures.append("iota is not injective on the class")
-    if set(hits) != target_counts.keys():
+    if distinct != target_counts.keys():
         failures.append("iota does not map onto the mirror class")
     if class_sum != lhs:
         failures.append(f"class weight {class_sum} != symmetry LHS {lhs}")

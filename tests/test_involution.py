@@ -256,6 +256,8 @@ ORACLE_TYPES = [(n, k, r) for n in range(7) for k in range(n + 1) for r in range
     (7, 3, 1),
     (7, 4, 4),
 ]
+# Each mirror pair of ORACLE_TYPES once, as its type with the smaller k.
+ORACLE_PAIRS = sorted({(n, min(k, n - k + r), r) for n, k, r in ORACLE_TYPES})
 
 
 class TestVerifyPair:
@@ -287,11 +289,11 @@ class TestVerifyPair:
         top, partitioned, rebuilt = [], [], []
         inner, enumerate_partials = involution._iota, involution.enumerate_partials
 
-        def counting(n, k, rows, strips, trace):
+        def counting(n, k, rows, strips, trace, memo):
             # Every level appends its case letter before it recurses, so only a top-level call sees no trace.
             if not trace:
                 top.append((rows, strips))
-            return inner(n, k, rows, strips, trace)
+            return inner(n, k, rows, strips, trace, memo)
 
         monkeypatch.setattr(involution, "_iota", counting)
         monkeypatch.setattr(involution, "enumerate_partials", lambda v: partitioned.append(v) or enumerate_partials(v))
@@ -307,6 +309,43 @@ class TestVerifyPair:
         assert partitioned == [Binomial(4, 2)]
         assert rebuilt == []
 
+    @pytest.mark.parametrize("pair", ORACLE_PAIRS, ids=lambda t: "%d-%d-%d" % t)
+    def test_shared_memo_matches_iota_trace(self, pair):
+        # Both classes are traced through one memo, as the pair verifier does; each
+        # result must be iota_trace's, which recurses with a memo of its own.
+        n, k, r = pair
+        memo = {}
+        for own, mirror in ((k, n - k + r), (n - k + r, k)):
+            mirror_class = dict(involution._class_keys(n, mirror, r))
+            for ext in enumerate_extended(n, own, r):
+                image, letters = iota_trace(ext)
+                assert involution._trace_key(n, own, key_of(ext), mirror_class, memo) == (
+                    key_of(image),
+                    "".join(letters),
+                )
+
+    def test_each_subcall_runs_once_per_pair(self, fresh_pairs, monkeypatch):
+        subcalls = Counter()
+        inner = involution._iota
+
+        def counting(n, k, rows, strips, trace, memo):
+            # Only a top-level call sees an empty trace.
+            if trace:
+                subcalls[n, k, rows, strips] += 1
+            return inner(n, k, rows, strips, trace, memo)
+
+        monkeypatch.setattr(involution, "_iota", counting)
+        assert verify_involution(6, 4, 3).ok
+        assert verify_involution(6, 5, 3).ok
+        assert subcalls and set(subcalls.values()) == {1}
+        total = sum(subcalls.values())
+        # A memo that outlived the pair would leave the second verification less to run.
+        involution._verify_pair.cache_clear()
+        subcalls.clear()
+        assert verify_involution(6, 5, 3).ok
+        assert set(subcalls.values()) == {1}
+        assert sum(subcalls.values()) == total
+
 
 @pytest.mark.usefixtures("fresh_pairs")
 class TestVerifyPairCatchesFaults:
@@ -321,7 +360,9 @@ class TestVerifyPairCatchesFaults:
     def test_iota_onto_one_member(self, monkeypatch):
         # Every member of (4,2,1) goes to one member of (4,3,1), and back.
         to = {2: next(enumerate_extended(4, 3, 1)), 3: next(enumerate_extended(4, 2, 1))}
-        monkeypatch.setattr(involution, "_iota", lambda n, k, rows, strips, trace: (to[k].partial.fixed, to[k].strips))
+        monkeypatch.setattr(
+            involution, "_iota", lambda n, k, rows, strips, trace, memo: (to[k].partial.fixed, to[k].strips)
+        )
         self.check((4, 2, 1), "iota^2 != id", "iota is not injective", "iota does not map onto")
 
     def test_two_images_swapped(self, monkeypatch):
@@ -329,8 +370,8 @@ class TestVerifyPairCatchesFaults:
         swap = {a: b, b: a}
         inner = involution._iota
 
-        def swapped(n, k, rows, strips, trace):
-            return inner(n, k, *swap.get((rows, strips), (rows, strips)), trace)
+        def swapped(n, k, rows, strips, trace, memo):
+            return inner(n, k, *swap.get((rows, strips), (rows, strips)), trace, memo)
 
         monkeypatch.setattr(involution, "_iota", swapped)
         self.check((4, 2, 1), "iota^2 != id")
@@ -339,14 +380,27 @@ class TestVerifyPairCatchesFaults:
     def test_iota_fails_on_the_images(self, monkeypatch):
         inner = involution._iota
 
-        def refuse_mirror(n, k, rows, strips, trace):
+        def refuse_mirror(n, k, rows, strips, trace, memo):
             if (n, k) == (4, 3):
                 raise BrokenDomino("refused")
-            return inner(n, k, rows, strips, trace)
+            return inner(n, k, rows, strips, trace, memo)
 
         monkeypatch.setattr(involution, "_iota", refuse_mirror)
         self.check((4, 2, 1), "iota failed on an image")
         self.check((4, 3, 1), "iota failed on {")
+
+    @pytest.mark.parametrize("ext_type", [(4, 2, 1), (4, 3, 1), (5, 2, 1)], ids=lambda t: "%d-%d-%d" % t)
+    def test_iota_fails_deep_in_the_recursion(self, monkeypatch, ext_type):
+        # A failed subcall is not memoised: every member that reaches it fails, after its own case letters.
+        inner = involution._iota
+
+        def refuse_inner(n, k, rows, strips, trace, memo):
+            if trace and (n, k) == (2, 1):
+                raise BrokenDomino("refused")
+            return inner(n, k, rows, strips, trace, memo)
+
+        monkeypatch.setattr(involution, "_iota", refuse_inner)
+        self.check(ext_type, "iota failed on")
 
     def test_image_outside_the_mirror_class(self, monkeypatch):
         # The enumeration loses one member of (4,3,1); its preimage's image is then traced on its own.
@@ -384,14 +438,14 @@ class TestImageValidation:
     @MALFORMED_ROWS
     def test_refused_image_is_malformed(self, monkeypatch, row, message):
         ext = next(enumerate_extended(4, 2, 0))
-        monkeypatch.setattr(involution, "_iota", lambda n, k, rows, strips, trace: ((row, (), ()), strips))
+        monkeypatch.setattr(involution, "_iota", lambda n, k, rows, strips, trace, memo: ((row, (), ()), strips))
         with pytest.raises(Malformed, match=message):
             iota_trace(ext)
 
     @MALFORMED_ROWS
     @pytest.mark.parametrize("ext_type", [(4, 2, 0), (4, 2, 1), (4, 3, 1)], ids=lambda t: "%d-%d-%d" % t)
     def test_pair_verifier_reports_refused_image(self, monkeypatch, row, message, ext_type):
-        monkeypatch.setattr(involution, "_iota", lambda n, k, rows, strips, trace: ((row, (), ()), strips))
+        monkeypatch.setattr(involution, "_iota", lambda n, k, rows, strips, trace, memo: ((row, (), ()), strips))
         report = verify_involution(*ext_type)
         assert report.failures[0].startswith("iota failed on {") and report.failures[0].endswith(message)
         assert report.to_json_dict() == per_type_verify_involution(*ext_type).to_json_dict()

@@ -21,7 +21,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Container, Iterator, Mapping
 
 from .lucas import symmetry_sides
 from .polyring import Monomial, Poly2
@@ -342,10 +342,9 @@ def verify_involution(n: int, k: int, r: int) -> InvolutionReport:
     return low if k <= mirror else high
 
 
-# A class as {member key: (#monominoes, #dominoes)}, and each member's image
-# key with its case letters, or the Malformed that iota raised.
-_Class = dict[Key, Monomial]
-_Traced = tuple[_Class, dict[Key, tuple[Key, str] | Malformed]]
+# A traced class: each member key with its (#monominoes, #dominoes) and its
+# image key with its case letters, or the Malformed that iota raised.
+_Traced = dict[Key, tuple[Monomial, tuple[Key, str] | Malformed]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -368,11 +367,11 @@ def _verify_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionReport
     memo: _Memo = {}
     low = dict(_class_keys(n, k_lo, r))
     high = low if k_hi == k_lo else dict(_class_keys(n, k_hi, r))
-    low_traced = (low, {key: _trace_key(n, k_lo, key, high, memo) for key in low})
+    low_traced = {key: (counts, _trace_key(n, k_lo, key, high, memo)) for key, counts in low.items()}
     if k_hi == k_lo:
         report = _class_report(n, k_lo, r, low_traced, low_traced)
         return report, report
-    high_traced = (high, {key: _trace_key(n, k_hi, key, low, memo) for key in high})
+    high_traced = {key: (counts, _trace_key(n, k_hi, key, low, memo)) for key, counts in high.items()}
     return _class_report(n, k_lo, r, low_traced, high_traced), _class_report(n, k_hi, r, high_traced, low_traced)
 
 
@@ -389,7 +388,7 @@ def _class_keys(n: int, k: int, r: int) -> Iterator[tuple[Key, Monomial]]:
             yield (partial.fixed, strips), (monos + strip_monos, doms + strip_doms)
 
 
-def _trace_key(n: int, k: int, key: Key, mirror: _Class, memo: _Memo) -> tuple[Key, str] | Malformed:
+def _trace_key(n: int, k: int, key: Key, mirror: Container[Key], memo: _Memo) -> tuple[Key, str] | Malformed:
     """iota of a key with its case letters, or the Malformed that ``iota_trace`` would raise.
 
     The top-level call is never stored in ``memo``: each key is traced once.
@@ -419,29 +418,31 @@ def _class_report(n: int, k: int, r: int, source: _Traced, target: _Traced) -> I
     mirror class has no entry there, so it is built as an ``ExtendedTiling``
     to read its type and counts, and traced here with a memo of its own;
     ``ExtendedTiling`` is otherwise built only to write a failure line.
+    Each image is looked up in the mirror class once; iota maps onto it
+    when every image is a member and the distinct images are as many as
+    its members, so the onto check needs no second lookup.
     """
-    counts, images = source
-    target_counts, target_images = target
     k_mirror = n - k + r
     mirror = (n, k_mirror, r)
     lhs, rhs = symmetry_sides(n, k, r)
     failures: list[str] = []
     hits = []
-    for key, result in images.items():
+    outside = False  # whether an image in hits is not a member of the mirror class
+    for key, (counts, result) in source.items():
         if isinstance(result, Malformed):
             failures.append(f"iota failed on {_extended(n, k, key).to_json_dict()}: {result}")
             continue
         image, trace = result
-        image_counts = target_counts.get(image)
-        if image_counts is not None:
-            back = target_images[image]
-        else:
+        member = target.get(image)
+        if member is None:
             outsider = _extended(n, k_mirror, image)
             if outsider.type_triple() != mirror:
                 failures.append(f"type {outsider.type_triple()} != {mirror} after {trace}")
                 continue
-            image_counts, back = outsider.tile_counts(), _trace_key(n, k_mirror, image, counts, {})
-        if image_counts != counts[key]:
+            image_counts, back = outsider.tile_counts(), _trace_key(n, k_mirror, image, source, {})
+        else:
+            image_counts, back = member
+        if image_counts != counts:
             failures.append(f"weight changed on {_extended(n, k, key).to_json_dict()}")
         if isinstance(back, Malformed):
             failures.append(f"iota failed on an image: {back}")
@@ -449,12 +450,13 @@ def _class_report(n: int, k: int, r: int, source: _Traced, target: _Traced) -> I
         if back[0] != key:
             failures.append(f"iota^2 != id on {_extended(n, k, key).to_json_dict()}")
         hits.append(image)
-    class_sum = Poly2(Counter(counts.values()))
-    target_sum = Poly2(Counter(target_counts.values()))
+        outside |= member is None
+    class_sum = Poly2(Counter(counts for counts, _ in source.values()))
+    target_sum = Poly2(Counter(counts for counts, _ in target.values()))
     distinct = set(hits)
-    if len(distinct) != len(counts):
+    if len(distinct) != len(source):
         failures.append("iota is not injective on the class")
-    if distinct != target_counts.keys():
+    if outside or len(distinct) != len(target):
         failures.append("iota does not map onto the mirror class")
     if class_sum != lhs:
         failures.append(f"class weight {class_sum} != symmetry LHS {lhs}")
@@ -464,8 +466,8 @@ def _class_report(n: int, k: int, r: int, source: _Traced, target: _Traced) -> I
         n=n,
         k=k,
         r=r,
-        class_size=len(counts),
-        target_size=len(target_counts),
+        class_size=len(source),
+        target_size=len(target),
         class_sum=class_sum,
         target_sum=target_sum,
         lhs=lhs,

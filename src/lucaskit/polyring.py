@@ -7,7 +7,8 @@ The univariate ``Poly1`` (used for coefficient generating functions,
 q-specializations and Chebyshev images) is one such trimmed sequence,
 ``c_e`` the coefficient of ``y^e``.  Both classes hold ints only, checked at
 their public constructors, and add and multiply with the same kernels
-(``_add``, ``_convolve``, ``_trimmed``).
+(``_add``, ``_convolve``, ``_trimmed``), which ``shapes_tilings`` shares for
+the tallies of its block-partition folds.
 
 Every Lucas quantity is *weighted homogeneous*, a single weight (its tilings
 cover a fixed number of cells), so it is one sequence (see ``CoeffSeq``).

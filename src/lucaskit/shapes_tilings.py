@@ -18,9 +18,11 @@ Both partition functions fold the rows with one transfer step: the greedy
 path is Markov in rows, so each walk state groups the next row's tilings
 (``_row_groups``).  ``block_partition`` keeps every block, as a partial tiling
 with its weight.  ``verify_block_partition`` needs no block's identity, so it
-merges blocks into classes by walk state and *free product*, the tally of the
-cells a block leaves blank; every block weighs its fixed monomial times its
-free product, so one check per class covers every tiling exactly.
+merges blocks into classes by walk state and *free product*, the weight of
+the tilings of a block's blank cells; every block weighs its fixed monomial
+times its free product, so one check per class covers every tiling exactly.
+Every tally is a ``polyring`` coefficient sequence (entry k counts tilings
+with k dominoes), added and multiplied on polyring's kernels.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import AbstractSet, Iterator, Mapping
+from typing import AbstractSet, Iterator, Mapping, Sequence
 
 from . import coxcat
 from .lucas import d_lucasnomial, d_lucastorial, lucas, lucastorial
-from .polyring import Monomial, NotDivisible, Poly2
+from .polyring import Monomial, NotDivisible, Poly2, _add, _add_part, _convolve, _graded, _scatter
 
 MONO = 1
 DOMINO = 2
@@ -40,7 +42,6 @@ DOMINO = 2
 Tiles = tuple[int, ...]  # tile lengths, each 1 or 2
 Run = tuple[int, Tiles]  # (start column, tiles) of one fixed stretch
 FixedRows = tuple[tuple[Run, ...], ...]
-Tally = dict[int, int]  # #dominoes -> #tilings, of tilings that cover the same cells
 
 
 class MalformedPartial(ValueError):
@@ -672,28 +673,19 @@ class BlockPartitionReport:
         }
 
 
-def _convolve(a: Tally, b: Tally) -> Tally:
-    """The tally of every pair of a tiling from ``a`` and one from ``b``."""
-    out: Tally = {}
-    for d1, c1 in a.items():
-        for d2, c2 in b.items():
-            out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
-    return out
-
-
 def _row_groups(
     variant: Variant, r: int, row_len: int, x: int, used: frozenset[int], mod_d: int | None
-) -> dict[tuple, Tally]:
+) -> dict[tuple, list[int]]:
     """Row r's tilings from walk state (x, used), grouped by their crossing and fixed runs.
 
-    Maps each (x, label, used, fixed runs) to its tally {#dominoes: #tilings}.
+    Maps each (x, label, used, fixed runs) to its tally: entry k is the
+    number of its tilings with k dominoes.
     """
-    groups: dict[tuple, Tally] = {}
+    groups: dict[tuple, list[int]] = {}
     for tiles in row_tilings(row_len):
         blocked, _, _, doms = _row_data(tiles)
         x2, label, used2 = _step(x, used, row_len, blocked, mod_d)
-        row_tally = groups.setdefault((x2, label, used2, _fixed_row(variant, r, tiles, x2, label)), {})
-        row_tally[doms] = row_tally.get(doms, 0) + 1
+        _scatter(groups.setdefault((x2, label, used2, _fixed_row(variant, r, tiles, x2, label)), []), doms, 1)
     return groups
 
 
@@ -706,18 +698,18 @@ def block_partition(variant: Variant) -> dict[PartialTiling, Poly2]:
     runs depend only on the walk state (x, used -1 lines) and that row's
     tiles.  So the blocks are a transfer-matrix sum folded row by row, with
     no tiling visited on its own.  The frontier maps each walk state to the
-    (crossings, fixed rows) prefixes that reach it, each with its tally
-    {#dominoes: #tilings} over the rows so far (the monominoes cover the
-    remaining cells).  Per state, the next row's tilings are grouped by
-    (x, label, used, fixed runs), and each group's tally is convolved into
-    every prefix.  Rows past the shape are rows of length 0.
+    (crossings, fixed rows) prefixes that reach it, each with its tally over
+    the rows so far (entry k counts the tilings with k dominoes; monominoes
+    cover the remaining cells).  Per state, the next row's tilings are
+    grouped by (x, label, used, fixed runs), and each group's tally is
+    convolved into every prefix.  Rows past the shape are rows of length 0.
     """
     shape = variant.shape()
     start, mod_d = variant.start_x(), variant.mod_d()
-    frontier: dict[tuple[int, frozenset[int]], dict[tuple, Tally]] = {(start, frozenset()): {((), ()): {0: 1}}}
+    frontier: dict[tuple[int, frozenset[int]], dict[tuple, Sequence[int]]] = {(start, frozenset()): {((), ()): (1,)}}
     for r in range(1, variant.terminal() + 1):
         row_len = shape.cells(r) if r <= shape.n_rows else 0
-        successors: dict[tuple[int, frozenset[int]], dict[tuple, Tally]] = {}
+        successors: dict[tuple[int, frozenset[int]], dict[tuple, Sequence[int]]] = {}
         for (x, used), prefixes in frontier.items():
             for (x2, label, used2, runs), row_tally in _row_groups(variant, r, row_len, x, used, mod_d).items():
                 # The state is a function of the crossings, so no two
@@ -733,8 +725,7 @@ def block_partition(variant: Variant) -> dict[PartialTiling, Poly2]:
         for (crossings, fixed), tally in prefixes.items():
             xs = [x for x, _ in crossings]
             path = LatticePath((start, 0), _path_from_xs(start, xs), tuple(label for _, label in crossings))
-            weight = Poly2({(cells - 2 * doms, doms): count for doms, count in tally.items()})
-            out[PartialTiling(variant, path, fixed[: shape.n_rows])] = weight
+            out[PartialTiling(variant, path, fixed[: shape.n_rows])] = _graded({cells: tally})
     return out
 
 
@@ -742,26 +733,6 @@ def enumerate_partials(variant: Variant) -> list[PartialTiling]:
     """All distinct partial tilings of the variant, in a stable order."""
     partials = block_partition(variant).keys()
     return sorted(partials, key=lambda p: (p.path.steps, p.fixed))
-
-
-Free = tuple[int, tuple[tuple[int, int], ...]]  # (free cells, their tally's sorted items)
-
-
-def _free_product(free: Free, row_len: int, runs: tuple[Run, ...], row_tally: Tally) -> tuple[int, int, Free]:
-    """(fixed monominoes, fixed dominoes, ``free`` times the row group's free factor).
-
-    The free factor is the group's tally with the fixed tiles taken out:
-    every tiling of the group holds the fixed runs, so what varies is a
-    tiling of the other cells, and the tally shifts down by the fixed
-    dominoes.
-    """
-    monos = doms = 0
-    for _, tiles in runs:
-        _, _, m, d = _row_data(tiles)
-        monos, doms = monos + m, doms + d
-    cells, tally = free
-    product = _convolve(dict(tally), {k - doms: count for k, count in row_tally.items()})
-    return monos, doms, (cells + row_len - monos - 2 * doms, tuple(sorted(product.items())))
 
 
 def verify_block_partition(variant: Variant) -> BlockPartitionReport:
@@ -772,62 +743,56 @@ def verify_block_partition(variant: Variant) -> BlockPartitionReport:
     (c) the blocks cover every tiling.
 
     A block's weight is a product over rows of a group's fixed runs times
-    its free factor, so it is the block's fixed monomial (its partial
-    weight) times the product of its free factors, and (b) holds for the
-    block exactly when that free product equals the divisor.  None of the
-    checks needs a block's identity, so this folds the rows of
-    ``block_partition`` over classes keyed by (x, used, free product so
-    far): prefixes with the same key merge into one tally
-    {(fixed monominoes, fixed dominoes): #blocks}.  Each final class is then
-    checked once: its free product against the divisor for (b), the summed
-    tallies against the expected total for (a), and the free product's
-    tiling count times the class's block count summed against the tiling
-    count for (c).  That is still exact over every tiling.  Each class
-    carries the path and partial weight of its first block as the witness a
-    failure names.
+    its free factor, the group's tally with the fixed dominoes shifted out.
+    So it is the block's fixed monomial (its partial weight) times the
+    product of its free factors, and (b) holds for the block exactly when
+    that free product equals the divisor.  None of the checks needs a
+    block's identity, so this folds the rows of ``block_partition`` over
+    classes keyed by (x, used, free cells, free product).  A class's blocks
+    cover the same fixed cells, so it tallies them as one sequence, entry k
+    its blocks with k fixed dominoes.  Each final class is then checked
+    once: its free product against the divisor for (b), the summed tallies
+    against the expected total for (a), and the free product's tiling count
+    times the class's block count summed against the tiling count for (c).
+    That is still exact over every tiling.  Each class carries the path and
+    fixed dominoes of its first block as the witness a failure names.
     """
     shape = variant.shape()
     start, mod_d = variant.start_x(), variant.mod_d()
-    # (x, used, free product) -> (tally, (witness crossings, witness partial weight))
-    frontier: dict[tuple, tuple[dict[Monomial, int], tuple]] = {
-        (start, frozenset(), (0, ((0, 1),))): ({(0, 0): 1}, ((), (0, 0)))
-    }
+    # (x, used, free cells, free product) -> [blocks by fixed dominoes, (witness crossings, witness fixed dominoes)]
+    frontier: dict[tuple, list] = {(start, frozenset(), 0, (1,)): [(1,), ((), 0)]}
     for r in range(1, variant.terminal() + 1):
         row_len = shape.cells(r) if r <= shape.n_rows else 0
-        successors: dict[tuple, tuple[dict[Monomial, int], tuple]] = {}
-        for (x, used, free), (tally, (xs, (wm, wd))) in frontier.items():
+        successors: dict[tuple, list] = {}
+        for (x, used, free_cells, free), (blocks, (xs, wd)) in frontier.items():
             for (x2, _, used2, runs), row_tally in _row_groups(variant, r, row_len, x, used, mod_d).items():
-                monos, doms, free2 = _free_product(free, row_len, runs, row_tally)
-                key = (x2, used2, free2)
-                if key not in successors:
-                    successors[key] = ({}, (xs + (x2,), (wm + monos, wd + doms)))
-                dest = successors[key][0]
-                for (m, d), count in tally.items():
-                    dest[(m + monos, d + doms)] = dest.get((m + monos, d + doms), 0) + count
+                monos, doms = tile_counts(tiles for _, tiles in runs)
+                key = (x2, used2, free_cells + row_len - monos - 2 * doms, tuple(_convolve(free, row_tally[doms:])))
+                dest = successors.setdefault(key, [(), (xs + (x2,), wd + doms)])
+                dest[0] = _add(dest[0], (0,) * doms + blocks)
         frontier = successors
 
+    cells = sum(shape.cells(r) for r in range(1, shape.n_rows + 1))
     divisor = variant.divisor()
     expected = variant.expected_total()
     failures: list[str] = []
-    partial_terms: dict[Monomial, int] = {}
+    partial_parts: dict[int, Sequence[int]] = {}
     block_count = covered = 0
-    for (_, _, (cells, free_tally)), (tally, (xs, witness)) in frontier.items():
-        blocks = sum(tally.values())
-        block_count += blocks
-        covered += sum(count for _, count in free_tally) * blocks  # each block holds free(1, 1) tilings
-        for mono, count in tally.items():
-            partial_terms[mono] = partial_terms.get(mono, 0) + count
-        free = Poly2({(cells - 2 * k, k): count for k, count in free_tally})
-        if free != divisor:
-            pw = Poly2.monomial(*witness)
+    for (_, _, free_cells, free), (blocks, (xs, wd)) in frontier.items():
+        block_count += sum(blocks)
+        covered += sum(free) * sum(blocks)  # each block holds free(1, 1) tilings
+        _add_part(partial_parts, cells - free_cells, blocks)
+        free_weight = _graded({free_cells: free})
+        if free_weight != divisor:
+            pw = Poly2.monomial(cells - free_cells - 2 * wd, wd)
             try:
-                quotient = (free * pw).exact_div(divisor)
+                quotient = (free_weight * pw).exact_div(divisor)
                 detail = f"divisor*partial={divisor * pw}, block/divisor={quotient}"
             except NotDivisible:
                 detail = "block weight not even divisible by the divisor"
             failures.append(f"block of path {_path_from_xs(start, xs)}: {detail}")
     tiling_count = count_tilings(shape)
-    partial_sum = Poly2(partial_terms)
+    partial_sum = _graded(partial_parts)
     if covered != tiling_count:
         failures.append(f"blocks cover {covered} of {tiling_count} tilings")
     if partial_sum != expected:

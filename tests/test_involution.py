@@ -416,6 +416,27 @@ class TestVerifyPairCatchesFaults:
         self.check((4, 2, 1), "iota does not map onto", "mirror class weight")
         self.check((4, 3, 1), "iota does not map onto", "class weight")
 
+    def test_outsider_and_missed_member_balance(self, monkeypatch):
+        # (4,3,1) loses its last member, so its preimage's image is an outsider; and two
+        # other members of (4,2,1) share an image, so one member of the lossy class is
+        # missed.  The distinct images are then as many as the lossy class's members,
+        # yet iota does not map onto it.
+        lost = key_of(list(enumerate_extended(4, 3, 1))[-1])
+
+        def dropping(enumerate_all, key):
+            return lambda n, k, r: (m for m in enumerate_all(n, k, r) if (n, k, r) != (4, 3, 1) or key(m) != lost)
+
+        monkeypatch.setattr(involution, "_class_keys", dropping(involution._class_keys, lambda m: m[0]))
+        monkeypatch.setattr(oracles, "enumerate_extended", dropping(oracles.enumerate_extended, key_of))
+        a, b = [key_of(ext) for ext in enumerate_extended(4, 2, 1) if key_of(iota(ext)) != lost][:2]
+        inner = involution._iota
+
+        def merged(n, k, rows, strips, trace, memo):
+            return inner(n, k, *(b if (rows, strips) == a else (rows, strips)), trace, memo)
+
+        monkeypatch.setattr(involution, "_iota", merged)
+        self.check((4, 2, 1), "iota does not map onto", "iota is not injective", "mirror class weight")
+
 
 # Bottom rows of delta_4 that partial_from_fixed refuses, each with the refusal's message.
 MALFORMED_ROWS = pytest.mark.parametrize(

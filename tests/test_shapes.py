@@ -21,6 +21,7 @@ from lucaskit.shapes_tilings import (
     RectangleTiling,
     Shape,
     Tiling,
+    _row_groups,
     block_partition,
     completion,
     count_tilings,
@@ -604,6 +605,71 @@ class TestBlockPartition:
             partial = partial_from_tiling(tiling, variant)
             again = partial_from_tiling(tiling, variant)
             assert partial == again  # deterministic canonical representative
+
+
+ROW_GROUP_VARIANTS = (Binomial(6, 3), Catalan(4), FussCatalan(3, 2), DDivisible(4, 2, 3))
+
+
+def reached_row_groups(variant):
+    """(row length, row groups) for every walk state the fold reaches, row by row."""
+    shape = variant.shape()
+    states = {(variant.start_x(), frozenset())}
+    for r in range(1, variant.terminal() + 1):
+        row_len = shape.cells(r) if r <= shape.n_rows else 0
+        successors = set()
+        for x, used in states:
+            groups = _row_groups(variant, r, row_len, x, used, variant.mod_d())
+            yield row_len, groups
+            successors |= {(x2, used2) for x2, _, used2, _ in groups}
+        states = successors
+
+
+class TestRowGroups:
+    """Each group's tally is a trimmed sequence, entry k its tilings with k dominoes."""
+
+    @pytest.mark.parametrize("variant", ROW_GROUP_VARIANTS, ids=repr)
+    def test_tallies_are_trimmed(self, variant):
+        for _, groups in reached_row_groups(variant):
+            for tally in groups.values():
+                assert tally and tally[-1], tally
+
+    @pytest.mark.parametrize("variant", ROW_GROUP_VARIANTS, ids=repr)
+    def test_no_tiling_below_the_fixed_dominoes(self, variant):
+        # every tiling of a group holds its fixed runs, dominoes included
+        for _, groups in reached_row_groups(variant):
+            for (_, _, _, runs), tally in groups.items():
+                fixed_doms = sum(tiles.count(DOMINO) for _, tiles in runs)
+                assert not any(tally[:fixed_doms]), (runs, tally)
+
+    @pytest.mark.parametrize("variant", ROW_GROUP_VARIANTS, ids=repr)
+    def test_groups_split_the_row(self, variant):
+        # the tilings of a row of m cells weigh {m+1}: each lands in exactly one group
+        states = 0
+        for row_len, groups in reached_row_groups(variant):
+            states += 1
+            parts = [Poly2({(row_len - 2 * k, k): c for k, c in enumerate(tally)}) for tally in groups.values()]
+            assert sum(parts, Poly2.zero()) == lucas(row_len + 1)
+        assert states > variant.terminal()
+
+
+def assert_canonical(p: Poly2) -> None:
+    """p equals, and hashes like, the Poly2 built afresh from its terms."""
+    rebuilt = Poly2(dict(p.terms()))
+    assert p == rebuilt
+    assert hash(p) == hash(rebuilt)
+
+
+class TestFoldOutputsAreCanonical:
+    """The folds build their Poly2s from coefficient sequences; each must be canonical."""
+
+    @pytest.mark.parametrize("variant", CRITERIA_VARIANTS, ids=repr)
+    def test_block_weights(self, variant):
+        for weight in block_partition(variant).values():
+            assert_canonical(weight)
+
+    @pytest.mark.parametrize("variant", CRITERIA_VARIANTS, ids=repr)
+    def test_partial_sum(self, variant):
+        assert_canonical(verify_block_partition(variant).partial_sum)
 
 
 # Wrong divisors: one monomial too many, and one factor s too many.

@@ -24,15 +24,17 @@ from lucaskit.involution import (
     verify_involution,
 )
 from lucaskit.polyring import Poly2
-from lucaskit.shapes_tilings import Binomial, MalformedDocument, partial_from_fixed
+from lucaskit.shapes_tilings import Binomial, MalformedDocument, enumerate_partials, partial_from_fixed, tile_counts
 
 
 @pytest.fixture
 def fresh_pairs():
-    """Empty verify_involution's pair cache around a test, so no report made under a patched iota outlives it."""
+    """Empty verify_involution's pair and class caches around a test, so nothing made under a patch outlives it."""
     involution._verify_pair.cache_clear()
+    involution._class_partials.cache_clear()
     yield
     involution._verify_pair.cache_clear()
+    involution._class_partials.cache_clear()
 
 
 # Strips of the running example: S1 = M D M (4 cells), S2 = D M (3 cells).
@@ -258,6 +260,8 @@ ORACLE_TYPES = [(n, k, r) for n in range(7) for k in range(n + 1) for r in range
 ]
 # Each mirror pair of ORACLE_TYPES once, as its type with the smaller k.
 ORACLE_PAIRS = sorted({(n, min(k, n - k + r), r) for n, k, r in ORACLE_TYPES})
+# Triples that break 0 <= r <= k <= n.
+REFUSED_TYPES = pytest.mark.parametrize("ext_type", [(3, 4, 0), (3, 2, 3), (-1, 0, 0), (2, 1, -1)])
 
 
 class TestVerifyPair:
@@ -277,11 +281,16 @@ class TestVerifyPair:
         report.to_json_dict()["failures"].append("forced")
         assert verify_involution(4, 2, 1).to_json_dict() == before
 
-    @pytest.mark.parametrize("ext_type", [(3, 4, 0), (3, 2, 3), (-1, 0, 0), (2, 1, -1)])
+    @REFUSED_TYPES
     def test_refused_type_leaves_no_cache_entry(self, fresh_pairs, ext_type):
         with pytest.raises(ValueError, match=r"^need 0 <= r <= k <= n$"):
             verify_involution(*ext_type)
         assert involution._verify_pair.cache_info().currsize == 0
+
+    @REFUSED_TYPES
+    def test_enumerate_extended_refuses_at_call_time(self, ext_type):
+        with pytest.raises(ValueError, match=r"^need 0 <= r <= k <= n$"):
+            enumerate_extended(*ext_type)
 
     def test_iota_runs_once_per_member(self, fresh_pairs, monkeypatch):
         pair = Counter(key_of(ext) for ext in [*enumerate_extended(5, 2, 1), *enumerate_extended(5, 4, 1)])
@@ -345,6 +354,34 @@ class TestVerifyPair:
         assert verify_involution(6, 5, 3).ok
         assert set(subcalls.values()) == {1}
         assert sum(subcalls.values()) == total
+
+
+class TestClassPartials:
+    """Every r of one Binomial(n, k) reads the class's partials from one bounded cache."""
+
+    def test_each_binomial_is_partitioned_once(self, fresh_pairs, monkeypatch):
+        partitioned = Counter()
+        enumerate_all = involution.enumerate_partials
+        monkeypatch.setattr(involution, "enumerate_partials", lambda v: partitioned.update([v]) or enumerate_all(v))
+        for n, k, r in ORACLE_TYPES:
+            if n <= 6:
+                assert verify_involution(n, k, r).ok
+        assert partitioned == Counter(Binomial(n, k) for n in range(7) for k in range(n + 1))
+        assert len(partitioned) == 28
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_cached_partials_are_enumerate_partials(self, n):
+        for k in range(n + 1):
+            expected = [(p.fixed, tile_counts(p.fixed_tiles())) for p in enumerate_partials(Binomial(n, k))]
+            assert list(involution._class_partials(n, k)) == expected
+
+    def test_cache_is_bounded(self):
+        assert involution._class_partials.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("ext_type", ORACLE_TYPES, ids=lambda t: "%d-%d-%d" % t)
+    def test_class_keys_follow_enumerate_extended(self, ext_type):
+        members = [(key_of(ext), ext.tile_counts()) for ext in enumerate_extended(*ext_type)]
+        assert list(involution._class_keys(*ext_type)) == members
 
 
 @pytest.mark.usefixtures("fresh_pairs")

@@ -65,6 +65,11 @@ def _divisibility(max_n: int) -> Iterator[tuple[str, bool]]:
             yield f"{{{m}}} | {{{n}}}: {present}", present == (n % m == 0)
 
 
+def _types(max_n: int) -> Iterator[tuple[int, int, int]]:
+    """Every involution type (n, k, r) with 0 <= r <= k <= n <= max_n, by n, then k, then r."""
+    return ((n, k, r) for n in range(max_n + 1) for k in range(n + 1) for r in range(k + 1))
+
+
 # Check -> (its bound flags with their defaults, the (label, passed) pairs at
 # those bounds).  The bounds reach the function as keyword arguments.
 VERIFICATIONS = {
@@ -74,10 +79,7 @@ VERIFICATIONS = {
         for k in range(1, n)
     )),
     "symmetry": ({"max_n": 10}, lambda max_n: (
-        (f"symmetry n={n} k={k} r={r}", verify_symmetry_identity(n, k, r))
-        for n in range(max_n + 1)
-        for k in range(n + 1)
-        for r in range(k + 1)
+        (f"symmetry n={n} k={k} r={r}", verify_symmetry_identity(n, k, r)) for n, k, r in _types(max_n)
     )),
     "catalan-id": ({"max_n": 12}, lambda max_n: (
         (f"catalan identity n={n}", coxcat.verify_catalan_identity(n)) for n in range(2, max_n + 1)
@@ -113,6 +115,12 @@ REPORT_FORMATS = ("pretty", "json")
 
 # `tilings enumerate` lists every tiling: delta_9's 2,227,680 still run, delta_10's 122,522,400 are refused.
 MAX_ENUMERATED_TILINGS = 10**7
+
+# The involution check holds each type's members with its mirror's, about 1.2 KB a member at
+# the peak: every type with n <= 8 together (944,122 members) runs in about 20 s and 138 MB,
+# and (9, 5, 2) alone (185,640) peaks at 464 MB.  So the sweep to n = 9 (31,507,982) and the
+# largest n = 9 types (1,113,840 and 2,227,680) are refused.
+MAX_INVOLUTION_MEMBERS = 10**6
 
 
 @contextlib.contextmanager
@@ -274,8 +282,6 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_partition(args) -> int:
     variant = _parse_variant(args)
-    if args.shape and _parse_shape(args.shape) != variant.shape():
-        raise ValueError("--shape disagrees with the variant's shape")
     report = shapes_tilings.verify_block_partition(variant)
     if args.format == "json":
         _emit(json.dumps(report.to_json_dict()), args.out)
@@ -322,6 +328,11 @@ def _cmd_apply(args) -> int:
     return PASS
 
 
+def _involution_members(types: list[tuple[int, int, int]]) -> int:
+    """The extended tilings in these types, before any is built: a class has its symmetry LHS at s = t = 1."""
+    return sum(lucas.symmetry_sides(*t)[0].evaluate(1, 1) for t in types)
+
+
 def _verify_involution_types(args) -> int:
     missing = [f"--{flag}" for flag in "nkr" if getattr(args, flag) is None]
     if 0 < len(missing) < 3:
@@ -331,13 +342,10 @@ def _verify_involution_types(args) -> int:
             raise ValueError("--max-n bounds the sweep over every type; give it without --n, --k and --r")
         types = [(args.n, args.k, args.r)]
     else:
-        max_n = _bound(args, "max_n", 5)
-        types = [
-            (n, k, r)
-            for n in range(max_n + 1)
-            for k in range(n + 1)
-            for r in range(k + 1)
-        ]
+        types = list(_types(_bound(args, "max_n", 5)))
+    members = _involution_members(types)
+    if members > MAX_INVOLUTION_MEMBERS:
+        raise ValueError(f"{members} extended tilings; the involution check takes at most {MAX_INVOLUTION_MEMBERS}")
     reports = [involution.verify_involution(*t) for t in types]
     lines = []
     ok = True
@@ -446,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", required=True, choices=list(shapes_tilings.VARIANTS))
     for flag in _variant_flags():
         p.add_argument(f"--{flag}", type=int, default=None)
-    p.add_argument("--shape", default=None, help=f"{shape_help}; must be the variant's shape")
     leaf(p, _cmd_partition, REPORT_FORMATS)
     p = tilings.add_parser("render")
     source = p.add_mutually_exclusive_group(required=True)

@@ -126,6 +126,8 @@ class ExtendedTiling:
             raise ValueError("the extended tiling's core must be a binomial partial tiling")
         k = self.partial.variant.k
         for i, strip in enumerate(self.strips, start=1):
+            if not {*strip} <= {1, 2}:
+                raise ValueError(f"strip {i} tiles must be monominoes or dominoes")
             if strip_cells(strip) != k - i:
                 raise ValueError(f"strip {i} has {strip_cells(strip)} cells, wants {k - i}")
 
@@ -182,23 +184,20 @@ def iota(extended: ExtendedTiling) -> ExtendedTiling:
 def iota_trace(extended: ExtendedTiling) -> tuple[ExtendedTiling, tuple[str, ...]]:
     """The involution plus the case letter chosen at each recursion level.
 
-    The input is valid by construction, so the recursion runs on bare fixed
-    rows and strips; only the image is validated, once, as it is rebuilt.
-    ``partial_from_fixed`` does that by walking the image's completed rows
-    directly, as tile tuples; any refusal, like a strip cut through a
-    domino, is reported as ``Malformed``.  ``verify_involution`` does not
-    call this: it validates an image by finding it in the mirror class
-    (``_trace_key``), and walks only an image that is not there.  The
-    recursion gets a fresh memo, which one tiling never hits: n falls at
-    every level.
+    The input is valid by construction, so ``_trace_key`` runs the recursion
+    on its bare fixed rows and strips, with an empty mirror class and a
+    fresh memo, which one tiling never hits: n falls at every level.  So
+    ``partial_from_fixed`` validates the image, and any refusal, like a
+    strip cut through a domino, is raised as ``_trace_key``'s ``Malformed``.
+    ``verify_involution`` does not call this: it traces each member against
+    the mirror class, and walks only an image that is not there.
     """
     n, k, r = extended.type_triple()
-    trace: list[str] = []
-    try:
-        result = _extended(n, n - k + r, _iota(n, k, extended.partial.fixed, extended.strips, trace, {}))
-    except ValueError as exc:
-        raise Malformed(f"after cases {''.join(trace)}: {exc}") from exc
-    return result, tuple(trace)
+    result = _trace_key(n, k, (extended.partial.fixed, extended.strips), (), {})
+    if isinstance(result, Malformed):
+        raise result
+    image, trace = result
+    return _extended(n, n - k + r, image), tuple(trace)
 
 
 def _extended(n: int, k: int, key: Key) -> ExtendedTiling:
@@ -282,22 +281,16 @@ def _inner(n: int, k: int, rows: FixedRows, strips: tuple[Strip, ...], trace: li
 def enumerate_extended(n: int, k: int, r: int) -> Iterator[ExtendedTiling]:
     """Every extended binomial partial tiling of type (n, k, r), lazily.
 
-    The type is checked when this is called.  The first ``next`` makes a
-    fresh ``enumerate_partials`` call, and each partial comes with every
-    choice of strips.  ``verify_involution`` does not call this: it reads
-    the same members, in the same order, as bare keys from ``_class_keys``.
+    The type is checked, and one fresh ``enumerate_partials`` call made,
+    when this is called; the members are built as they are read, each
+    partial with every choice of strips.  ``verify_involution`` does not
+    call this: it reads the same members, in the same order, as bare keys
+    from ``_class_keys``.
     """
     if not 0 <= r <= k <= n:
         raise ValueError("need 0 <= r <= k <= n")
-    return _extended_members(n, k, r)
-
-
-def _extended_members(n: int, k: int, r: int) -> Iterator[ExtendedTiling]:
-    partials = enumerate_partials(Binomial(n, k))
     strip_choices = _strip_choices(k, r)
-    for partial in partials:
-        for strips in strip_choices:
-            yield ExtendedTiling(partial, strips)
+    return (ExtendedTiling(p, strips) for p in enumerate_partials(Binomial(n, k)) for strips in strip_choices)
 
 
 def _strip_choices(k: int, r: int) -> list[tuple[Strip, ...]]:
@@ -378,17 +371,17 @@ def _verify_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionReport
     cache holds only the reports, so it grows with the number of types
     verified, not with their class sizes.  The classes' partials, which
     every r shares, are kept apart in the bounded cache ``_class_partials``.
-    When k_lo = k_hi the two classes are one, and so are the reports.
+    The classes, their traces and their reports are keyed by k, low k first,
+    so when k_lo = k_hi the two classes are one, and so are the reports.
     """
     memo: _Memo = {}
-    low = dict(_class_keys(n, k_lo, r))
-    high = low if k_hi == k_lo else dict(_class_keys(n, k_hi, r))
-    low_traced = {key: (counts, _trace_key(n, k_lo, key, high, memo)) for key, counts in low.items()}
-    if k_hi == k_lo:
-        report = _class_report(n, k_lo, r, low_traced, low_traced)
-        return report, report
-    high_traced = {key: (counts, _trace_key(n, k_hi, key, low, memo)) for key, counts in high.items()}
-    return _class_report(n, k_lo, r, low_traced, high_traced), _class_report(n, k_hi, r, high_traced, low_traced)
+    classes = {k: dict(_class_keys(n, k, r)) for k in dict.fromkeys((k_lo, k_hi))}
+    traced = {
+        k: {key: (counts, _trace_key(n, k, key, classes[n - k + r], memo)) for key, counts in members.items()}
+        for k, members in classes.items()
+    }
+    reports = {k: _class_report(n, k, r, source, traced[n - k + r]) for k, source in traced.items()}
+    return reports[k_lo], reports[k_hi]
 
 
 def _class_keys(n: int, k: int, r: int) -> Iterator[tuple[Key, Monomial]]:
@@ -421,13 +414,14 @@ def _class_partials(n: int, k: int) -> tuple[tuple[FixedRows, Monomial], ...]:
 
 
 def _trace_key(n: int, k: int, key: Key, mirror: Container[Key], memo: _Memo) -> tuple[Key, str] | Malformed:
-    """iota of a key with its case letters, or the Malformed that ``iota_trace`` would raise.
+    """iota of a key with its case letters, or the Malformed, caused by the refusal, that iota hit.
 
-    The top-level call is never stored in ``memo``: each key is traced once.
-    Its subcalls are read from ``memo`` and stored there.  An image in the
-    ``mirror`` class is valid by membership.  Any other is validated as
-    ``iota_trace`` validates it, so a malformed image fails with the same
-    message.
+    This is the one place iota runs at the top level: ``iota_trace`` calls
+    it with an empty ``mirror`` and raises its Malformed.  The top-level
+    call is never stored in ``memo``: each key is traced once.  Its
+    subcalls are read from ``memo`` and stored there.  An image in the
+    ``mirror`` class is valid by membership; any other is validated by
+    ``partial_from_fixed``.
     """
     fixed, strips = key
     trace: list[str] = []
@@ -436,7 +430,9 @@ def _trace_key(n: int, k: int, key: Key, mirror: Container[Key], memo: _Memo) ->
         if image not in mirror:
             _extended(n, n - k + len(strips), image)
     except ValueError as exc:
-        return Malformed(f"after cases {''.join(trace)}: {exc}")
+        malformed = Malformed(f"after cases {''.join(trace)}: {exc}")
+        malformed.__cause__ = exc
+        return malformed
     return image, "".join(trace)
 
 

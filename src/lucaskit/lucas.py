@@ -60,12 +60,10 @@ def lucas(n: int) -> Poly2:
 
 @lru_cache(maxsize=None)
 def lucastorial(n: int) -> Poly2:
-    """{n}! = {1}{2}...{n}, with {0}! = 1 (empty product); the tilings' divisors are built from it."""
+    """{n}! = {n:1}! = {1}{2}...{n}, with {0}! = 1 (empty product); the tilings' divisors are built from it."""
     if n < 0:
         raise ValueError("negative Lucastorial index")
-    if n == 0:
-        return Poly2.one()
-    return lucastorial(n - 1) * lucas(n)
+    return d_lucastorial(n, 1)
 
 
 @lru_cache(maxsize=None)

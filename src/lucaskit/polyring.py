@@ -253,23 +253,7 @@ class Poly2:
 
     def pretty(self) -> str:
         """Render like the display style ``s^3 + 2*s*t``; 0 for the zero poly."""
-        if not self._parts:
-            return "0"
-        parts: list[str] = []
-        for (a, b), c in self.terms():
-            factors = []
-            if abs(c) != 1 or (a == 0 and b == 0):
-                factors.append(str(abs(c)))
-            if a:
-                factors.append("s" if a == 1 else f"s^{a}")
-            if b:
-                factors.append("t" if b == 1 else f"t^{b}")
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        return _pretty((c, (("s", a), ("t", b))) for (a, b), c in self.terms())
 
     def to_json_dict(self) -> dict:
         """Wire format: coefficients as decimal strings, (s desc, t asc) order."""
@@ -295,6 +279,24 @@ class Poly2:
                 raise ValueError(f"repeated polynomial term {term!r}")
             terms[exps] = int(c)
         return Poly2(terms)
+
+
+def _pretty(terms: Iterable[tuple[int, Iterable[tuple[str, int]]]]) -> str:
+    """The display rule for ``terms``, each (coefficient, its (variable, exponent) pairs), in order.
+
+    A coefficient of +-1 is shown only on a constant, only a negative first
+    term carries a sign, the others are joined with " + " or " - ", and an
+    empty sum prints "0".
+    """
+    text = ""
+    for c, powers in terms:
+        factors = [var if e == 1 else f"{var}^{e}" for var, e in powers if e]
+        body = "*".join(factors if abs(c) == 1 and factors else [str(abs(c)), *factors])
+        if text:
+            text += f" + {body}" if c > 0 else f" - {body}"
+        else:
+            text = body if c > 0 else f"-{body}"
+    return text or "0"
 
 
 def _power(base, n: int, one):
@@ -576,24 +578,8 @@ class Poly1:
         return sum(c * x**e for e, c in enumerate(self._coeffs) if c)
 
     def pretty(self, var: str = "y") -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for e in reversed(range(len(self._coeffs))):
-            c = self._coeffs[e]
-            if not c:
-                continue
-            body = []
-            if abs(c) != 1 or e == 0:
-                body.append(str(abs(c)))
-            if e:
-                body.append(var if e == 1 else f"{var}^{e}")
-            text = "*".join(body)
-            if not parts:
-                parts.append(text if c > 0 else f"-{text}")
-            else:
-                parts.append(f" + {text}" if c > 0 else f" - {text}")
-        return "".join(parts)
+        """Render like ``y^2 - 3*y + 1``, highest power first; 0 for the zero poly."""
+        return _pretty((c, ((var, e),)) for e, c in reversed(list(enumerate(self._coeffs))) if c)
 
     def __repr__(self) -> str:
         return f"Poly1({self.pretty()!r})"

@@ -172,6 +172,43 @@ class TestVerifyCommands:
         assert captured.out == ""
         assert captured.err == "error: need 0 <= r <= k <= n\n"
 
+    def test_involution_bound_admits_n_8_not_n_9(self):
+        assert cli._involution_members(list(cli._types(8))) == 944_122 <= cli.MAX_INVOLUTION_MEMBERS
+        assert cli._involution_members(list(cli._types(9))) == 31_507_982 > cli.MAX_INVOLUTION_MEMBERS
+
+    def test_involution_count_is_the_printed_objects(self, capsys):
+        code, out = run(capsys, "verify", "involution", "--max-n", "5")
+        assert code == 0
+        printed = sum(int(line.split("[")[1].split()[0]) for line in out.splitlines())
+        assert printed == cli._involution_members(list(cli._types(5))) == 478
+
+    @pytest.mark.parametrize("command", [["involution", "verify"], ["verify", "involution"]], ids=" ".join)
+    def test_involution_refuses_a_huge_sweep_before_any_work(self, capsys, monkeypatch, command):
+        def verified(n, k, r):
+            raise AssertionError("verified a type of a refused check")
+
+        monkeypatch.setattr(cli.involution, "verify_involution", verified)
+        assert cli.main([*command, "--max-n", "9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 31507982 extended tilings; the involution check takes at most 1000000\n"
+
+    @pytest.mark.parametrize("command", [["involution", "verify"], ["verify", "involution"]], ids=" ".join)
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    def test_involution_refuses_past_the_bound(self, capsys, monkeypatch, command, fmt):
+        monkeypatch.setattr(cli, "MAX_INVOLUTION_MEMBERS", 28)
+        code, out = run(capsys, *command, "--max-n", "3", "--format", fmt)
+        assert code == 0 and out
+        code, out = run(capsys, *command, "--max-n", "4", "--format", fmt)
+        assert (code, out) == (1, "")
+        # (4,2,1) has 6 members, within the bound; (5,3,2) has 30, past it.
+        code, out = run(capsys, *command, "--n", "4", "--k", "2", "--r", "1", "--format", fmt)
+        assert code == 0 and out
+        assert cli.main([*command, "--n", "5", "--k", "3", "--r", "2", "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 30 extended tilings; the involution check takes at most 28\n"
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         # force a failing report through the formatting path
         from lucaskit.involution import InvolutionReport

@@ -116,6 +116,7 @@ def test_help_on_every_leaf_action(capsys, leaf):
         ["tilings", "enumerate", "--shape", "delta:3", "--variant", "binomial"],
         ["tilings", "enumerate"],
         ["tilings", "partition", "--n", "3"],
+        ["tilings", "partition", "--variant", "binomial", "--n", "4", "--k", "2", "--shape", "delta:4"],
         ["tilings", "render", "--input", PARTIAL, "--shape", "delta:3"],
         ["tilings", "render"],
         ["tilings", "render", "--shape", "delta:3", "--format", "json"],

@@ -155,6 +155,21 @@ class TestExtendedWeight:
         assert count == 478
 
 
+class TestStripTiles:
+    @pytest.mark.parametrize(
+        "k, strips, bad",
+        [(4, ((3,),), 1), (3, ((0, 1, 1),), 1), (4, ((1, 2), (3, -1)), 2), (3, ((2,), (0, 1)), 2)],
+    )
+    def test_refuses_a_tile_other_than_a_monomino_or_a_domino(self, k, strips, bad):
+        partial = enumerate_partials(Binomial(5, k))[0]
+        with pytest.raises(ValueError, match=f"^strip {bad} tiles must be monominoes or dominoes$"):
+            ExtendedTiling(partial, strips)
+
+    def test_accepts_monominoes_and_dominoes(self):
+        partial = enumerate_partials(Binomial(5, 4))[0]
+        assert ExtendedTiling(partial, ((1, 2), (2,))).to_json_dict()["strips"] == [["M", "D"], ["D"]]
+
+
 class TestIotaBaseCases:
     def test_n_zero_identity(self):
         empty = partial_from_fixed(Binomial(0, 0), ())
@@ -499,6 +514,16 @@ class TestImageValidation:
         monkeypatch.setattr(involution, "_iota", lambda n, k, rows, strips, trace, memo: ((row, (), ()), strips))
         with pytest.raises(Malformed, match=message):
             iota_trace(ext)
+
+    def test_malformed_is_caused_by_the_refusal(self, monkeypatch):
+        def broken(n, k, rows, strips, trace, memo):
+            trace.append("a")
+            raise BrokenDomino("cut at 1 splits a domino")
+
+        monkeypatch.setattr(involution, "_iota", broken)
+        with pytest.raises(Malformed, match="^after cases a: cut at 1 splits a domino$") as caught:
+            iota_trace(next(enumerate_extended(4, 2, 0)))
+        assert type(caught.value.__cause__) is BrokenDomino
 
     @MALFORMED_ROWS
     @pytest.mark.parametrize("ext_type", [(4, 2, 0), (4, 2, 1), (4, 3, 1)], ids=lambda t: "%d-%d-%d" % t)

@@ -441,6 +441,41 @@ class TestPretty:
         assert str(Poly2.zero()) == "0"
         assert str(Poly2.one() - 2 * T) == "1 - 2*t"  # s desc, then t asc
 
+    def test_unit_coefficients_and_signs(self):
+        assert str(Poly2.one() - T) == "1 - t"
+        assert str(Poly2.const(-3)) == "-3"
+        assert str(Poly2.const(-1)) == "-1"
+        assert str(-S * T + T**2) == "-s*t + t^2"
+        assert repr(S - 1) == "Poly2('s - 1')"
+
+
+class TestPoly1Pretty:
+    @pytest.mark.parametrize(
+        "coeffs, shown",
+        [
+            ({}, "0"),
+            ({0: 1}, "1"),
+            ({0: -1}, "-1"),
+            ({1: 1}, "y"),
+            ({1: -1}, "-y"),
+            ({2: -2, 0: 5}, "-2*y^2 + 5"),
+            ({2: 1, 1: -3, 0: 1}, "y^2 - 3*y + 1"),
+            ({3: 4, 2: 1, 1: -1, 0: -7}, "4*y^3 + y^2 - y - 7"),
+        ],
+    )
+    def test_display_style(self, coeffs, shown):
+        assert Poly1(coeffs).pretty() == shown
+
+    def test_variable_name(self):
+        assert Poly1({2: 1, 1: -3, 0: 1}).pretty("q") == "q^2 - 3*q + 1"
+        assert Poly1({1: -1}).pretty("q") == "-q"
+        assert Poly1({}).pretty("q") == "0"
+
+    def test_repr(self):
+        assert repr(Poly1({2: 1, 1: -3, 0: 1})) == "Poly1('y^2 - 3*y + 1')"
+        assert repr(Poly1({})) == "Poly1('0')"
+        assert repr(-Y) == "Poly1('-y')"
+
 
 class TestRingAxioms:
     @given(polys, polys, polys)

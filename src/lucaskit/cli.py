@@ -329,8 +329,21 @@ def _cmd_apply(args) -> int:
 
 
 def _involution_members(types: list[tuple[int, int, int]]) -> int:
-    """The extended tilings in these types, before any is built: a class has its symmetry LHS at s = t = 1."""
-    return sum(lucas.symmetry_sides(*t)[0].evaluate(1, 1) for t in types)
+    """The extended tilings in these types, before any is built.
+
+    A class has its symmetry LHS at s = t = 1, where {m} is the Fibonacci
+    number F_m: {n brace k} F_k F_{k-1} ... F_{k-r+1} members, which is
+    F_n! / (F_{n-k}! F_{k-r}!) with F_m! = F_1 ... F_m.  So the count is
+    summed in plain ints, with no polynomial built.
+    """
+    if any(not 0 <= r <= k <= n for n, k, r in types):
+        raise ValueError("need 0 <= r <= k <= n")
+    fib, next_fib = 0, 1
+    factorials = [1]  # F_m! at index m
+    for _ in range(max((n for n, _, _ in types), default=0)):
+        fib, next_fib = next_fib, fib + next_fib
+        factorials.append(factorials[-1] * fib)
+    return sum(factorials[n] // (factorials[n - k] * factorials[k - r]) for n, k, r in types)
 
 
 def _verify_involution_types(args) -> int:

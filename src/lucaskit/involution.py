@@ -34,7 +34,6 @@ from .shapes_tilings import (
     Tiles,
     _row_data,
     check_keys,
-    enumerate_partials,
     partial_from_fixed,
     row_tilings,
     tile_counts,
@@ -62,6 +61,16 @@ def strip_concat(left: Strip, right: Strip) -> Strip:
     return tuple(left) + tuple(right)
 
 
+# iota reads only short rows and strips, so its row arithmetic repeats: a
+# sweep to n = 8 makes 2.2 million bottom-row classifications of 880 keys
+# and 1.4 million first cuts of 277 keys.  So those two are cached, bounded
+# well above that, and take only tuples.  ``strip_last`` goes through the
+# cached ``strip_first``; a cache of its own measured about 3 % faster but
+# added about 64 KB to a pass's peak RSS.
+_ROW_CACHE = 4096
+
+
+@functools.lru_cache(maxsize=_ROW_CACHE)
 def strip_first(strip: Strip, cells: int) -> Strip:
     """The first ``cells`` boxes; undefined if that would break a domino."""
     taken = 0
@@ -87,6 +96,7 @@ def strip_reverse(strip: Strip) -> Strip:
     return tuple(reversed(strip))
 
 
+@functools.lru_cache(maxsize=_ROW_CACHE)
 def _classify_bottom(row_len: int, runs: tuple[Run, ...], x: int) -> str:
     """NI/NL of (x, 0) for a bottom row of ``row_len`` cells holding fixed ``runs``."""
     if not 0 <= x <= row_len:
@@ -108,7 +118,7 @@ def classify_point(context: PartialTiling | Strip, x: int) -> str:
         if shape.n_rows == 0:
             return _classify_bottom(0, (), x)
         return _classify_bottom(shape.cells(1), context.fixed[0], x)
-    return _classify_bottom(strip_cells(context), ((1, context),), x)
+    return _classify_bottom(strip_cells(context), ((1, tuple(context)),), x)
 
 
 # -- extended tilings -------------------------------------------------------------
@@ -187,17 +197,18 @@ def iota_trace(extended: ExtendedTiling) -> tuple[ExtendedTiling, tuple[str, ...
     The input is valid by construction, so ``_trace_key`` runs the recursion
     on its bare fixed rows and strips, with an empty mirror class and a
     fresh memo, which one tiling never hits: n falls at every level.  So
-    ``partial_from_fixed`` validates the image, and any refusal, like a
-    strip cut through a domino, is raised as ``_trace_key``'s ``Malformed``.
+    ``partial_from_fixed`` validates the image, in the one walk that builds
+    the returned tiling, and any refusal, like a strip cut through a
+    domino, is raised as ``_trace_key``'s ``Malformed``.
     ``verify_involution`` does not call this: it traces each member against
     the mirror class, and walks only an image that is not there.
     """
-    n, k, r = extended.type_triple()
+    n, k, _ = extended.type_triple()
     result = _trace_key(n, k, (extended.partial.fixed, extended.strips), (), {})
     if isinstance(result, Malformed):
         raise result
     image, trace = result
-    return _extended(n, n - k + r, image), tuple(trace)
+    return image, tuple(trace)
 
 
 def _extended(n: int, k: int, key: Key) -> ExtendedTiling:
@@ -281,16 +292,21 @@ def _inner(n: int, k: int, rows: FixedRows, strips: tuple[Strip, ...], trace: li
 def enumerate_extended(n: int, k: int, r: int) -> Iterator[ExtendedTiling]:
     """Every extended binomial partial tiling of type (n, k, r), lazily.
 
-    The type is checked, and one fresh ``enumerate_partials`` call made,
-    when this is called; the members are built as they are read, each
-    partial with every choice of strips.  ``verify_involution`` does not
-    call this: it reads the same members, in the same order, as bare keys
-    from ``_class_keys``.
+    The type is checked, and the partials of ``_class_partials(n, k)``
+    read, when this is called; the members are built as they are read, each
+    partial rebuilt by ``partial_from_fixed``, which validates it, with
+    every choice of strips.  ``verify_involution`` does not call this: it
+    reads the same members, in the same order, as bare keys from
+    ``_class_keys``.
     """
     if not 0 <= r <= k <= n:
         raise ValueError("need 0 <= r <= k <= n")
-    strip_choices = _strip_choices(k, r)
-    return (ExtendedTiling(p, strips) for p in enumerate_partials(Binomial(n, k)) for strips in strip_choices)
+    variant, partials, strip_choices = Binomial(n, k), _class_partials(n, k), _strip_choices(k, r)
+    return (
+        ExtendedTiling(partial_from_fixed(variant, fixed), strips)
+        for fixed, _ in partials
+        for strips in strip_choices
+    )
 
 
 def _strip_choices(k: int, r: int) -> list[tuple[Strip, ...]]:
@@ -350,9 +366,12 @@ def verify_involution(n: int, k: int, r: int) -> InvolutionReport:
     return low if k <= mirror else high
 
 
+# iota's image with its case letters: the key of a member of the mirror
+# class, or any other image as the extended tiling that validated it.
+_Image = tuple[Key | ExtendedTiling, str]
 # A traced class: each member key with its (#monominoes, #dominoes) and its
-# image key with its case letters, or the Malformed that iota raised.
-_Traced = dict[Key, tuple[Monomial, tuple[Key, str] | Malformed]]
+# image, or the Malformed that iota raised.
+_Traced = dict[Key, tuple[Monomial, _Image | Malformed]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -370,7 +389,10 @@ def _verify_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionReport
     memo, the keys and the images are dropped when the pair returns; this
     cache holds only the reports, so it grows with the number of types
     verified, not with their class sizes.  The classes' partials, which
-    every r shares, are kept apart in the bounded cache ``_class_partials``.
+    every r shares, are built from the row recursion, with no block
+    partition, and kept apart in the bounded cache ``_class_partials``; the
+    row arithmetic iota repeats (bottom-row classifications, first cuts)
+    is in bounded caches of its own, which hold no member and no image.
     The classes, their traces and their reports are keyed by k, low k first,
     so when k_lo = k_hi the two classes are one, and so are the reports.
     """
@@ -389,7 +411,8 @@ def _class_keys(n: int, k: int, r: int) -> Iterator[tuple[Key, Monomial]]:
 
     The members come in ``enumerate_extended``'s order: each partial of
     ``_class_partials(n, k)``, shared by every r, crossed with the strip
-    choices.
+    choices.  A member's counts are its partial's, which the row recursion
+    carried, plus its strips', so no member's tiles are walked.
     """
     strip_choices = [(strips, tile_counts(strips)) for strips in _strip_choices(k, r)]
     for fixed, (monos, doms) in _class_partials(n, k):
@@ -397,38 +420,91 @@ def _class_keys(n: int, k: int, r: int) -> Iterator[tuple[Key, Monomial]]:
             yield (fixed, strips), (monos + strip_monos, doms + strip_doms)
 
 
+# A fixed bottom row: its runs with their (#monominoes, #dominoes).
+_Row = tuple[tuple[Run, ...], int, int]
+
+
 # 45 is the number of Binomial(n, k) with n <= 8, the largest sweep
-# ``verify involution`` is timed at, so such a sweep partitions each one
-# once.  All 45 hold 5,576 partials in 1.3 MB under tracemalloc (4.1 MB at
-# the peak while they are built).  A longer sweep evicts the classes of its
-# smaller n, which it no longer reads: a pair only reads classes of its own n.
+# ``verify involution`` is timed at, so such a sweep builds each one once.
+# All 45 hold 5,576 partials in 1.25 MB under tracemalloc, and building
+# them peaks no higher, since no block partition is held while they are
+# built.  A longer sweep evicts the classes of its smaller n, which it no
+# longer reads: a pair only reads classes of its own n.
 @functools.lru_cache(maxsize=45)
 def _class_partials(n: int, k: int) -> tuple[tuple[FixedRows, Monomial], ...]:
     """Each partial of Binomial(n, k) as its bare fixed rows with their (#monominoes, #dominoes).
 
-    They come in ``enumerate_partials``'s order, from one call to it per
-    (n, k) while the entry is cached.  The extended tilings of type (n, k, r)
-    are these partials with r strips, so every r shares them.
+    The partials are built from the row recursion, with no block partition:
+    each level's bottom row is one of ``_bottom_rows`` for its label, and
+    the rows above are a partial of the level below.  They come in
+    ``enumerate_partials``'s order, which sorts by (``path.steps``, fixed
+    rows).  A level's steps are "N" (NI) or "WN" (NL), so the steps order
+    the partials by their label sequences, NI first, and the partials of
+    one label sequence are the product of each level's rows, which
+    ``row_tilings`` lists in tuple order.  The extended tilings of type
+    (n, k, r) are these partials with r strips, so every r shares them.
     """
-    return tuple((p.fixed, tile_counts(p.fixed_tiles())) for p in enumerate_partials(Binomial(n, k)))
+    return tuple(
+        (tuple(runs for runs, _, _ in rows), (sum(m for _, m, _ in rows), sum(d for _, _, d in rows)))
+        for levels in _label_sequences(n, k)
+        for rows in itertools.product(*levels)
+    )
 
 
-def _trace_key(n: int, k: int, key: Key, mirror: Container[Key], memo: _Memo) -> tuple[Key, str] | Malformed:
+def _label_sequences(n: int, k: int) -> list[tuple[tuple[_Row, ...], ...]]:
+    """Each NI/NL label sequence of Binomial(n, k), in order, as the rows each level may fix.
+
+    This is the recursion {n brace k} = {k+1}{n-1 brace k} +
+    t{n-k-1}{n-1 brace k-1} on the tiling side: below delta_n's bottom row
+    lies delta_{n-1}, entered at x = k after an NI step and at x = k - 1
+    after an NL one.  delta_1 and delta_0 have no rows, so one empty partial.
+    """
+    if n <= 1:
+        return [()]
+    return [
+        (rows,) + rest
+        for k_rest, rows in _bottom_rows(n, k)
+        for rest in _label_sequences(n - 1, k_rest)
+    ]
+
+
+def _bottom_rows(n: int, k: int) -> Iterator[tuple[int, tuple[_Row, ...]]]:
+    """The fixed bottom rows of Binomial(n, k) by label, NI first, each with its counts.
+
+    Yields the next level's k with the rows, each as (runs, #monominoes,
+    #dominoes).  The path starts at x = k on a row of n - 1 cells.  For
+    k < n the step is NI and fixes the k cells left of it, in any tiling.
+    For 1 <= k <= n - 2 it may instead be NL: a domino covers cells k and
+    k + 1, and it and any tiling of the rest of the row are fixed.  For
+    k = n the path starts past the row, steps west to its end and fixes
+    nothing.
+    """
+    if k < n:
+        yield k, tuple((((1, tiles),) if tiles else (), *_row_data(tiles)[2:]) for tiles in row_tilings(k))
+    if 1 <= k <= n - 2:
+        tails = row_tilings(n - k - 2)
+        yield k - 1, tuple((((k, (2,) + tiles),), *_row_data((2,) + tiles)[2:]) for tiles in tails)
+    if k == n:
+        yield k - 1, (((), 0, 0),)
+
+
+def _trace_key(n: int, k: int, key: Key, mirror: Container[Key], memo: _Memo) -> _Image | Malformed:
     """iota of a key with its case letters, or the Malformed, caused by the refusal, that iota hit.
 
     This is the one place iota runs at the top level: ``iota_trace`` calls
     it with an empty ``mirror`` and raises its Malformed.  The top-level
     call is never stored in ``memo``: each key is traced once.  Its
     subcalls are read from ``memo`` and stored there.  An image in the
-    ``mirror`` class is valid by membership; any other is validated by
-    ``partial_from_fixed``.
+    ``mirror`` class is valid by membership and returned as its key; any
+    other is validated by ``partial_from_fixed`` and returned as the
+    ``ExtendedTiling`` that walk built, so no caller walks it again.
     """
     fixed, strips = key
     trace: list[str] = []
     try:
         image = _iota(n, k, fixed, strips, trace, memo)
         if image not in mirror:
-            _extended(n, n - k + len(strips), image)
+            image = _extended(n, n - k + len(strips), image)
     except ValueError as exc:
         malformed = Malformed(f"after cases {''.join(trace)}: {exc}")
         malformed.__cause__ = exc
@@ -443,9 +519,10 @@ def _class_report(n: int, k: int, r: int, source: _Traced, target: _Traced) -> I
     the class sums are tallied as counts per pair and built once, and an
     image preserves weight when its pair is its source's.  Each image was
     validated when it was traced (``_trace_key``).  An image outside the
-    mirror class has no entry there, so it is built as an ``ExtendedTiling``
-    to read its type and counts, and traced here with a memo of its own;
-    ``ExtendedTiling`` is otherwise built only to write a failure line.
+    mirror class has no entry there, so ``_trace_key`` returned it as the
+    ``ExtendedTiling`` that validated it; its type and counts are read from
+    that, and it is traced here with a memo of its own.  ``ExtendedTiling``
+    is otherwise built only to write a failure line.
     Each image is looked up in the mirror class once; iota maps onto it
     when every image is a member and the distinct images are as many as
     its members, so the onto check needs no second lookup.
@@ -461,15 +538,15 @@ def _class_report(n: int, k: int, r: int, source: _Traced, target: _Traced) -> I
             failures.append(f"iota failed on {_extended(n, k, key).to_json_dict()}: {result}")
             continue
         image, trace = result
-        member = target.get(image)
-        if member is None:
-            outsider = _extended(n, k_mirror, image)
-            if outsider.type_triple() != mirror:
-                failures.append(f"type {outsider.type_triple()} != {mirror} after {trace}")
+        outsider = isinstance(image, ExtendedTiling)
+        if outsider:
+            if image.type_triple() != mirror:
+                failures.append(f"type {image.type_triple()} != {mirror} after {trace}")
                 continue
-            image_counts, back = outsider.tile_counts(), _trace_key(n, k_mirror, image, source, {})
+            image_counts, image = image.tile_counts(), (image.partial.fixed, image.strips)
+            back = _trace_key(n, k_mirror, image, source, {})
         else:
-            image_counts, back = member
+            image_counts, back = target[image]
         if image_counts != counts:
             failures.append(f"weight changed on {_extended(n, k, key).to_json_dict()}")
         if isinstance(back, Malformed):
@@ -478,7 +555,7 @@ def _class_report(n: int, k: int, r: int, source: _Traced, target: _Traced) -> I
         if back[0] != key:
             failures.append(f"iota^2 != id on {_extended(n, k, key).to_json_dict()}")
         hits.append(image)
-        outside |= member is None
+        outside |= outsider
     class_sum = Poly2(Counter(counts for counts, _ in source.values()))
     target_sum = Poly2(Counter(counts for counts, _ in target.values()))
     distinct = set(hits)

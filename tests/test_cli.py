@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lucaskit import cli
+from lucaskit import cli, lucas
 from lucaskit.polyring import NotDivisible, Poly2
 from lucaskit.shapes_tilings import Binomial, count_tilings, partial_from_tiling, staircase, Tiling
 
@@ -175,6 +175,14 @@ class TestVerifyCommands:
     def test_involution_bound_admits_n_8_not_n_9(self):
         assert cli._involution_members(list(cli._types(8))) == 944_122 <= cli.MAX_INVOLUTION_MEMBERS
         assert cli._involution_members(list(cli._types(9))) == 31_507_982 > cli.MAX_INVOLUTION_MEMBERS
+
+    def test_involution_count_is_the_symmetry_lhs(self):
+        # The count reads Fibonacci numbers; each class has its symmetry LHS at s = t = 1 members.
+        types = list(cli._types(12))
+        assert len(types) == 455
+        for ext_type in types:
+            assert cli._involution_members([ext_type]) == lucas.symmetry_sides(*ext_type)[0].evaluate(1, 1)
+        assert cli._involution_members([]) == 0
 
     def test_involution_count_is_the_printed_objects(self, capsys):
         code, out = run(capsys, "verify", "involution", "--max-n", "5")

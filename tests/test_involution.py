@@ -7,7 +7,7 @@ import oracles
 import pytest
 from oracles import per_type_verify_involution
 
-from lucaskit import involution
+from lucaskit import involution, shapes_tilings
 from lucaskit.involution import (
     BrokenDomino,
     ExtendedTiling,
@@ -263,6 +263,12 @@ class TestTalliedSums:
             assert ext.weight() == Poly2.monomial(*ext.tile_counts())
 
 
+def refuse_partitions(monkeypatch, calls: list) -> None:
+    """Record, and answer with nothing, every block partition made through ``shapes_tilings``."""
+    for name in ("enumerate_partials", "block_partition"):
+        monkeypatch.setattr(shapes_tilings, name, lambda variant, name=name: calls.append((name, variant)))
+
+
 def key_of(ext: ExtendedTiling):
     """The bare (fixed rows, strips) key the pair verifier runs iota on."""
     return ext.partial.fixed, ext.strips
@@ -311,7 +317,7 @@ class TestVerifyPair:
         pair = Counter(key_of(ext) for ext in [*enumerate_extended(5, 2, 1), *enumerate_extended(5, 4, 1)])
         own_mirror = Counter(key_of(ext) for ext in enumerate_extended(4, 2, 0))
         top, partitioned, rebuilt = [], [], []
-        inner, enumerate_partials = involution._iota, involution.enumerate_partials
+        inner = involution._iota
 
         def counting(n, k, rows, strips, trace, memo):
             # Every level appends its case letter before it recurses, so only a top-level call sees no trace.
@@ -319,18 +325,18 @@ class TestVerifyPair:
                 top.append((rows, strips))
             return inner(n, k, rows, strips, trace, memo)
 
+        # enumerate_extended filled the class cache; the verifier must build its classes under the patches.
+        involution._class_partials.cache_clear()
         monkeypatch.setattr(involution, "_iota", counting)
-        monkeypatch.setattr(involution, "enumerate_partials", lambda v: partitioned.append(v) or enumerate_partials(v))
+        refuse_partitions(monkeypatch, partitioned)
         monkeypatch.setattr(involution, "partial_from_fixed", lambda *args: rebuilt.append(args))
         assert verify_involution(5, 2, 1).ok
         assert verify_involution(5, 4, 1).ok
         assert Counter(top) == pair
-        assert partitioned == [Binomial(5, 2), Binomial(5, 4)]
         top.clear()
-        partitioned.clear()
         assert verify_involution(4, 2, 0).ok
         assert Counter(top) == own_mirror
-        assert partitioned == [Binomial(4, 2)]
+        assert partitioned == []
         assert rebuilt == []
 
     @pytest.mark.parametrize("pair", ORACLE_PAIRS, ids=lambda t: "%d-%d-%d" % t)
@@ -372,17 +378,19 @@ class TestVerifyPair:
 
 
 class TestClassPartials:
-    """Every r of one Binomial(n, k) reads the class's partials from one bounded cache."""
+    """Every r of one Binomial(n, k) reads its partials, built by the row recursion, from one bounded cache."""
 
-    def test_each_binomial_is_partitioned_once(self, fresh_pairs, monkeypatch):
-        partitioned = Counter()
-        enumerate_all = involution.enumerate_partials
-        monkeypatch.setattr(involution, "enumerate_partials", lambda v: partitioned.update([v]) or enumerate_all(v))
+    def test_no_binomial_is_partitioned(self, fresh_pairs, monkeypatch):
+        partitioned = []
+        refuse_partitions(monkeypatch, partitioned)
         for n, k, r in ORACLE_TYPES:
             if n <= 6:
                 assert verify_involution(n, k, r).ok
-        assert partitioned == Counter(Binomial(n, k) for n in range(7) for k in range(n + 1))
-        assert len(partitioned) == 28
+        assert partitioned == []
+        # A name imported into involution would go round the patches.
+        assert not {"enumerate_partials", "block_partition"} & vars(involution).keys()
+        # Each of the 28 Binomial(n, k) with n <= 6 was built once, for every r.
+        assert involution._class_partials.cache_info().misses == 28
 
     @pytest.mark.parametrize("n", range(8))
     def test_cached_partials_are_enumerate_partials(self, n):
@@ -390,8 +398,17 @@ class TestClassPartials:
             expected = [(p.fixed, tile_counts(p.fixed_tiles())) for p in enumerate_partials(Binomial(n, k))]
             assert list(involution._class_partials(n, k)) == expected
 
-    def test_cache_is_bounded(self):
-        assert involution._class_partials.cache_info().maxsize is not None
+    @pytest.mark.parametrize("n", range(10))
+    def test_row_recursion_builds_every_partial(self, n):
+        for k in range(n + 1):
+            expected = {(p.fixed, tile_counts(p.fixed_tiles())) for p in enumerate_partials(Binomial(n, k))}
+            built = involution._class_partials(n, k)
+            assert len(set(built)) == len(built)
+            assert set(built) == expected, (n, k)
+
+    @pytest.mark.parametrize("cache", ["_class_partials", "_classify_bottom", "strip_first"])
+    def test_cache_is_bounded(self, cache):
+        assert getattr(involution, cache).cache_info().maxsize is not None
 
     @pytest.mark.parametrize("ext_type", ORACLE_TYPES, ids=lambda t: "%d-%d-%d" % t)
     def test_class_keys_follow_enumerate_extended(self, ext_type):
@@ -532,6 +549,45 @@ class TestImageValidation:
         report = verify_involution(*ext_type)
         assert report.failures[0].startswith("iota failed on {") and report.failures[0].endswith(message)
         assert report.to_json_dict() == per_type_verify_involution(*ext_type).to_json_dict()
+
+
+class TestIotaTraceWalksOnce:
+    def test_one_partial_from_fixed_per_trace(self, monkeypatch):
+        types = [(n, k, r) for n in range(6) for k in range(n + 1) for r in range(k + 1)]
+        members = [ext for ext_type in types for ext in enumerate_extended(*ext_type)]
+        walks = []
+        walk = involution.partial_from_fixed
+        monkeypatch.setattr(involution, "partial_from_fixed", lambda *args: walks.append(args) or walk(*args))
+        for ext in [*members, worked_example()]:
+            walks.clear()
+            image, _ = iota_trace(ext)
+            assert len(walks) == 1
+            assert walks[0] == (image.partial.variant, image.partial.fixed)
+
+
+@pytest.fixture(scope="class")
+def warm_row_caches():
+    """A full n <= 6 sweep with empty caches, so every row cache is warm before a fault is injected."""
+    involution._verify_pair.cache_clear()
+    involution._class_partials.cache_clear()
+    for n in range(7):
+        for k in range(n + 1):
+            for r in range(k + 1):
+                assert verify_involution(n, k, r).ok
+    for cache in (involution._classify_bottom, involution.strip_first):
+        assert cache.cache_info().currsize > 0
+    involution._verify_pair.cache_clear()
+    involution._class_partials.cache_clear()
+
+
+@pytest.mark.usefixtures("warm_row_caches")
+class TestVerifyPairCatchesFaultsWarm(TestVerifyPairCatchesFaults):
+    """The same faults, injected after a sweep: a cached row classification or cut hides none."""
+
+
+@pytest.mark.usefixtures("warm_row_caches")
+class TestImageValidationWarm(TestImageValidation):
+    """The same refused images, after a sweep."""
 
 
 class TestJson:

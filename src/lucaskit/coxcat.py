@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .lucas import d_lucasnomial, lucas, lucas_quotient, lucasnomial, lucasnomial_indices
+from .lucas import NegativeAtom, d_lucasnomial, lucas, lucas_quotient, lucasnomial, lucasnomial_indices
 from .polyring import NotDivisible, Poly2
 
 
@@ -270,14 +270,17 @@ def _sweep(op: str, points, compute, not_polynomial: str = "finding") -> list[Fi
     """One Finding per parameter dict in ``points`` for the value ``compute(params)``.
 
     A quotient that is not a polynomial gets status ``not_polynomial``, a
-    negative coefficient is a finding, and anything else passes.
+    negative coefficient is a finding, and anything else passes.  When
+    ``lucas_quotient`` found the quotient not a polynomial, the detail names
+    the atom and its negative exponent.
     """
     findings = []
     for params in points:
         try:
             value = compute(params)
-        except NotDivisible:
-            findings.append(Finding(op, params, not_polynomial, "not a polynomial"))
+        except NotDivisible as exc:
+            detail = str(exc) if isinstance(exc, NegativeAtom) else "not a polynomial"
+            findings.append(Finding(op, params, not_polynomial, detail))
             continue
         if value.is_nonnegative():
             findings.append(Finding(op, params, "pass"))

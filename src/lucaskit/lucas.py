@@ -11,6 +11,8 @@ Every quotient prod {a_i} / prod {b_j} goes through one engine,
 d >= 2 (Sagan and Tirrell), which are pairwise coprime irreducibles, so the
 quotient is a polynomial iff every atom's exponent is nonnegative, and then
 it is the product of the atom powers: no {n}! and no trial division.
+``atom_values`` gives each atom's weight and its value at (1, y0) in plain
+ints, which ``analysis`` uses to tell which atoms can divide a polynomial.
 
 Specializations worth remembering: (s,t) = (1,1) gives Fibonacci numbers,
 (2,-1) gives the integers, and s = 1+q, t = -q gives q-integers.
@@ -23,6 +25,14 @@ from functools import lru_cache
 from typing import Iterable
 
 from .polyring import NotDivisible, Poly1, Poly2
+
+
+class NegativeAtom(NotDivisible):
+    """A Lucas quotient that is not a polynomial: atom P_d has a negative exponent."""
+
+    def __init__(self, d: int, exponent: int) -> None:
+        super().__init__(f"not a polynomial: atom P_{d} has exponent {exponent}")
+        self.d, self.exponent = d, exponent
 
 
 class LucasCache:
@@ -87,16 +97,37 @@ def lucas_atom(d: int) -> Poly2:
     return lucas(d).exact_div(proper)
 
 
+@lru_cache(maxsize=16)
+def atom_values(y0: int, bound: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For 2 <= d < bound, the weight phi(d) of P_d and the value P_d(1, y0), in plain ints.
+
+    {n}(1, y0) follows {n} = {n-1} + y0 {n-2}, and a sieve divides each
+    P_e(1, y0) out of every proper multiple of e, as ``lucas_atom`` divides
+    the polynomials; the weight n - 1 of {n} splits the same way.  No
+    polynomial is built.  The entries at d = 0 and 1 are not atoms.
+    """
+    values = [0, 1]
+    while len(values) < bound:
+        values.append(values[-1] + y0 * values[-2])
+    weights = [n - 1 for n in range(len(values))]
+    for e in range(2, bound):
+        for m in range(2 * e, bound, e):
+            values[m] //= values[e]
+            weights[m] -= weights[e]
+    return tuple(weights), tuple(values)
+
+
 def lucas_quotient(num: Iterable[int], den: Iterable[int]) -> Poly2:
     """prod {a} over a in num divided by prod {b} over b in den.
 
     P_d's exponent is the number of indices in num that d divides minus the
     number in den.  Raises ValueError for an index below 1 ({0} = 0 is no
-    empty product) and NotDivisible, naming the smallest atom, when an
-    exponent is negative.  The atom powers are multiplied as a balanced
-    product tree, neighbours pairwise, level by level: the operands of the
-    late, large products are long, so ``polyring._convolve`` multiplies them
-    as packed integers rather than term by term.
+    empty product) and ``NegativeAtom``, a NotDivisible that carries the
+    smallest atom with a negative exponent and that exponent.  The atom
+    powers are multiplied as a balanced product tree, neighbours pairwise,
+    level by level: the operands of the late, large products are long, so
+    ``polyring._convolve`` multiplies them as packed integers rather than
+    term by term.
     """
     exponents: dict[int, int] = {}
     for sign, indices in ((1, num), (-1, den)):
@@ -108,7 +139,7 @@ def lucas_quotient(num: Iterable[int], den: Iterable[int]) -> Poly2:
     negative = [d for d, e in exponents.items() if e < 0]
     if negative:
         d = min(negative)
-        raise NotDivisible(f"not a polynomial: atom P_{d} has exponent {exponents[d]}")
+        raise NegativeAtom(d, exponents[d])
     factors = [lucas_atom(d) ** e for d, e in sorted(exponents.items()) if e]
     while len(factors) > 1:
         pairs = [a * b for a, b in zip(factors[::2], factors[1::2])]

@@ -355,6 +355,15 @@ class TestFindings:
         findings = sweep(bound)
         assert findings and all((f.status, f.detail) == ("finding", "negative coefficient") for f in findings)
 
+    def test_sweep_names_the_blocking_atom(self, monkeypatch):
+        from lucaskit import coxcat
+
+        # {6}/{4}: P_4 has exponent -1, and lucas_quotient names it.
+        monkeypatch.setattr(coxcat, "coxeter_fuss_catalan", lambda *args: coxcat.lucas_quotient([6], [4]))
+        findings = exceptional_fuss_findings(1)
+        assert findings
+        assert all((f.status, f.detail) == ("finding", "not a polynomial: atom P_4 has exponent -1") for f in findings)
+
     def test_json_lines(self):
         import json
 

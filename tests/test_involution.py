@@ -24,7 +24,14 @@ from lucaskit.involution import (
     verify_involution,
 )
 from lucaskit.polyring import Poly2
-from lucaskit.shapes_tilings import Binomial, MalformedDocument, enumerate_partials, partial_from_fixed, tile_counts
+from lucaskit.shapes_tilings import (
+    Binomial,
+    MalformedDocument,
+    enumerate_partials,
+    partial_from_fixed,
+    row_tilings,
+    tile_counts,
+)
 
 
 @pytest.fixture
@@ -406,9 +413,27 @@ class TestClassPartials:
             assert len(set(built)) == len(built)
             assert set(built) == expected, (n, k)
 
-    @pytest.mark.parametrize("cache", ["_class_partials", "_classify_bottom", "strip_first"])
+    @pytest.mark.parametrize("cache", ["_class_partials", "_classify_bottom", "strip_first", "_strip_dominoes"])
     def test_cache_is_bounded(self, cache):
         assert getattr(involution, cache).cache_info().maxsize is not None
+
+    def test_strip_dominoes_count_each_choice(self):
+        for k in range(9):
+            for r in range(k + 1):
+                expected = tuple(tile_counts(strips)[1] for strips in involution._strip_choices(k, r))
+                assert involution._strip_dominoes(k, r) == expected, (k, r)
+
+    def test_strips_counted_once_per_type(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(involution, "tile_counts", lambda rows: calls.append(rows) or tile_counts(rows))
+        involution._strip_dominoes.cache_clear()
+        for n in range(7):
+            for k in range(n + 1):
+                for r in range(k + 1):
+                    list(involution._class_keys(n, k, r))
+        # One count per tiling of each strip length k - r, for each (k, r) with k <= 6.
+        assert len(calls) == sum(len(row_tilings(k - r)) for k in range(7) for r in range(1, k + 1))
+        involution._strip_dominoes.cache_clear()
 
     @pytest.mark.parametrize("ext_type", ORACLE_TYPES, ids=lambda t: "%d-%d-%d" % t)
     def test_class_keys_follow_enumerate_extended(self, ext_type):

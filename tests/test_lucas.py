@@ -7,6 +7,8 @@ import pytest
 
 from oracles import cyclotomic, factorial_quotient, fib, gaussian_binomial, integer_d_binomial
 from lucaskit.lucas import (
+    NegativeAtom,
+    atom_values,
     chebyshev_U,
     d_lucasnomial,
     d_lucastorial,
@@ -177,6 +179,20 @@ class TestLucasAtoms:
             assert lucas_atom(d).specialize_q() == cyclotomic(d), d
 
 
+class TestAtomValues:
+    @pytest.mark.parametrize("y0", [1, 2, 3, 7])
+    def test_match_the_atoms(self, y0):
+        weights, values = atom_values(y0, 61)
+        for d in range(2, 61):
+            atom = lucas_atom(d)
+            assert values[d] == atom.evaluate(1, y0), d
+            assert weights[d] == coeff_view(atom).weight, d
+
+    def test_weights_are_totients(self):
+        weights, _ = atom_values(1, 200)
+        assert all(weights[d] == sum(math.gcd(j, d) == 1 for j in range(1, d + 1)) for d in range(2, 200))
+
+
 class TestQuotientEngine:
     """``lucas_quotient`` against multiplying out and dividing once."""
 
@@ -217,6 +233,14 @@ class TestQuotientEngine:
         # {5} = P_5 and {6} = P_2 P_3 P_6: three atoms go negative, the smallest is named.
         with pytest.raises(NotDivisible, match=r"P_2\b"):
             lucas_quotient([5], [6])
+
+    def test_carries_the_blocking_atom(self):
+        # {12}/{4}^3: P_2 and P_4 each have exponent 1 - 3.
+        with pytest.raises(NegativeAtom) as caught:
+            lucas_quotient([12], [4, 4, 4])
+        assert (caught.value.d, caught.value.exponent) == (2, -2)
+        assert str(caught.value) == "not a polynomial: atom P_2 has exponent -2"
+        assert isinstance(caught.value, NotDivisible)
 
 
 class TestDivides:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import io
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .lucas import atom_values, lucas_atom
 from .polyring import CoeffSeq, NotDivisible, Poly2, _hom_exact_div, coeff_view, real_rooted
@@ -80,30 +81,49 @@ def peel_atoms(view: CoeffSeq) -> tuple[dict[int, int], CoeffSeq]:
     tested against h's, in plain ints: y0 is the first positive integer
     with h(y0) != 0 (h(1) = 0 is possible for a polynomial that is not a
     Lucas quotient), and each P_d(1, y0) is positive there, since its roots
-    are negative.  If P_d divides h, P_d(1, y0) divides h(y0), so only the
-    candidates that pass are divided, and a failed division moves on to the
-    next d.  The factorisation into irreducibles is unique, so the order
-    does not change h.
+    are negative.  If P_d divides h, P_d(1, y0) divides h(y0), and so
+    P_d(1, y0 + 1) divides h(y0 + 1), which may be 0 and then refuses
+    nothing.  Only the candidates that pass at both points are divided: one
+    point alone lets through the small P_d(1, 1) (2 for d = 3, 3 for d = 4)
+    after an atom's last power is gone, since h(1) still holds the other
+    atoms' values.  A failed division moves on to the next d.  The
+    factorisation into irreducibles is unique, so the order does not change
+    h.
     """
     weight, h = view.weight, view.coeffs
     f = view.generating_function()
     y0 = 1
     while not (value := f.evaluate(y0)):
         y0 += 1
+    next_value = f.evaluate(y0 + 1)
     # The bound is rounded up to a power of two, so a sweep's inputs share a few cached tables.
     weights, values = atom_values(y0, 1 << (14 * (len(h) - 1)).bit_length())
     exponents: dict[int, int] = {}
     d = 3
     while d < 14 * (len(h) - 1):  # the bound falls as h loses atoms
-        while weights[d] <= 2 * (len(h) - 1) and value % values[d] == 0:
+        while (
+            weights[d] <= 2 * (len(h) - 1)
+            and value % values[d] == 0
+            and next_value % _atom_value(d, y0 + 1) == 0
+        ):
             try:
                 h = _hom_exact_div(weight, h, weights[d], coeff_view(lucas_atom(d)).coeffs)
             except NotDivisible:
                 break
-            weight, value = weight - weights[d], value // values[d]
+            weight, value, next_value = weight - weights[d], value // values[d], next_value // _atom_value(d, y0 + 1)
             exponents[d] = exponents.get(d, 0) + 1
         d += 1
     return exponents, CoeffSeq(weight, h)
+
+
+# Only the candidates that pass the first point read the second, a few per
+# input, so P_d(1, y0 + 1) is evaluated per d; a second ``atom_values``
+# table sieves every d below the bound, which took the analysis pool about
+# 10 % longer than one point alone.  A sweep reads a few hundred (d, y).
+@lru_cache(maxsize=1024)
+def _atom_value(d: int, y: int) -> int:
+    """P_d(1, y), from the atom's generating function."""
+    return coeff_view(lucas_atom(d)).generating_function().evaluate(y)
 
 
 def analyze(p: Poly2) -> CoeffReport:

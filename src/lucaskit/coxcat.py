@@ -243,8 +243,11 @@ def narayana(n: int, k: int) -> Poly2:
     if 2 * k > n + 1:
         return narayana(n, n + 1 - k)
     g = gcd(n, k)
-    left = lucasnomial(n, k).exact_div(lucas(n).exact_div(lucas(g)))
-    return left * lucasnomial(n, k - 1).exact_div(lucas(g))
+    left, right = lucasnomial(n, k), lucasnomial(n, k - 1)
+    if g == 1:
+        # {1} = 1, so neither division by {g} is needed; this is most (n, k).
+        return left.exact_div(lucas(n)) * right
+    return left.exact_div(lucas(n).exact_div(lucas(g))) * right.exact_div(lucas(g))
 
 
 # -- findings sweeps -----------------------------------------------------------

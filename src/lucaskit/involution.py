@@ -200,8 +200,9 @@ def iota_trace(extended: ExtendedTiling) -> tuple[ExtendedTiling, tuple[str, ...
     ``partial_from_fixed`` validates the image, in the one walk that builds
     the returned tiling, and any refusal, like a strip cut through a
     domino, is raised as ``_trace_key``'s ``Malformed``.
-    ``verify_involution`` does not call this: it traces each member against
-    the mirror class, and walks only an image that is not there.
+    ``verify_involution`` does not call this: it proves iota by levels, and
+    its exhaustive fallback traces each member against the mirror class,
+    and walks only an image that is not there.
     """
     n, k, _ = extended.type_triple()
     result = _trace_key(n, k, (extended.partial.fixed, extended.strips), (), {})
@@ -295,9 +296,9 @@ def enumerate_extended(n: int, k: int, r: int) -> Iterator[ExtendedTiling]:
     The type is checked, and the partials of ``_class_partials(n, k)``
     read, when this is called; the members are built as they are read, each
     partial rebuilt by ``partial_from_fixed``, which validates it, with
-    every choice of strips.  ``verify_involution`` does not call this: it
-    reads the same members, in the same order, as bare keys from
-    ``_class_keys``.
+    every choice of strips.  ``verify_involution`` does not call this: its
+    exhaustive check reads the same members, in the same order, as bare
+    keys from ``_class_keys``.
     """
     if not 0 <= r <= k <= n:
         raise ValueError("need 0 <= r <= k <= n")
@@ -332,10 +333,15 @@ def _strip_dominoes(k: int, r: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class InvolutionReport:
-    """Exhaustive check of the involution on one type class.
+    """The involution's check on one type class and its mirror.
 
-    Frozen, with ``failures`` a tuple: ``verify_involution`` hands the same
-    cached report to every caller.
+    ``method`` names how it was made: ``"levels"`` when iota was proved on
+    the type and its mirror level by level (``levels.holds``) and the class
+    sums were built from the partials' counts, ``"exhaustive"`` when iota
+    was traced on every member (``_verify_pair``).  Both give the same
+    fields, so ``to_json_dict`` leaves the method out.  Frozen, with
+    ``failures`` a tuple: ``verify_involution`` hands the same cached report
+    to every caller.
     """
 
     n: int
@@ -348,6 +354,7 @@ class InvolutionReport:
     lhs: Poly2
     rhs: Poly2
     failures: tuple[str, ...] = ()
+    method: str = "exhaustive"
 
     def __post_init__(self):
         object.__setattr__(self, "failures", tuple(self.failures))
@@ -372,14 +379,37 @@ def verify_involution(n: int, k: int, r: int) -> InvolutionReport:
     """Check type contract, involutivity, weight preservation and class sums.
 
     iota pairs type (n, k, r) with its mirror (n, n-k+r, r), so the two are
-    verified together, once (``_verify_pair``), and a later call for either
-    returns its cached report.
+    verified together, once, and a later call for either returns its cached
+    report.  The pair is proved level by level (``levels.pair_by_levels``),
+    with no member traced; only when a level fails, or a class sum misses its
+    symmetry side, is every member traced (``_verify_pair``), so that the
+    report names what failed.  Both methods give the same report.
     """
+    return _report(n, k, r, _checked_pair)
+
+
+def _verify_exhaustively(n: int, k: int, r: int) -> InvolutionReport:
+    """``verify_involution`` with every member traced (``_verify_pair``), never by levels."""
+    return _report(n, k, r, _verify_pair)
+
+
+def _report(n: int, k: int, r: int, verify_pair) -> InvolutionReport:
+    """The report of type (n, k, r) from ``verify_pair`` of its mirror pair, low k first."""
     if not 0 <= r <= k <= n:
         raise ValueError("need 0 <= r <= k <= n")
     mirror = n - k + r
-    low, high = _verify_pair(n, min(k, mirror), max(k, mirror), r)
+    low, high = verify_pair(n, min(k, mirror), max(k, mirror), r)
     return low if k <= mirror else high
+
+
+@functools.lru_cache(maxsize=None)
+def _checked_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionReport, InvolutionReport]:
+    """The mirror pair's reports by levels, or, when the levels fail, by tracing every member."""
+    # Imported on first use: only this check reads it, and compiling it cost
+    # every other command about 3 ms of start-up where bytecode is not cached.
+    from . import levels
+
+    return levels.pair_by_levels(n, k_lo, k_hi, r) or _verify_pair(n, k_lo, k_hi, r)
 
 
 # iota's image with its case letters: the key of a member of the mirror
@@ -598,4 +628,5 @@ def _class_report(n: int, k: int, r: int, source: _Traced, target: _Traced) -> I
         lhs=lhs,
         rhs=rhs,
         failures=failures,
+        method="exhaustive",
     )

@@ -27,6 +27,8 @@ expands a substitution term by term in ``Poly1`` arithmetic, as
 ``Poly2.substitute`` did before it built each image's powers once.  ``token_completion`` is
 the monomino completion ``partial_from_fixed`` used before it walked tile
 tuples: each row written out as "M"/"D"/"." tokens, then parsed back.
+``one_point_peel`` is ``analysis.peel_atoms`` as it was before it tested a
+second point, and counts its failed divisions.
 ``per_type_verify_involution`` is ``verify_involution`` as it was before it
 verified each mirror pair once: it enumerates its own class and the mirror
 class, runs iota on every member and again on every image, and caches
@@ -40,10 +42,19 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from lucaskit.lucas import lucas, symmetry_sides
+from lucaskit.lucas import atom_values, lucas, lucas_atom, symmetry_sides
 from lucaskit.analysis import CoeffReport, is_log_concave, is_unimodal
 from lucaskit.involution import InvolutionReport, Malformed, enumerate_extended, iota, iota_trace
-from lucaskit.polyring import DivisionByZero, Monomial, NotDivisible, Poly1, Poly2, coeff_view
+from lucaskit.polyring import (
+    CoeffSeq,
+    DivisionByZero,
+    Monomial,
+    NotDivisible,
+    Poly1,
+    Poly2,
+    _hom_exact_div,
+    coeff_view,
+)
 from lucaskit.shapes_tilings import (
     BlockPartitionReport,
     LatticePath,
@@ -250,6 +261,30 @@ def fraction_analyze(p: Poly2) -> CoeffReport:
         log_concave=is_log_concave(view.coeffs),
         real_rooted=fraction_real_rooted(view.generating_function()),
     )
+
+
+def one_point_peel(view: CoeffSeq) -> tuple[dict[int, int], CoeffSeq, int]:
+    """``analysis.peel_atoms`` as it was with one test point, with the number of its divisions that failed."""
+    weight, h = view.weight, view.coeffs
+    f = view.generating_function()
+    y0 = 1
+    while not (value := f.evaluate(y0)):
+        y0 += 1
+    weights, values = atom_values(y0, 1 << (14 * (len(h) - 1)).bit_length())
+    exponents: dict[int, int] = {}
+    failed = 0
+    d = 3
+    while d < 14 * (len(h) - 1):
+        while weights[d] <= 2 * (len(h) - 1) and value % values[d] == 0:
+            try:
+                h = _hom_exact_div(weight, h, weights[d], coeff_view(lucas_atom(d)).coeffs)
+            except NotDivisible:
+                failed += 1
+                break
+            weight, value = weight - weights[d], value // values[d]
+            exponents[d] = exponents.get(d, 0) + 1
+        d += 1
+    return exponents, CoeffSeq(weight, h), failed
 
 
 def integer_coxeter_catalan(degrees, k: int = 1) -> int:

@@ -1,13 +1,14 @@
 """Strips, extended tilings and the symmetry involution."""
 
 import dataclasses
+import inspect
 from collections import Counter
 
 import oracles
 import pytest
 from oracles import per_type_verify_involution
 
-from lucaskit import involution, shapes_tilings
+from lucaskit import involution, levels, shapes_tilings
 from lucaskit.involution import (
     BrokenDomino,
     ExtendedTiling,
@@ -34,14 +35,18 @@ from lucaskit.shapes_tilings import (
 )
 
 
+def clear_pair_caches():
+    """Empty verify_involution's pair, level and class caches."""
+    for cache in (involution._checked_pair, involution._verify_pair, levels.holds, involution._class_partials):
+        cache.cache_clear()
+
+
 @pytest.fixture
 def fresh_pairs():
-    """Empty verify_involution's pair and class caches around a test, so nothing made under a patch outlives it."""
-    involution._verify_pair.cache_clear()
-    involution._class_partials.cache_clear()
+    """Empty verify_involution's caches around a test, so nothing made under a patch outlives it."""
+    clear_pair_caches()
     yield
-    involution._verify_pair.cache_clear()
-    involution._class_partials.cache_clear()
+    clear_pair_caches()
 
 
 # Strips of the running example: S1 = M D M (4 cells), S2 = D M (3 cells).
@@ -314,6 +319,7 @@ class TestVerifyPair:
         with pytest.raises(ValueError, match=r"^need 0 <= r <= k <= n$"):
             verify_involution(*ext_type)
         assert involution._verify_pair.cache_info().currsize == 0
+        assert involution._checked_pair.cache_info().currsize == 0
 
     @REFUSED_TYPES
     def test_enumerate_extended_refuses_at_call_time(self, ext_type):
@@ -337,11 +343,11 @@ class TestVerifyPair:
         monkeypatch.setattr(involution, "_iota", counting)
         refuse_partitions(monkeypatch, partitioned)
         monkeypatch.setattr(involution, "partial_from_fixed", lambda *args: rebuilt.append(args))
-        assert verify_involution(5, 2, 1).ok
-        assert verify_involution(5, 4, 1).ok
+        assert involution._verify_exhaustively(5, 2, 1).ok
+        assert involution._verify_exhaustively(5, 4, 1).ok
         assert Counter(top) == pair
         top.clear()
-        assert verify_involution(4, 2, 0).ok
+        assert involution._verify_exhaustively(4, 2, 0).ok
         assert Counter(top) == own_mirror
         assert partitioned == []
         assert rebuilt == []
@@ -372,14 +378,14 @@ class TestVerifyPair:
             return inner(n, k, rows, strips, trace, memo)
 
         monkeypatch.setattr(involution, "_iota", counting)
-        assert verify_involution(6, 4, 3).ok
-        assert verify_involution(6, 5, 3).ok
+        assert involution._verify_exhaustively(6, 4, 3).ok
+        assert involution._verify_exhaustively(6, 5, 3).ok
         assert subcalls and set(subcalls.values()) == {1}
         total = sum(subcalls.values())
         # A memo that outlived the pair would leave the second verification less to run.
         involution._verify_pair.cache_clear()
         subcalls.clear()
-        assert verify_involution(6, 5, 3).ok
+        assert involution._verify_exhaustively(6, 5, 3).ok
         assert set(subcalls.values()) == {1}
         assert sum(subcalls.values()) == total
 
@@ -392,7 +398,7 @@ class TestClassPartials:
         refuse_partitions(monkeypatch, partitioned)
         for n, k, r in ORACLE_TYPES:
             if n <= 6:
-                assert verify_involution(n, k, r).ok
+                assert involution._verify_exhaustively(n, k, r).ok
         assert partitioned == []
         # A name imported into involution would go round the patches.
         assert not {"enumerate_partials", "block_partition"} & vars(involution).keys()
@@ -413,9 +419,14 @@ class TestClassPartials:
             assert len(set(built)) == len(built)
             assert set(built) == expected, (n, k)
 
-    @pytest.mark.parametrize("cache", ["_class_partials", "_classify_bottom", "strip_first", "_strip_dominoes"])
-    def test_cache_is_bounded(self, cache):
-        assert getattr(involution, cache).cache_info().maxsize is not None
+    @pytest.mark.parametrize(
+        "module, cache",
+        [(involution, name) for name in ("_class_partials", "_classify_bottom", "strip_first", "_strip_dominoes")]
+        + [(levels, name) for name in ("holds", "_bottom_table", "_opaque", "_opaque_rows")],
+        ids=lambda value: value if isinstance(value, str) else value.__name__.rpartition(".")[2],
+    )
+    def test_cache_is_bounded(self, module, cache):
+        assert getattr(module, cache).cache_info().maxsize is not None
 
     def test_strip_dominoes_count_each_choice(self):
         for k in range(9):
@@ -445,8 +456,8 @@ class TestClassPartials:
 class TestVerifyPairCatchesFaults:
     """A broken iota still fails the pair path's checks, with the oracle's report."""
 
-    def check(self, ext_type, *expected):
-        report = verify_involution(*ext_type)
+    def check(self, ext_type, *expected, verify=verify_involution):
+        report = verify(*ext_type)
         for message in expected:
             assert any(f.startswith(message) for f in report.failures), (message, report.failures)
         assert report.to_json_dict() == per_type_verify_involution(*ext_type).to_json_dict()
@@ -507,8 +518,11 @@ class TestVerifyPairCatchesFaults:
 
         monkeypatch.setattr(involution, "_class_keys", lossy(involution._class_keys))
         monkeypatch.setattr(oracles, "enumerate_extended", lossy(oracles.enumerate_extended))
-        self.check((4, 2, 1), "iota does not map onto", "mirror class weight")
-        self.check((4, 3, 1), "iota does not map onto", "class weight")
+        # The level method lists no member, so only the exhaustive one reads the lossy list
+        # (TestLevels.test_lossy_partials_fall_back loses a partial instead).
+        exhaustive = involution._verify_exhaustively
+        self.check((4, 2, 1), "iota does not map onto", "mirror class weight", verify=exhaustive)
+        self.check((4, 3, 1), "iota does not map onto", "class weight", verify=exhaustive)
 
     def test_outsider_and_missed_member_balance(self, monkeypatch):
         # (4,3,1) loses its last member, so its preimage's image is an outsider; and two
@@ -593,16 +607,14 @@ class TestIotaTraceWalksOnce:
 @pytest.fixture(scope="class")
 def warm_row_caches():
     """A full n <= 6 sweep with empty caches, so every row cache is warm before a fault is injected."""
-    involution._verify_pair.cache_clear()
-    involution._class_partials.cache_clear()
+    clear_pair_caches()
     for n in range(7):
         for k in range(n + 1):
             for r in range(k + 1):
                 assert verify_involution(n, k, r).ok
     for cache in (involution._classify_bottom, involution.strip_first):
         assert cache.cache_info().currsize > 0
-    involution._verify_pair.cache_clear()
-    involution._class_partials.cache_clear()
+    clear_pair_caches()
 
 
 @pytest.mark.usefixtures("warm_row_caches")
@@ -636,3 +648,178 @@ class TestJson:
         data["strips"][0] = ["M"]  # wrong length for a type (7,5,2) strip
         with pytest.raises(ValueError):
             ExtendedTiling.from_json_dict(data)
+
+
+ALL_TYPES = [(n, k, r) for n in range(7) for k in range(n + 1) for r in range(k + 1)]
+
+
+def mutant_iota(old: str, new: str, **extra):
+    """``_iota`` with the one occurrence of ``old`` in its source replaced by ``new``.
+
+    The mutant is compiled against a copy of the module's names, plus
+    ``extra``, so its recursive calls still go through ``_inner`` to
+    whatever ``_iota`` the module holds: a test patches the mutant in.
+    """
+    source = inspect.getsource(involution._iota)
+    assert source.count(old) == 1, old
+    names = {**vars(involution), **extra}
+    exec(compile(source.replace(old, new), involution.__file__, "exec"), names)
+    return names["_iota"]
+
+
+# Seeded faults in _iota: (the source it changes, the change).
+FAULTS = {
+    "a-cuts-r-cells": ("strip_reverse(strip_last(R, r + 1))", "strip_reverse(strip_last(R, r))"),
+    "b-anchored-left": ('_prepend_row(res_rows, "right", row, n)\n        if r == 0', '_prepend_row(res_rows, "left", row, n)\n        if r == 0'),
+    "b-strips-reordered": ("(first,) + res_strips[: r - 1]", "res_strips[: r - 1] + (first,)"),
+    # Legal and weight-preserving, and the image's level makes the right call, but rebuilds another R.
+    "b-first-unreversed": ("strip_reverse(strip_last(R, r)))", "strip_last(R, r))"),
+    "c-row-reversed": ("row = strip_first(rs, n - k + r)", "row = strip_reverse(strip_first(rs, n - k + r))"),
+    "d-first-reversed": ("first = strip_first(rs, n - k + r - 1)", "first = strip_reverse(strip_first(rs, n - k + r - 1))"),
+    "second-point-at-k-r": ("_classify_bottom(n - 1, bottom, k - r - 1)", "_classify_bottom(n - 1, bottom, k - r)"),
+    "c-d-flipped": ("if second_ni:", "if not second_ni:"),
+    "c-inner-at-k": ("_inner(n - 1, k - 1, inner_rows, inner_strips", "_inner(n - 1, k, inner_rows, inner_strips"),
+}
+
+
+@pytest.mark.usefixtures("fresh_pairs")
+class TestLevels:
+    """verify_involution proves a pair level by level, and falls back to tracing every member when a level fails."""
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_levels_match_exhaustive(self, n):
+        for k in range(n + 1):
+            for r in range(k + 1):
+                report = verify_involution(n, k, r)
+                assert report.method == "levels"
+                exhaustive = involution._verify_exhaustively(n, k, r)
+                assert exhaustive.method == "exhaustive"
+                assert report.to_json_dict() == exhaustive.to_json_dict(), (n, k, r)
+
+    def test_method_is_not_serialised(self):
+        report = verify_involution(4, 2, 1)
+        assert "method" not in report.to_json_dict()
+        assert report.to_json_dict() == per_type_verify_involution(4, 2, 1).to_json_dict()
+
+    def test_every_level_to_12_holds(self):
+        assert all(levels.holds(m, k, r) for m in range(13) for k in range(m + 1) for r in range(k + 1))
+
+    def test_no_member_is_traced(self, monkeypatch):
+        traced = []
+        monkeypatch.setattr(involution, "_trace_key", lambda *args: traced.append(args))
+        monkeypatch.setattr(involution, "_class_keys", lambda *args: traced.append(args))
+        assert all(verify_involution(*ext_type).ok for ext_type in ALL_TYPES)
+        assert traced == []
+
+    def test_each_level_is_checked_once_when_reached(self, monkeypatch):
+        checked = []
+        check = levels.check_level
+        monkeypatch.setattr(levels, "check_level", lambda *level_type: checked.append(level_type) or check(*level_type))
+        assert verify_involution(6, 2, 1).method == "levels"
+        reached = len(checked)
+        assert len(set(checked)) == reached and {m for m, _, _ in checked} == set(range(7))
+        assert verify_involution(6, 3, 1).method == "levels"
+        assert len(checked) > reached and len(set(checked)) == len(checked)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_seeded_fault_fails_both_methods(self, monkeypatch, fault):
+        monkeypatch.setattr(involution, "_iota", mutant_iota(*FAULTS[fault]))
+        assert not all(levels.holds(*ext_type) for ext_type in ALL_TYPES)
+        assert not all(involution._verify_exhaustively(*ext_type).ok for ext_type in ALL_TYPES)
+        for ext_type in ALL_TYPES:
+            report = verify_involution(*ext_type)
+            assert report.to_json_dict() == involution._verify_exhaustively(*ext_type).to_json_dict(), ext_type
+            # A level check over-approximates, so a pair may fall back and still pass.
+            assert report.ok or report.method == "exhaustive"
+
+    def test_weight_change_fails_both_methods(self, monkeypatch):
+        # Case a's image is in case a, so trading a domino for two monominoes in R's last
+        # cells, and back, keeps iota an involution onto the mirror type; only weights change.
+        trade = {(2,): (1, 1), (1, 1): (2,)}
+        monkeypatch.setattr(involution, "_iota", mutant_iota(
+            "strip_reverse(strip_last(R, r + 1))", "_trade(strip_reverse(strip_last(R, r + 1)))",
+            _trade=lambda strip: trade.get(strip, strip),
+        ))
+        reports = [involution._verify_exhaustively(*ext_type) for ext_type in ALL_TYPES]
+        assert {f.split(" on ")[0] for report in reports for f in report.failures} == {"weight changed"}
+        assert not all(levels.holds(*ext_type) for ext_type in ALL_TYPES)
+        for ext_type, exhaustive in zip(ALL_TYPES, reports):
+            assert verify_involution(*ext_type).to_json_dict() == exhaustive.to_json_dict(), ext_type
+
+    def test_a_fault_only_in_subcalls_fails_both_directions(self, monkeypatch):
+        # Case c's row is reversed below the top level only, where a trace holds two letters.
+        monkeypatch.setattr(involution, "_iota", mutant_iota(
+            "row = strip_first(rs, n - k + r)",
+            "row = strip_first(rs, n - k + r) if len(trace) < 2 else strip_reverse(strip_first(rs, n - k + r))",
+        ))
+        # (4, 4, 3) runs cases c and d; (4, 3, 3) runs case b, whose image's level runs case c.
+        assert levels.check_level(4, 4, 3) is None
+        assert levels.check_level(4, 3, 3) is None
+        assert not involution._verify_exhaustively(4, 3, 3).ok
+        for ext_type in ALL_TYPES:
+            assert verify_involution(*ext_type).to_json_dict() == involution._verify_exhaustively(*ext_type).to_json_dict()
+
+    def test_unreversed_case_a_passes_both_methods(self, monkeypatch):
+        # Case a reverses R's last r + 1 cells; leaving them as they are is still an involution.
+        monkeypatch.setattr(involution, "_iota", mutant_iota("strip_reverse(strip_last(R, r + 1))", "strip_last(R, r + 1)"))
+        for ext_type in ALL_TYPES:
+            assert verify_involution(*ext_type).method == "levels"
+            assert involution._verify_exhaustively(*ext_type).ok
+
+    def test_levels_run_the_module_iota(self, monkeypatch):
+        calls = []
+        inner = involution._iota
+
+        def counting(n, k, rows, strips, trace, memo):
+            calls.append(n)
+            return inner(n, k, rows, strips, trace, memo)
+
+        monkeypatch.setattr(involution, "_iota", counting)
+        assert levels.holds(4, 2, 1)
+        assert set(calls) == {0, 1, 2, 3, 4}
+
+        def refusing(n, k, rows, strips, trace, memo):
+            if n == 2:
+                raise BrokenDomino("refused")
+            return inner(n, k, rows, strips, trace, memo)
+
+        levels.holds.cache_clear()
+        monkeypatch.setattr(involution, "_iota", refusing)
+        assert not levels.holds(4, 2, 1)
+
+    def test_reading_an_opaque_row_fails_the_level(self, monkeypatch):
+        inner = involution._iota
+
+        def peeking(n, k, rows, strips, trace, memo):
+            if n >= 3:
+                rows[1] == ()  # reads the row above the bottom row
+            return inner(n, k, rows, strips, trace, memo)
+
+        monkeypatch.setattr(involution, "_iota", peeking)
+        assert not levels.holds(3, 1, 0)
+        assert levels.holds(2, 1, 0)
+        report = verify_involution(3, 1, 0)
+        assert report.ok and report.method == "exhaustive"
+
+    def test_lossy_partials_fall_back(self, monkeypatch):
+        # (4,3)'s class loses its last partial: the level method's sum misses the symmetry side,
+        # so the pair is traced, over the same lossy class.
+        build = involution._class_partials
+
+        def lossy(n, k):
+            partials = build(n, k)
+            return partials[:-1] if (n, k) == (4, 3) else partials
+
+        monkeypatch.setattr(involution, "_class_partials", lossy)
+        report = verify_involution(4, 2, 1)
+        assert report.method == "exhaustive"
+        assert report.failures and report.to_json_dict() == involution._verify_exhaustively(4, 2, 1).to_json_dict()
+
+    def test_opaque_parts_refuse_every_read(self):
+        part = levels._Opaque("S2", 3)
+        for read in (hash, len, iter, bool, reversed, lambda p: p == (), lambda p: () + p, lambda p: p[0]):
+            with pytest.raises(levels._Read):
+                read(part)
+        assert levels._same((part, (1, 2)), (part, (1, 2)))
+        assert not levels._same((part,), (levels._Opaque("S2", 3),))
+        assert not levels._same(part, (1, 2))

@@ -33,6 +33,7 @@ from .shapes_tilings import (
     Run,
     Tiles,
     _row_data,
+    _row_groups,
     check_keys,
     partial_from_fixed,
     row_tilings,
@@ -337,7 +338,7 @@ class InvolutionReport:
 
     ``method`` names how it was made: ``"levels"`` when iota was proved on
     the type and its mirror level by level (``levels.holds``) and the class
-    sums were built from the partials' counts, ``"exhaustive"`` when iota
+    sums were folded over the bottom rows, ``"exhaustive"`` when iota
     was traced on every member (``_verify_pair``).  Both give the same
     fields, so ``to_json_dict`` leaves the method out.  Frozen, with
     ``failures`` a tuple: ``verify_involution`` hands the same cached report
@@ -470,39 +471,35 @@ def _class_keys(n: int, k: int, r: int) -> Iterator[tuple[Key, Monomial]]:
             yield (fixed, strips), (monos + strip_monos, doms + strip_doms)
 
 
-# A fixed bottom row: its runs with their (#monominoes, #dominoes).
-_Row = tuple[tuple[Run, ...], int, int]
-
-
-# 45 is the number of Binomial(n, k) with n <= 8, the largest sweep
-# ``verify involution`` is timed at, so such a sweep builds each one once.
-# All 45 hold 5,576 partials in 1.25 MB under tracemalloc, and building
-# them peaks no higher, since no block partition is held while they are
-# built.  A longer sweep evicts the classes of its smaller n, which it no
-# longer reads: a pair only reads classes of its own n.
+# Only the exhaustive fallback (``_class_keys``) and ``enumerate_extended``
+# read these.  45 is the number of Binomial(n, k) with n <= 8, the largest
+# sweep ``verify involution`` is timed at.  All 45 hold 5,576 partials in
+# 1.25 MB under tracemalloc, and building them peaks no higher, since no
+# block partition is held while they are built.  A longer sweep evicts the
+# classes of its smaller n, which it no longer reads: a pair reads only its n.
 @functools.lru_cache(maxsize=45)
 def _class_partials(n: int, k: int) -> tuple[tuple[FixedRows, Monomial], ...]:
     """Each partial of Binomial(n, k) as its bare fixed rows with their (#monominoes, #dominoes).
 
     The partials are built from the row recursion, with no block partition:
-    each level's bottom row is one of ``_bottom_rows`` for its label, and
+    each level's bottom row is one of ``_bottom_table``'s for its label, and
     the rows above are a partial of the level below.  They come in
     ``enumerate_partials``'s order, which sorts by (``path.steps``, fixed
     rows).  A level's steps are "N" (NI) or "WN" (NL), so the steps order
     the partials by their label sequences, NI first, and the partials of
     one label sequence are the product of each level's rows, which
-    ``row_tilings`` lists in tuple order.  The extended tilings of type
+    ``_bottom_table`` lists in tuple order.  The extended tilings of type
     (n, k, r) are these partials with r strips, so every r shares them.
     """
     return tuple(
-        (tuple(runs for runs, _, _ in rows), (sum(m for _, m, _ in rows), sum(d for _, _, d in rows)))
+        (tuple(runs for runs, _ in rows), (sum(m for _, (m, _) in rows), sum(d for _, (_, d) in rows)))
         for levels in _label_sequences(n, k)
         for rows in itertools.product(*levels)
     )
 
 
-def _label_sequences(n: int, k: int) -> list[tuple[tuple[_Row, ...], ...]]:
-    """Each NI/NL label sequence of Binomial(n, k), in order, as the rows each level may fix.
+def _label_sequences(n: int, k: int) -> list[tuple[list[tuple[tuple[Run, ...], Monomial]], ...]]:
+    """Each NI/NL label sequence of Binomial(n, k), in order, as the (runs, counts) each level may fix.
 
     This is the recursion {n brace k} = {k+1}{n-1 brace k} +
     t{n-k-1}{n-1 brace k-1} on the tiling side: below delta_n's bottom row
@@ -511,31 +508,30 @@ def _label_sequences(n: int, k: int) -> list[tuple[tuple[_Row, ...], ...]]:
     """
     if n <= 1:
         return [()]
+    table = _bottom_table(n, k).items()
     return [
         (rows,) + rest
-        for k_rest, rows in _bottom_rows(n, k)
-        for rest in _label_sequences(n - 1, k_rest)
+        for k_next in (k, k - 1)
+        if (rows := [(runs, counts) for runs, (x, counts) in table if x == k_next])
+        for rest in _label_sequences(n - 1, k_next)
     ]
 
 
-def _bottom_rows(n: int, k: int) -> Iterator[tuple[int, tuple[_Row, ...]]]:
-    """The fixed bottom rows of Binomial(n, k) by label, NI first, each with its counts.
+# 171 is the number of Binomial(m, k) with m <= 17, as in the level check's caches.
+@functools.lru_cache(maxsize=171)
+def _bottom_table(n: int, k: int) -> dict[tuple[Run, ...], tuple[int, Monomial]]:
+    """Each legal bottom row of Binomial(n, k), as its fixed runs, with the next level's k and its counts.
 
-    Yields the next level's k with the rows, each as (runs, #monominoes,
-    #dominoes).  The path starts at x = k on a row of n - 1 cells.  For
-    k < n the step is NI and fixes the k cells left of it, in any tiling.
-    For 1 <= k <= n - 2 it may instead be NL: a domino covers cells k and
-    k + 1, and it and any tiling of the rest of the row are fixed.  For
-    k = n the path starts past the row, steps west to its end and fixes
-    nothing.
+    The rows are read off the greedy row step: ``_row_groups`` groups the
+    tilings of delta_n's bottom row, n - 1 cells entered at x = k, by
+    where the path crosses it and the runs it fixes.  The crossing is the
+    k that delta_{n-1} above is entered at, and the counts are the fixed
+    runs' (#monominoes, #dominoes).  The rows come in the order of their
+    first tilings in ``row_tilings``, which is tuple order within a label.
+    Every caller shares the cached table, and none changes it.
     """
-    if k < n:
-        yield k, tuple((((1, tiles),) if tiles else (), *_row_data(tiles)[2:]) for tiles in row_tilings(k))
-    if 1 <= k <= n - 2:
-        tails = row_tilings(n - k - 2)
-        yield k - 1, tuple((((k, (2,) + tiles),), *_row_data((2,) + tiles)[2:]) for tiles in tails)
-    if k == n:
-        yield k - 1, (((), 0, 0),)
+    groups = _row_groups(Binomial(n, k), 1, n - 1, k, frozenset(), None)
+    return {runs: (x, tile_counts(tiles for _, tiles in runs)) for x, _, _, runs in groups}
 
 
 def _trace_key(n: int, k: int, key: Key, mirror: Container[Key], memo: _Memo) -> _Image | Malformed:

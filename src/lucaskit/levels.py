@@ -1,14 +1,14 @@
 """The involution checked level by level: iota proved by induction on n, with no member traced.
 
-``check_level`` runs the recursive involution, ``involution._iota`` itself,
-never a copy of its cases, on one level of type (m, k, r): a member whose
-bottom row R is concrete and whose other parts are opaque (``_Opaque``):
-the rows above R, the strips, and the image the recursive call returns,
-which ``_Answer``, passed as the memo that ``involution._inner`` consults,
-hands back.  Reading an opaque part fails the level, but for S_1 and the
-first and last strips of the inner image, which are made concrete, tiling
-by tiling, when a run reads them.  For each such configuration the level
-checks that
+``check_level`` runs the recursive involution, ``involution._iota``
+itself, never a copy of its cases, on one level of type (m, k, r): a
+member whose bottom row R, from ``involution._bottom_table``, is concrete
+and whose other parts are opaque (``_Opaque``): the rows above R, the
+strips, and the image the recursive call returns, which ``_Answer``,
+passed as the memo that ``involution._inner`` consults, hands back.
+Reading an opaque part fails the level, but for S_1 and the first and last
+strips of the inner image, which are made concrete, tiling by tiling, when
+a run reads them.  For each such configuration the level checks that
 
 - the recursive call is on level m - 1, gets the k that R leaves the rows
   above it, those rows untouched, and legal strips for its type;
@@ -45,13 +45,12 @@ back to tracing every member.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from typing import Mapping
 
 from . import involution
 from .lucas import lucas, symmetry_sides
 from .polyring import Monomial, Poly2
-from .shapes_tilings import Run, Tiles, row_tilings
+from .shapes_tilings import Tiles, row_tilings, tile_counts
 
 
 class _Read(Exception):
@@ -176,13 +175,7 @@ def _strip_ok(strip, cells: int) -> bool:
 
 def _concrete_counts(*groups) -> Monomial:
     """(#monominoes, #dominoes) over the strips of ``groups`` that are not opaque."""
-    monos = doms = 0
-    for strips in groups:
-        for strip in strips:
-            if type(strip) is tuple:
-                monos += strip.count(1)
-                doms += strip.count(2)
-    return monos, doms
+    return tile_counts(strip for strips in groups for strip in strips if type(strip) is tuple)
 
 
 def _opaque_ids(strips) -> list[int]:
@@ -225,7 +218,7 @@ def _level_run(m: int, k: int, r: int, bottom, values: Mapping[str, Tiles]) -> t
     call, image = forward.call, forward.image
     n_in, k_in, rows_in, strips_in = call
     image_rows, image_strips = image
-    k_next, counts = _bottom_table(m, k)[bottom]
+    k_next, counts = involution._bottom_table(m, k)[bottom]
     _require(n_in == m - 1 and k_in == k_next, "the recursive call gets the bottom row's k")
     _require(_same(rows_in, rows[1:]), "the recursive call gets the rows above the bottom row")
     _require(all(_strip_ok(s, k_in - i) for i, s in enumerate(strips_in, 1)), "the recursive call gets strips")
@@ -238,11 +231,13 @@ def _level_run(m: int, k: int, r: int, bottom, values: Mapping[str, Tiles]) -> t
     else:
         out_bottom, above = (), out_rows
     # Hashing a row that holds an opaque part reads it, which fails the level.
-    legal = _bottom_table(m, k_out).get(out_bottom)
+    legal = involution._bottom_table(m, k_out).get(out_bottom)
+    _require(legal is not None, "the image's bottom row is legal")
     k_image = n_in - k_in + len(strips_in)
-    _require(legal is not None and legal[0] == k_image, "the image's bottom row is legal for its k")
+    _require(legal[0] == k_image, "the image's bottom row leaves the inner image's k")
     _require(_same(above, image_rows), "the image's rows above its bottom row are the inner image's")
-    _require(len(out_strips) == r and all(_strip_ok(s, k_out - i) for i, s in enumerate(out_strips, 1)), "strips")
+    out_ok = len(out_strips) == r and all(_strip_ok(s, k_out - i) for i, s in enumerate(out_strips, 1))
+    _require(out_ok, "the image gets strips")
     # Rows are checked in place above; an opaque strip is passed on once, into the call or the image.
     given, passed = set(_opaque_ids(strips)), _opaque_ids(strips_in)
     made, kept = set(_opaque_ids(image_strips)), _opaque_ids(out_strips)
@@ -284,7 +279,7 @@ def check_level(m: int, k: int, r: int) -> frozenset[tuple[int, int, int]] | Non
                 _require(_same(_run(0, 0, (), (), trace, _Expect(None, None)), ((), ())), "iota(x) = x at n = 0")
             return frozenset()
         calls = set()
-        for bottom in _bottom_table(m, k):
+        for bottom in involution._bottom_table(m, k):
             pending: list[dict[str, Tiles]] = [{}]
             while pending:
                 values = pending.pop()
@@ -299,16 +294,8 @@ def check_level(m: int, k: int, r: int) -> frozenset[tuple[int, int, int]] | Non
         return None
 
 
-# The level check reaches every type with n <= 12 in about a second.  Its
-# caches hold every (m, k) and every level type (m, k, r) with m <= 17: 171
-# and 1,140 of them.
-@functools.lru_cache(maxsize=171)
-def _bottom_table(m: int, k: int) -> dict[tuple[Run, ...], tuple[int, Monomial]]:
-    """Each legal bottom row of Binomial(m, k) with the next level's k and its counts."""
-    rows = involution._bottom_rows(m, k)
-    return {runs: (k_next, (monos, doms)) for k_next, choices in rows for runs, monos, doms in choices}
-
-
+# The level check reaches every type with n <= 12 in about a second.  Its caches
+# hold every (m, k, r) and (m, k) with m <= 17: 1,140 and 171 of them.
 @functools.lru_cache(maxsize=1140)
 def holds(m: int, k: int, r: int) -> bool:
     """Whether iota is proved, by induction on m, to be a weight-preserving map
@@ -321,19 +308,32 @@ def holds(m: int, k: int, r: int) -> bool:
     return calls is not None and all(holds(*call) for call in calls)
 
 
-def _class_total(n: int, k: int, r: int) -> tuple[int, Poly2]:
-    """Type (n, k, r)'s size and weight sum: the partials' counts times the strips' tilings.
+@functools.lru_cache(maxsize=171)
+def _class_weight(n: int, k: int) -> Poly2:
+    """The weight sum of Binomial(n, k)'s partials, by the row recursion, with no partial listed.
 
-    Strip S_i has k - i cells, so F_{k-i+1} tilings weighing {k-i+1}
-    together: the size is the partials' times F_k ... F_{k-r+1}, the sum
-    theirs times {k}{k-1}...{k-r+1}.
+    A partial is a legal bottom row (``involution._bottom_table``) under a
+    partial of the level below, entered at the row's next k.  So the sum
+    is, over the bottom rows, the row's monomial times that level's sum.
+    delta_1 and delta_0 have one empty partial.
     """
-    partials = involution._class_partials(n, k)
-    size, total = len(partials), Poly2(Counter(counts for _, counts in partials))
+    if n <= 1:
+        return Poly2.one()
+    rows = involution._bottom_table(n, k).values()
+    return sum((Poly2.monomial(*counts) * _class_weight(n - 1, k_next) for k_next, counts in rows), Poly2.zero())
+
+
+def _class_total(n: int, k: int, r: int) -> tuple[int, Poly2]:
+    """Type (n, k, r)'s size and weight sum: the partials' sum times the strips'.
+
+    Strip S_i has k - i cells, whose tilings weigh {k-i+1} together, so the
+    sum is ``_class_weight(n, k)`` times {k}{k-1}...{k-r+1}.  Every member
+    weighs 1 at s = t = 1, so the size is the sum there.
+    """
+    total = _class_weight(n, k)
     for i in range(1, r + 1):
-        size *= len(row_tilings(k - i))
         total = total * lucas(k - i + 1)
-    return size, total
+    return total.evaluate(1, 1), total
 
 
 def pair_by_levels(n: int, k_lo: int, k_hi: int, r: int) -> tuple[involution.InvolutionReport, ...] | None:
@@ -342,7 +342,10 @@ def pair_by_levels(n: int, k_lo: int, k_hi: int, r: int) -> tuple[involution.Inv
     When both types' levels hold, iota is a weight-preserving bijection
     between the two classes, so the exhaustive check finds no failure but
     a class sum that misses its symmetry side; those are checked here, and
-    any miss is left to ``involution._verify_pair`` to report.
+    any miss is left to ``involution._verify_pair`` to report.  One type's
+    levels would do with both sums, as the two sides are equal and an
+    injection that keeps weights between classes of equal sum is onto; the
+    mirror's are required too, so that each report rests on its own levels.
     """
     if not (holds(n, k_lo, r) and holds(n, k_hi, r)):
         return None

@@ -32,7 +32,9 @@ second point, and counts its failed divisions.
 ``per_type_verify_involution`` is ``verify_involution`` as it was before it
 verified each mirror pair once: it enumerates its own class and the mirror
 class, runs iota on every member and again on every image, and caches
-nothing.
+nothing.  ``bottom_rows`` is the binomial bottom-row rule written out by
+hand, as ``involution`` stated it before it read its rows off the greedy
+row step.
 """
 
 from __future__ import annotations
@@ -495,3 +497,24 @@ def per_type_verify_involution(n: int, k: int, r: int) -> InvolutionReport:
         rhs=rhs,
         failures=failures,
     )
+
+
+def bottom_rows(n: int, k: int) -> list[tuple[int, list[tuple[tuple, Monomial]]]]:
+    """The fixed bottom rows of Binomial(n, k) by label, NI first, each as (runs, counts).
+
+    Each label comes with the next level's k.  The path starts at x = k on
+    a row of n - 1 cells.  For k < n the step is NI and fixes the k cells
+    left of it, in any tiling.  For 1 <= k <= n - 2 it may instead be NL: a
+    domino covers cells k and k + 1, and it and any tiling of the rest of
+    the row are fixed.  For k = n the path starts past the row, steps west
+    to its end and fixes nothing.
+    """
+    labels = []
+    if k < n:
+        labels.append((k, [(((1, tiles),) if tiles else (), _row_data(tiles)[2:]) for tiles in row_tilings(k)]))
+    if 1 <= k <= n - 2:
+        tails = [(2,) + tiles for tiles in row_tilings(n - k - 2)]
+        labels.append((k - 1, [(((k, tiles),), _row_data(tiles)[2:]) for tiles in tails]))
+    if k == n:
+        labels.append((k - 1, [((), (0, 0))]))
+    return labels

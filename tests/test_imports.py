@@ -1,4 +1,7 @@
-"""The library imports only the standard library: no undeclared numeric package, and no ``fractions``."""
+"""The library imports only the standard library: no undeclared numeric package, and no ``fractions``.
+
+It also imports the level check only when an involution is verified.
+"""
 
 import json
 import subprocess
@@ -17,6 +20,13 @@ for name in names:
 print(json.dumps({{"imported": names, "loaded": sorted(sys.modules)}}))
 """
 
+CLI_SCRIPT = f"""
+import json, sys
+sys.path.insert(0, {str(SRC)!r})
+import lucaskit.cli
+print(json.dumps(list(sys.modules)))
+"""
+
 
 def test_no_undeclared_numeric_package_is_imported():
     done = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True, timeout=120)
@@ -26,3 +36,13 @@ def test_no_undeclared_numeric_package_is_imported():
     roots = {name.partition(".")[0] for name in result["loaded"]}
     assert roots.isdisjoint({"sympy", "numpy", "mpmath"})
     assert "fractions" not in result["loaded"]  # every coefficient is an int
+
+
+def test_cli_leaves_the_level_check_unloaded():
+    # ``involution`` imports ``levels`` on first use: compiling it costs every
+    # other command a few milliseconds of start-up where bytecode is not cached.
+    done = subprocess.run([sys.executable, "-c", CLI_SCRIPT], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert "lucaskit.involution" in loaded
+    assert "lucaskit.levels" not in loaded

@@ -1,6 +1,7 @@
 """Strips, extended tilings and the symmetry involution."""
 
 import dataclasses
+import functools
 import inspect
 from collections import Counter
 
@@ -37,7 +38,14 @@ from lucaskit.shapes_tilings import (
 
 def clear_pair_caches():
     """Empty verify_involution's pair, level and class caches."""
-    for cache in (involution._checked_pair, involution._verify_pair, levels.holds, involution._class_partials):
+    for cache in (
+        involution._checked_pair,
+        involution._verify_pair,
+        levels.holds,
+        levels._class_weight,
+        involution._class_partials,
+        involution._bottom_table,
+    ):
         cache.cache_clear()
 
 
@@ -419,10 +427,38 @@ class TestClassPartials:
             assert len(set(built)) == len(built)
             assert set(built) == expected, (n, k)
 
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_bottom_table_is_the_hand_written_rule(self, n):
+        for k in range(n + 1):
+            labels = {}
+            for runs, (k_next, counts) in involution._bottom_table(n, k).items():
+                labels.setdefault(k_next, []).append((runs, counts))
+            assert sorted(labels.items(), reverse=True) == oracles.bottom_rows(n, k), (n, k)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_class_weight_sums_the_partials(self, n):
+        for k in range(n + 1):
+            partials = involution._class_partials(n, k)
+            assert levels._class_weight(n, k) == Poly2(Counter(counts for _, counts in partials)), (n, k)
+
+    def test_levels_list_no_partial(self, fresh_pairs, monkeypatch):
+        def refuse(n, k):
+            raise AssertionError(f"the partials of Binomial({n}, {k}) were listed")
+
+        monkeypatch.setattr(involution, "_class_partials", refuse)
+        for n in range(9):
+            for k in range(n + 1):
+                for r in range(k + 1):
+                    report = verify_involution(n, k, r)
+                    assert report.ok and report.method == "levels", (n, k, r)
+
     @pytest.mark.parametrize(
         "module, cache",
-        [(involution, name) for name in ("_class_partials", "_classify_bottom", "strip_first", "_strip_dominoes")]
-        + [(levels, name) for name in ("holds", "_bottom_table", "_opaque", "_opaque_rows")],
+        [
+            (involution, name)
+            for name in ("_class_partials", "_bottom_table", "_classify_bottom", "strip_first", "_strip_dominoes")
+        ]
+        + [(levels, name) for name in ("holds", "_class_weight", "_opaque", "_opaque_rows")],
         ids=lambda value: value if isinstance(value, str) else value.__name__.rpartition(".")[2],
     )
     def test_cache_is_bounded(self, module, cache):
@@ -435,6 +471,10 @@ class TestClassPartials:
                 assert involution._strip_dominoes(k, r) == expected, (k, r)
 
     def test_strips_counted_once_per_type(self, monkeypatch):
+        # The classes are built first: their bottom rows count their own tiles.
+        for n in range(7):
+            for k in range(n + 1):
+                involution._class_partials(n, k)
         calls = []
         monkeypatch.setattr(involution, "tile_counts", lambda rows: calls.append(rows) or tile_counts(rows))
         involution._strip_dominoes.cache_clear()
@@ -519,7 +559,7 @@ class TestVerifyPairCatchesFaults:
         monkeypatch.setattr(involution, "_class_keys", lossy(involution._class_keys))
         monkeypatch.setattr(oracles, "enumerate_extended", lossy(oracles.enumerate_extended))
         # The level method lists no member, so only the exhaustive one reads the lossy list
-        # (TestLevels.test_lossy_partials_fall_back loses a partial instead).
+        # (TestLevels.test_lossy_partials_fall_back loses a bottom row instead).
         exhaustive = involution._verify_exhaustively
         self.check((4, 2, 1), "iota does not map onto", "mirror class weight", verify=exhaustive)
         self.check((4, 3, 1), "iota does not map onto", "class weight", verify=exhaustive)
@@ -653,15 +693,15 @@ class TestJson:
 ALL_TYPES = [(n, k, r) for n in range(7) for k in range(n + 1) for r in range(k + 1)]
 
 
-def mutant_iota(old: str, new: str, **extra):
-    """``_iota`` with the one occurrence of ``old`` in its source replaced by ``new``.
+def mutant_iota(old: str, new: str, occurrences: int = 1, **extra):
+    """``_iota`` with the ``occurrences`` of ``old`` in its source replaced by ``new``.
 
     The mutant is compiled against a copy of the module's names, plus
     ``extra``, so its recursive calls still go through ``_inner`` to
     whatever ``_iota`` the module holds: a test patches the mutant in.
     """
     source = inspect.getsource(involution._iota)
-    assert source.count(old) == 1, old
+    assert source.count(old) == occurrences, old
     names = {**vars(involution), **extra}
     exec(compile(source.replace(old, new), involution.__file__, "exec"), names)
     return names["_iota"]
@@ -802,15 +842,15 @@ class TestLevels:
         assert report.ok and report.method == "exhaustive"
 
     def test_lossy_partials_fall_back(self, monkeypatch):
-        # (4,3)'s class loses its last partial: the level method's sum misses the symmetry side,
-        # so the pair is traced, over the same lossy class.
-        build = involution._class_partials
+        # Binomial(4, 3) loses its last bottom row, which both methods read: the level
+        # method's sum misses the symmetry side, so the pair is traced, over the same lossy class.
+        build = involution._bottom_table
 
         def lossy(n, k):
-            partials = build(n, k)
-            return partials[:-1] if (n, k) == (4, 3) else partials
+            table = build(n, k)
+            return dict(list(table.items())[:-1]) if (n, k) == (4, 3) else table
 
-        monkeypatch.setattr(involution, "_class_partials", lossy)
+        monkeypatch.setattr(involution, "_bottom_table", lossy)
         report = verify_involution(4, 2, 1)
         assert report.method == "exhaustive"
         assert report.failures and report.to_json_dict() == involution._verify_exhaustively(4, 2, 1).to_json_dict()
@@ -823,3 +863,165 @@ class TestLevels:
         assert levels._same((part, (1, 2)), (part, (1, 2)))
         assert not levels._same((part,), (levels._Opaque("S2", 3),))
         assert not levels._same(part, (1, 2))
+
+
+def fake_iota(before=None, call=None, answer=None, after=None):
+    """``_iota`` with hooks that rewrite what it reads and hands on.
+
+    Each hook takes the level's (n, k, r) and a value and returns the value
+    to use: ``before`` the input (rows, strips), ``call`` the recursive
+    call's (n, k, rows, strips), ``answer`` the (rows, strips) that call
+    returns, and ``after`` the image.  A missing hook keeps its value.
+    """
+    def keep(n, k, r, value):
+        return value
+
+    before, call, answer, after = (hook or keep for hook in (before, call, answer, after))
+
+    def hooked(n, k, r, n_in, k_in, rows, strips, trace, memo):
+        return answer(n, k, r, involution._inner(*call(n, k, r, (n_in, k_in, rows, strips)), trace, memo))
+
+    body = mutant_iota("_inner(", "_hooked(n, k, r, ", occurrences=4, _hooked=hooked)
+
+    def fake(n, k, rows, strips, trace, memo):
+        r = len(strips)
+        rows, strips = before(n, k, r, (rows, strips))
+        return after(n, k, r, body(n, k, rows, strips, trace, memo))
+
+    return fake
+
+
+def on_low(hook):
+    """A hook run only on the side of a mirror pair with the smaller k, the low side."""
+    return lambda n, k, r, value: hook(n, value) if 2 * k < n + r else value
+
+
+def on_high(hook):
+    """A hook run only on the side with the larger k, the high side."""
+    return lambda n, k, r, value: hook(n, value) if 2 * k > n + r else value
+
+
+def swap(values: tuple, i: int, j: int) -> tuple:
+    """``values`` with entries i and j swapped, when it has them; no entry is read."""
+    if len(values) <= max(i, j):
+        return values
+    out = list(values)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+def shift_bottom(rows, by: int):
+    """The rows with each run of the bottom row moved ``by`` cells."""
+    return (tuple((start + by, tiles) for start, tiles in rows[0]),) + rows[1:]
+
+
+# The two bottom rows of Binomial(4, 2) that weigh one domino: an NI row
+# (rows above from Binomial(3, 2)) and an NL row (from Binomial(3, 1)).
+NI_DOMINO, NL_DOMINO = ((1, (2,)),), ((2, (2,)),)
+
+
+def trade_label(rows):
+    """Binomial(4, 2)'s rows with NI_DOMINO and NL_DOMINO traded at the bottom."""
+    trade = {NI_DOMINO: NL_DOMINO, NL_DOMINO: NI_DOMINO}
+    return (trade.get(rows[0], rows[0]),) + rows[1:] if rows else rows
+
+
+def call_a_level_lower(n, k, r, call):
+    """A recursive call with no strips made on level m - 2: the low side's with
+    k one less, the high side's with its k, so the two are still mirrors."""
+    n_in, k_in, rows, strips = call
+    if not strips and 2 * k < n + r and k_in >= 1:
+        return n_in - 1, k_in - 1, rows, strips
+    if not strips and 2 * k > n + r and k_in <= n_in - 1:
+        return n_in - 1, k_in, rows, strips
+    return call
+
+
+@functools.lru_cache(maxsize=None)
+def opaque_copy(name: str, cells: int):
+    """A stand-in for the opaque strip ``name``: it looks the same, but is another part."""
+    return levels._Opaque(name, cells)
+
+
+# Each rule of the level check with a fake iota that breaks it, and a level the
+# fake fails.  The low side rewrites what it hands on, the high side undoes it,
+# so the image's level still rebuilds the input and only the one rule is broken.
+LEVEL_RULES = {
+    "the recursive call gets the bottom row's k": (fake_iota(call=call_a_level_lower), (5, 2, 0)),
+    "the recursive call gets the rows above the bottom row": (fake_iota(
+        call=on_low(lambda n, c: (*c[:2], swap(c[2], 0, 1), c[3])),
+        answer=on_high(lambda n, res: (swap(res[0], 0, 1), res[1])),
+    ), (4, 1, 0)),
+    "the recursive call gets strips": (fake_iota(
+        call=on_low(lambda n, c: (*c[:3], swap(c[3], 1, 2))),
+        answer=on_high(lambda n, res: (res[0], swap(res[1], 1, 2))),
+    ), (6, 4, 3)),
+    "the image's bottom row is legal": (fake_iota(
+        after=on_low(lambda n, out: (shift_bottom(out[0], n), out[1]) if out[0] else out),
+        before=on_high(lambda n, x: (shift_bottom(x[0], -n), x[1]) if x[0] and x[0][0] and x[0][0][0][0] > n else x),
+    ), (4, 1, 0)),
+    # The traded rows weigh the same, but lead to different k: the rows above fit only one.
+    "the image's bottom row leaves the inner image's k": (fake_iota(
+        before=lambda n, k, r, x: (trade_label(x[0]), x[1]) if (n, k) == (4, 2) else x,
+        after=lambda n, k, r, out: (trade_label(out[0]), out[1]) if (n, n - k + r) == (4, 2) else out,
+    ), (4, 3, 1)),
+    "the image's rows above its bottom row are the inner image's": (fake_iota(
+        after=on_low(lambda n, out: (out[0][:1] + swap(out[0][1:], 0, 1), out[1])),
+        before=on_high(lambda n, x: (x[0][:1] + swap(x[0][1:], 0, 1), x[1])),
+    ), (5, 2, 0)),
+    "the image gets strips": (fake_iota(
+        after=on_low(lambda n, out: (out[0], swap(out[1], 1, 2))),
+        before=on_high(lambda n, x: (x[0], swap(x[1], 1, 2))),
+    ), (6, 4, 3)),
+    # It hands on a look-alike of an opaque strip, and takes the strip back from it.
+    "every opaque strip is passed on once": (fake_iota(
+        after=on_low(lambda n, out: (out[0], tuple(
+            opaque_copy(s.name, s.cells) if type(s) is levels._Opaque else s for s in out[1]
+        ))),
+        before=on_high(lambda n, x: (x[0], tuple(
+            levels._opaque(s.name, s.cells) if type(s) is levels._Opaque else s for s in x[1]
+        ))),
+    ), (6, 4, 3)),
+}
+
+
+@pytest.mark.usefixtures("fresh_pairs")
+class TestLevelRules:
+    """Each rule of the level check fails a fake iota that breaks only it, and the pair falls back."""
+
+    @pytest.mark.parametrize("rule", LEVEL_RULES)
+    def test_rule_fails_its_fake(self, monkeypatch, rule):
+        fake, level_type = LEVEL_RULES[rule]
+        monkeypatch.setattr(involution, "_iota", fake)
+        refused = []
+        require = levels._require
+
+        def recording(ok, name):
+            if not ok:
+                refused.append(name)
+            require(ok, name)
+
+        monkeypatch.setattr(levels, "_require", recording)
+        assert levels.check_level(*level_type) is None
+        assert refused == [rule]
+        report = verify_involution(*level_type)
+        assert report.method == "exhaustive"
+        assert report.to_json_dict() == involution._verify_exhaustively(*level_type).to_json_dict()
+
+    @pytest.mark.parametrize("failing", [(4, 2, 1), (4, 3, 1)], ids=["low", "high"])
+    def test_pair_needs_both_levels(self, monkeypatch, failing):
+        # iota fails only where the level check runs the failing type itself, so
+        # its mirror's level, which replays it on images, still holds.
+        inner = involution._iota
+
+        def failing_alone(n, k, rows, strips, trace, memo):
+            if (n, k, len(strips)) == failing and type(memo) is levels._Answer:
+                raise BrokenDomino("refused")
+            return inner(n, k, rows, strips, trace, memo)
+
+        monkeypatch.setattr(involution, "_iota", failing_alone)
+        mirror = (4, 5 - failing[1], 1)
+        assert not levels.holds(*failing) and levels.holds(*mirror)
+        for ext_type in (failing, mirror):
+            report = verify_involution(*ext_type)
+            assert report.ok and report.method == "exhaustive"

@@ -118,9 +118,10 @@ MAX_ENUMERATED_TILINGS = 10**7
 
 # The involution check proves iota by levels, but falls back to tracing every member when a
 # level fails.  That exhaustive check holds each type's members with its mirror's, about
-# 1.2 KB a member at the peak: every type with n <= 8 together (944,122 members) runs in about
-# 20 s and 138 MB, and (9, 5, 2) alone (185,640) peaks at 464 MB.  So the sweep to n = 9
-# (31,507,982) and the largest n = 9 types (1,113,840 and 2,227,680) are refused.
+# 1.2 KB a member at the peak: every type with n <= 8 together (944,122 members) runs in
+# 15-17 s and 134 MB, and (9, 5, 2) alone (185,640) in 10 s and 446 MB (2 cores, Python
+# 3.11).  So the sweep to n = 9 (31,507,982) and the largest n = 9 types (1,113,840 and
+# 2,227,680) are refused.
 MAX_INVOLUTION_MEMBERS = 10**6
 
 

@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Container, Iterator, Mapping
 
+from . import shapes_tilings
 from .lucas import symmetry_sides
 from .polyring import Monomial, Poly2
 from .shapes_tilings import (
@@ -62,9 +63,10 @@ def strip_concat(left: Strip, right: Strip) -> Strip:
     return tuple(left) + tuple(right)
 
 
-# iota reads only short rows and strips, so its row arithmetic repeats: a
-# sweep to n = 8 makes 2.2 million bottom-row classifications of 880 keys
-# and 1.4 million first cuts of 277 keys.  So those two are cached, bounded
+# iota reads only short rows and strips, so its row arithmetic repeats: the
+# level check's sweep to n = 8 makes 14,545 bottom-row classifications of
+# 880 keys and 14,196 first cuts of 277 keys (the exhaustive fallback's, 2.2
+# million of each over the same keys).  So those two are cached, bounded
 # well above that, and take only tuples.  ``strip_last`` goes through the
 # cached ``strip_first``; a cache of its own measured about 3 % faster but
 # added about 64 KB to a pass's peak RSS.
@@ -294,42 +296,21 @@ def _inner(n: int, k: int, rows: FixedRows, strips: tuple[Strip, ...], trace: li
 def enumerate_extended(n: int, k: int, r: int) -> Iterator[ExtendedTiling]:
     """Every extended binomial partial tiling of type (n, k, r), lazily.
 
-    The type is checked, and the partials of ``_class_partials(n, k)``
-    read, when this is called; the members are built as they are read, each
-    partial rebuilt by ``partial_from_fixed``, which validates it, with
-    every choice of strips.  ``verify_involution`` does not call this: its
-    exhaustive check reads the same members, in the same order, as bare
-    keys from ``_class_keys``.
+    The type is checked, and the partials of Binomial(n, k) listed
+    (``shapes_tilings.enumerate_partials``), when this is called; the
+    members are built as they are read, each partial with every choice of
+    strips.  ``verify_involution`` does not call this: its exhaustive check
+    reads the same members as bare keys from ``_class_keys``.
     """
     if not 0 <= r <= k <= n:
         raise ValueError("need 0 <= r <= k <= n")
-    variant, partials, strip_choices = Binomial(n, k), _class_partials(n, k), _strip_choices(k, r)
-    return (
-        ExtendedTiling(partial_from_fixed(variant, fixed), strips)
-        for fixed, _ in partials
-        for strips in strip_choices
-    )
+    partials, strip_choices = shapes_tilings.enumerate_partials(Binomial(n, k)), _strip_choices(k, r)
+    return (ExtendedTiling(partial, strips) for partial in partials for strips in strip_choices)
 
 
 def _strip_choices(k: int, r: int) -> list[tuple[Strip, ...]]:
     """Every (S_1, ..., S_r) with S_i a tiling of k - i cells."""
     return list(itertools.product(*(row_tilings(k - i) for i in range(1, r + 1))))
-
-
-# 45 is the number of (k, r) with 0 <= r <= k <= 8.  The counts of all 45
-# hold 2.1 MB under tracemalloc; caching the choices themselves as well
-# raised the peak RSS of ``verify involution --max-n 8`` from 135 to 155 MB.
-@functools.lru_cache(maxsize=45)
-def _strip_dominoes(k: int, r: int) -> tuple[int, ...]:
-    """The number of dominoes in each of ``_strip_choices(k, r)``, in order.
-
-    ``itertools.product`` varies S_r fastest, so the counts of (k, r) are
-    each count of (k, r - 1) plus, in turn, that of each tiling of S_r.
-    """
-    if r == 0:
-        return (0,)
-    last = [tile_counts([tiles])[1] for tiles in row_tilings(k - r)]
-    return tuple(a + b for a in _strip_dominoes(k, r - 1) for b in last)
 
 
 @dataclass(frozen=True)
@@ -435,11 +416,9 @@ def _verify_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionReport
     memo of iota's subcalls, and each subcall runs once per pair.  The
     memo, the keys and the images are dropped when the pair returns; this
     cache holds only the reports, so it grows with the number of types
-    verified, not with their class sizes.  The classes' partials, which
-    every r shares, are built from the row recursion, with no block
-    partition, and kept apart in the bounded cache ``_class_partials``; the
-    row arithmetic iota repeats (bottom-row classifications, first cuts)
-    is in bounded caches of its own, which hold no member and no image.
+    verified, not with their class sizes.  The row arithmetic iota repeats
+    (bottom-row classifications, first cuts) is in bounded caches of its
+    own, which hold no member and no image.
     The classes, their traces and their reports are keyed by k, low k first,
     so when k_lo = k_hi the two classes are one, and so are the reports.
     """
@@ -454,67 +433,15 @@ def _verify_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionReport
 
 
 def _class_keys(n: int, k: int, r: int) -> Iterator[tuple[Key, Monomial]]:
-    """Each member of type (n, k, r) as a key with its (#monominoes, #dominoes).
+    """Each member of type (n, k, r), in ``enumerate_extended``'s order, as a key with its counts.
 
-    The members come in ``enumerate_extended``'s order: each partial of
-    ``_class_partials(n, k)``, shared by every r, crossed with the strip
-    choices.  A member's counts are its partial's, which the row recursion
-    carried, plus its strips', so no member's tiles are walked.  Every
-    strip choice tiles the same k-1 + ... + k-r cells, so its domino count,
-    cached per (k, r), gives its monominoes too.
+    The counts are the member's (#monominoes, #dominoes), its partial's plus its strips'.
     """
-    cells = r * k - r * (r + 1) // 2
-    dominoes = _strip_dominoes(k, r)
-    strip_choices = [(strips, (cells - 2 * j, j)) for strips, j in zip(_strip_choices(k, r), dominoes)]
-    for fixed, (monos, doms) in _class_partials(n, k):
+    strip_choices = [(strips, tile_counts(strips)) for strips in _strip_choices(k, r)]
+    for partial in shapes_tilings.enumerate_partials(Binomial(n, k)):
+        monos, doms = tile_counts(partial.fixed_tiles())
         for strips, (strip_monos, strip_doms) in strip_choices:
-            yield (fixed, strips), (monos + strip_monos, doms + strip_doms)
-
-
-# Only the exhaustive fallback (``_class_keys``) and ``enumerate_extended``
-# read these.  45 is the number of Binomial(n, k) with n <= 8, the largest
-# sweep ``verify involution`` is timed at.  All 45 hold 5,576 partials in
-# 1.25 MB under tracemalloc, and building them peaks no higher, since no
-# block partition is held while they are built.  A longer sweep evicts the
-# classes of its smaller n, which it no longer reads: a pair reads only its n.
-@functools.lru_cache(maxsize=45)
-def _class_partials(n: int, k: int) -> tuple[tuple[FixedRows, Monomial], ...]:
-    """Each partial of Binomial(n, k) as its bare fixed rows with their (#monominoes, #dominoes).
-
-    The partials are built from the row recursion, with no block partition:
-    each level's bottom row is one of ``_bottom_table``'s for its label, and
-    the rows above are a partial of the level below.  They come in
-    ``enumerate_partials``'s order, which sorts by (``path.steps``, fixed
-    rows).  A level's steps are "N" (NI) or "WN" (NL), so the steps order
-    the partials by their label sequences, NI first, and the partials of
-    one label sequence are the product of each level's rows, which
-    ``_bottom_table`` lists in tuple order.  The extended tilings of type
-    (n, k, r) are these partials with r strips, so every r shares them.
-    """
-    return tuple(
-        (tuple(runs for runs, _ in rows), (sum(m for _, (m, _) in rows), sum(d for _, (_, d) in rows)))
-        for levels in _label_sequences(n, k)
-        for rows in itertools.product(*levels)
-    )
-
-
-def _label_sequences(n: int, k: int) -> list[tuple[list[tuple[tuple[Run, ...], Monomial]], ...]]:
-    """Each NI/NL label sequence of Binomial(n, k), in order, as the (runs, counts) each level may fix.
-
-    This is the recursion {n brace k} = {k+1}{n-1 brace k} +
-    t{n-k-1}{n-1 brace k-1} on the tiling side: below delta_n's bottom row
-    lies delta_{n-1}, entered at x = k after an NI step and at x = k - 1
-    after an NL one.  delta_1 and delta_0 have no rows, so one empty partial.
-    """
-    if n <= 1:
-        return [()]
-    table = _bottom_table(n, k).items()
-    return [
-        (rows,) + rest
-        for k_next in (k, k - 1)
-        if (rows := [(runs, counts) for runs, (x, counts) in table if x == k_next])
-        for rest in _label_sequences(n - 1, k_next)
-    ]
+            yield (partial.fixed, strips), (monos + strip_monos, doms + strip_doms)
 
 
 # 171 is the number of Binomial(m, k) with m <= 17, as in the level check's caches.
@@ -526,9 +453,8 @@ def _bottom_table(n: int, k: int) -> dict[tuple[Run, ...], tuple[int, Monomial]]
     tilings of delta_n's bottom row, n - 1 cells entered at x = k, by
     where the path crosses it and the runs it fixes.  The crossing is the
     k that delta_{n-1} above is entered at, and the counts are the fixed
-    runs' (#monominoes, #dominoes).  The rows come in the order of their
-    first tilings in ``row_tilings``, which is tuple order within a label.
-    Every caller shares the cached table, and none changes it.
+    runs' (#monominoes, #dominoes).  Only the level check (``levels``)
+    reads it; every caller shares the cached table, and none changes it.
     """
     groups = _row_groups(Binomial(n, k), 1, n - 1, k, frozenset(), None)
     return {runs: (x, tile_counts(tiles for _, tiles in runs)) for x, _, _, runs in groups}

@@ -288,9 +288,15 @@ def enumerate_tilings(shape: Shape) -> Iterator[Tiling]:
 
 
 def count_tilings(shape: Shape) -> int:
-    total = 1
-    for r in range(1, shape.n_rows + 1):
-        total *= len(row_tilings(shape.cells(r)))
+    """The number of tilings, a product of F_{cells+1} over the rows, with no tiling listed.
+
+    The rows are taken shortest first, so one Fibonacci walk serves them all.
+    """
+    total, m, fib, next_fib = 1, 0, 1, 1  # fib = F_{m+1}, the tilings of a row of m cells
+    for cells in sorted(outer - inner for outer, inner in zip(shape.outer, shape.inner)):
+        while m < cells:
+            m, fib, next_fib = m + 1, next_fib, fib + next_fib
+        total *= fib
     return total
 
 
@@ -514,14 +520,18 @@ class PartialTiling:
         Rows that are not lists of tokens, unknown tokens, a wrong number of
         rows, and any field (``start``, ``path``, rows, extra keys) that
         differs from the candidate's ``to_json_dict`` raise ``MalformedPartial``.
+        Every variant's shape has at least ``terminal() - 1`` rows, so fewer
+        rows are refused before the shape, which may be far larger, is built.
         """
         if not isinstance(data, dict):
             raise MalformedPartial(f"want a JSON object, got {data!r}")
         variant = _variant_from_json(data.get("variant"))
-        shape = variant.shape()
         rows = data.get("rows")
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise MalformedPartial("rows must be a list of token lists")
+        if len(rows) < variant.terminal() - 1:
+            raise MalformedPartial(f"{len(rows)} rows for a shape with at least {variant.terminal() - 1}")
+        shape = variant.shape()
         if len(rows) != shape.n_rows:
             raise MalformedPartial(f"{len(rows)} rows for a shape with {shape.n_rows}")
         for tok in (tok for row in rows for tok in row):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,10 @@ import pytest
 from lucaskit import cli, lucas
 from lucaskit.polyring import NotDivisible, Poly2
 from lucaskit.shapes_tilings import Binomial, count_tilings, partial_from_tiling, staircase, Tiling
+
+
+# A partial of Binomial(10^9, 1) with no rows: its shape would have 10^9 - 1 of them.
+HUGE_ROWLESS_PARTIAL = {"variant": {"kind": "binomial", "n": 10**9, "k": 1}, "rows": [], "start": [1, 0], "path": ""}
 
 
 def run(capsys, *argv):
@@ -299,6 +304,18 @@ class TestTilings:
         assert captured.out == ""
         assert captured.err == "error: 1570247078400 tilings; enumerate lists at most 10000000\n"
 
+    def test_enumerate_counts_a_refused_shape_without_listing_a_row(self, capsys, monkeypatch):
+        def listed(m):
+            raise AssertionError(f"listed the tilings of a {m}-cell row")
+
+        monkeypatch.setattr(cli.shapes_tilings, "row_tilings", listed)
+        # A row of m cells has F_{m+1} = {m+1}(1, 1) tilings; delta_40's rows hold 1..39 cells.
+        count = 1
+        for m in range(1, 40):
+            count *= lucas.lucas(m + 1).evaluate(1, 1)
+        assert cli.main(["tilings", "enumerate", "--shape", "delta:40"]) == 1
+        assert capsys.readouterr().err == f"error: {count} tilings; enumerate lists at most 10000000\n"
+
     def test_enumerate_bound_admits_delta_9_not_delta_10(self):
         assert count_tilings(staircase(9)) == 2_227_680 <= cli.MAX_ENUMERATED_TILINGS
         assert count_tilings(staircase(10)) == 122_522_400 > cli.MAX_ENUMERATED_TILINGS
@@ -335,6 +352,14 @@ class TestTilings:
         assert cli.main(["tilings", "render", "--input", str(source)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_render_refuses_too_few_rows_before_building_the_shape(self, capsys, tmp_path):
+        source = tmp_path / "partial.json"
+        source.write_text(json.dumps(HUGE_ROWLESS_PARTIAL))
+        start = time.perf_counter()
+        assert cli.main(["tilings", "render", "--input", str(source)]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == "error: 0 rows for a shape with at least 999999999\n"
+
     def test_render_partial_svg(self, capsys, tmp_path):
         tiling = Tiling(staircase(6), ((1, 1, 2, 1), (2, 1, 1), (1, 2), (1, 1), (1,)))
         partial = partial_from_tiling(tiling, Binomial(6, 3))
@@ -346,6 +371,14 @@ class TestTilings:
 
 
 class TestInvolutionCli:
+    def test_apply_refuses_too_few_rows_before_building_the_shape(self, capsys, tmp_path):
+        source = tmp_path / "extended.json"
+        source.write_text(json.dumps({"B": HUGE_ROWLESS_PARTIAL, "strips": []}))
+        start = time.perf_counter()
+        assert cli.main(["involution", "apply", "--input", str(source)]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == "error: 0 rows for a shape with at least 999999999\n"
+
     def test_apply(self, capsys, tmp_path):
         from lucaskit.shapes_tilings import partial_from_fixed
         from lucaskit.involution import ExtendedTiling

@@ -3,7 +3,11 @@
 import dataclasses
 import functools
 import inspect
+import json
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import oracles
 import pytest
@@ -31,7 +35,6 @@ from lucaskit.shapes_tilings import (
     MalformedDocument,
     enumerate_partials,
     partial_from_fixed,
-    row_tilings,
     tile_counts,
 )
 
@@ -43,7 +46,6 @@ def clear_pair_caches():
         involution._verify_pair,
         levels.holds,
         levels._class_weight,
-        involution._class_partials,
         involution._bottom_table,
     ):
         cache.cache_clear()
@@ -337,7 +339,7 @@ class TestVerifyPair:
     def test_iota_runs_once_per_member(self, fresh_pairs, monkeypatch):
         pair = Counter(key_of(ext) for ext in [*enumerate_extended(5, 2, 1), *enumerate_extended(5, 4, 1)])
         own_mirror = Counter(key_of(ext) for ext in enumerate_extended(4, 2, 0))
-        top, partitioned, rebuilt = [], [], []
+        top, rebuilt = [], []
         inner = involution._iota
 
         def counting(n, k, rows, strips, trace, memo):
@@ -346,10 +348,7 @@ class TestVerifyPair:
                 top.append((rows, strips))
             return inner(n, k, rows, strips, trace, memo)
 
-        # enumerate_extended filled the class cache; the verifier must build its classes under the patches.
-        involution._class_partials.cache_clear()
         monkeypatch.setattr(involution, "_iota", counting)
-        refuse_partitions(monkeypatch, partitioned)
         monkeypatch.setattr(involution, "partial_from_fixed", lambda *args: rebuilt.append(args))
         assert involution._verify_exhaustively(5, 2, 1).ok
         assert involution._verify_exhaustively(5, 4, 1).ok
@@ -357,7 +356,6 @@ class TestVerifyPair:
         top.clear()
         assert involution._verify_exhaustively(4, 2, 0).ok
         assert Counter(top) == own_mirror
-        assert partitioned == []
         assert rebuilt == []
 
     @pytest.mark.parametrize("pair", ORACLE_PAIRS, ids=lambda t: "%d-%d-%d" % t)
@@ -399,33 +397,7 @@ class TestVerifyPair:
 
 
 class TestClassPartials:
-    """Every r of one Binomial(n, k) reads its partials, built by the row recursion, from one bounded cache."""
-
-    def test_no_binomial_is_partitioned(self, fresh_pairs, monkeypatch):
-        partitioned = []
-        refuse_partitions(monkeypatch, partitioned)
-        for n, k, r in ORACLE_TYPES:
-            if n <= 6:
-                assert involution._verify_exhaustively(n, k, r).ok
-        assert partitioned == []
-        # A name imported into involution would go round the patches.
-        assert not {"enumerate_partials", "block_partition"} & vars(involution).keys()
-        # Each of the 28 Binomial(n, k) with n <= 6 was built once, for every r.
-        assert involution._class_partials.cache_info().misses == 28
-
-    @pytest.mark.parametrize("n", range(8))
-    def test_cached_partials_are_enumerate_partials(self, n):
-        for k in range(n + 1):
-            expected = [(p.fixed, tile_counts(p.fixed_tiles())) for p in enumerate_partials(Binomial(n, k))]
-            assert list(involution._class_partials(n, k)) == expected
-
-    @pytest.mark.parametrize("n", range(10))
-    def test_row_recursion_builds_every_partial(self, n):
-        for k in range(n + 1):
-            expected = {(p.fixed, tile_counts(p.fixed_tiles())) for p in enumerate_partials(Binomial(n, k))}
-            built = involution._class_partials(n, k)
-            assert len(set(built)) == len(built)
-            assert set(built) == expected, (n, k)
+    """The exhaustive check reads its classes from the block partition; the level check lists no partial."""
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_bottom_table_is_the_hand_written_rule(self, n):
@@ -438,53 +410,31 @@ class TestClassPartials:
     @pytest.mark.parametrize("n", range(9))
     def test_class_weight_sums_the_partials(self, n):
         for k in range(n + 1):
-            partials = involution._class_partials(n, k)
-            assert levels._class_weight(n, k) == Poly2(Counter(counts for _, counts in partials)), (n, k)
+            partials = enumerate_partials(Binomial(n, k))
+            expected = Poly2(Counter(tile_counts(p.fixed_tiles()) for p in partials))
+            assert levels._class_weight(n, k) == expected, (n, k)
 
     def test_levels_list_no_partial(self, fresh_pairs, monkeypatch):
-        def refuse(n, k):
-            raise AssertionError(f"the partials of Binomial({n}, {k}) were listed")
-
-        monkeypatch.setattr(involution, "_class_partials", refuse)
+        partitioned = []
+        refuse_partitions(monkeypatch, partitioned)
         for n in range(9):
             for k in range(n + 1):
                 for r in range(k + 1):
                     report = verify_involution(n, k, r)
                     assert report.ok and report.method == "levels", (n, k, r)
+        assert partitioned == []
 
     @pytest.mark.parametrize(
         "module, cache",
         [
             (involution, name)
-            for name in ("_class_partials", "_bottom_table", "_classify_bottom", "strip_first", "_strip_dominoes")
+            for name in ("_bottom_table", "_classify_bottom", "strip_first")
         ]
         + [(levels, name) for name in ("holds", "_class_weight", "_opaque", "_opaque_rows")],
         ids=lambda value: value if isinstance(value, str) else value.__name__.rpartition(".")[2],
     )
     def test_cache_is_bounded(self, module, cache):
         assert getattr(module, cache).cache_info().maxsize is not None
-
-    def test_strip_dominoes_count_each_choice(self):
-        for k in range(9):
-            for r in range(k + 1):
-                expected = tuple(tile_counts(strips)[1] for strips in involution._strip_choices(k, r))
-                assert involution._strip_dominoes(k, r) == expected, (k, r)
-
-    def test_strips_counted_once_per_type(self, monkeypatch):
-        # The classes are built first: their bottom rows count their own tiles.
-        for n in range(7):
-            for k in range(n + 1):
-                involution._class_partials(n, k)
-        calls = []
-        monkeypatch.setattr(involution, "tile_counts", lambda rows: calls.append(rows) or tile_counts(rows))
-        involution._strip_dominoes.cache_clear()
-        for n in range(7):
-            for k in range(n + 1):
-                for r in range(k + 1):
-                    list(involution._class_keys(n, k, r))
-        # One count per tiling of each strip length k - r, for each (k, r) with k <= 6.
-        assert len(calls) == sum(len(row_tilings(k - r)) for k in range(7) for r in range(1, k + 1))
-        involution._strip_dominoes.cache_clear()
 
     @pytest.mark.parametrize("ext_type", ORACLE_TYPES, ids=lambda t: "%d-%d-%d" % t)
     def test_class_keys_follow_enumerate_extended(self, ext_type):
@@ -842,8 +792,10 @@ class TestLevels:
         assert report.ok and report.method == "exhaustive"
 
     def test_lossy_partials_fall_back(self, monkeypatch):
-        # Binomial(4, 3) loses its last bottom row, which both methods read: the level
-        # method's sum misses the symmetry side, so the pair is traced, over the same lossy class.
+        # Binomial(4, 3) loses its last bottom row, which only the level method reads: its
+        # sum misses the symmetry side, so the pair is traced over the block partition's class.
+        expected = involution._verify_exhaustively(4, 2, 1).to_json_dict()
+        clear_pair_caches()
         build = involution._bottom_table
 
         def lossy(n, k):
@@ -853,7 +805,7 @@ class TestLevels:
         monkeypatch.setattr(involution, "_bottom_table", lossy)
         report = verify_involution(4, 2, 1)
         assert report.method == "exhaustive"
-        assert report.failures and report.to_json_dict() == involution._verify_exhaustively(4, 2, 1).to_json_dict()
+        assert not report.failures and report.to_json_dict() == expected
 
     def test_opaque_parts_refuse_every_read(self):
         part = levels._Opaque("S2", 3)
@@ -1025,3 +977,31 @@ class TestLevelRules:
         for ext_type in (failing, mirror):
             report = verify_involution(*ext_type)
             assert report.ok and report.method == "exhaustive"
+
+
+class TestTracerSeesTheFallback:
+    """bench/tracing.py counts the block partitions the exhaustive check reads, and none on the level path."""
+
+    def test_partitions_are_traced_only_in_the_fallback(self):
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import json, sys\n"
+            f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'bench')!r}]\n"
+            "import tracing\n"
+            "from lucaskit import involution\n"
+            "tracer = tracing.Tracer()\n"
+            "tracer.install()\n"
+            "for n in range(7):\n"
+            "    for k in range(n + 1):\n"
+            "        for r in range(k + 1):\n"
+            "            assert involution.verify_involution(n, k, r).method == 'levels'\n"
+            "levels = tracer.metrics(1.0)\n"
+            "assert involution._verify_exhaustively(5, 2, 1).ok\n"
+            "print(json.dumps([levels, tracer.metrics(1.0)]))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        by_levels, with_fallback = json.loads(done.stdout)
+        for name in ("shapes_tilings.enumerate_partials.calls", "shapes_tilings.block_partition.calls"):
+            assert by_levels[name] == 0, name
+            assert with_fallback[name] > 0, name

@@ -185,6 +185,11 @@ class TestEnumeration:
     def test_empty_shape(self):
         assert [t.rows for t in enumerate_tilings(Shape(()))] == [()]
 
+    @pytest.mark.parametrize("shape", [Shape((5, 4, 4, 2), (3, 1)), Shape((4, 4, 1), (3,)), staircase(6)])
+    def test_count_is_the_enumerated_count(self, shape):
+        # The skew rows are out of length order: 2, 3, 4, 2 and 1, 4, 1 cells.
+        assert count_tilings(shape) == len(list(enumerate_tilings(shape)))
+
 
 class TestWeights:
     def test_monomino_row(self):

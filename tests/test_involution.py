@@ -414,6 +414,41 @@ class TestClassPartials:
             expected = Poly2(Counter(tile_counts(p.fixed_tiles()) for p in partials))
             assert levels._class_weight(n, k) == expected, (n, k)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bottom_table_splits_the_block_partition(self, n):
+        # The level check's table against the fallback's engine: the partials of Binomial(n, k)
+        # with a given bottom row are that row under each partial of the Binomial(n - 1, x) it enters.
+        above = functools.cache(lambda k: {p.fixed for p in enumerate_partials(Binomial(n - 1, k))})
+        for k in range(n + 1):
+            by_bottom = {}
+            for partial in enumerate_partials(Binomial(n, k)):
+                by_bottom.setdefault(partial.fixed[0], set()).add(partial.fixed[1:])
+            table = involution._bottom_table(n, k)
+            assert by_bottom.keys() == table.keys(), (n, k)
+            for runs, (x, _) in table.items():
+                assert by_bottom[runs] == above(x), (n, k, runs)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_strips_counted_once_per_call(self, n, monkeypatch):
+        calls = []
+        monkeypatch.setattr(involution, "tile_counts", lambda rows: calls.append(rows) or tile_counts(rows))
+        for k in range(n + 1):
+            partials = len(enumerate_partials(Binomial(n, k)))
+            for r in range(k + 1):
+                calls.clear()
+                list(involution._class_keys(n, k, r))
+                # One count per partial, and one per choice of strips, however many partials share it.
+                assert len(calls) == partials + len(involution._strip_choices(k, r)), (n, k, r)
+
+    @pytest.mark.parametrize("pair", ORACLE_PAIRS, ids=lambda t: "%d-%d-%d" % t)
+    def test_each_class_is_partitioned_once(self, fresh_pairs, monkeypatch, pair):
+        n, k, r = pair
+        partitioned, partition = [], shapes_tilings.enumerate_partials
+        monkeypatch.setattr(shapes_tilings, "enumerate_partials", lambda v: partitioned.append(v) or partition(v))
+        assert involution._verify_exhaustively(n, k, r).ok
+        # The mirror pair's classes, low k first; a self-mirror class is read once.
+        assert partitioned == [Binomial(n, j) for j in dict.fromkeys((k, n - k + r))]
+
     def test_levels_list_no_partial(self, fresh_pairs, monkeypatch):
         partitioned = []
         refuse_partitions(monkeypatch, partitioned)

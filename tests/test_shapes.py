@@ -17,11 +17,13 @@ from lucaskit.shapes_tilings import (
     MalformedDocument,
     MalformedModel,
     MalformedPartial,
+    VARIANTS,
     PartialTiling,
     RectangleTiling,
     Shape,
     Tiling,
     _row_groups,
+    _variant_to_json,
     block_partition,
     completion,
     count_tilings,
@@ -32,12 +34,27 @@ from lucaskit.shapes_tilings import (
     partial_from_fixed,
     partial_from_tiling,
     path_from_tiling,
+    row_tilings,
     shape_weight,
     staircase,
     to_rectangle_model,
     verify_block_partition,
     verify_skew_numerator,
 )
+
+# One variant of each kind, including the empty ones; a DDivisible shape has more than terminal() - 1 rows.
+SIZED_VARIANTS = [
+    Binomial(0, 0),
+    Binomial(1, 1),
+    Binomial(5, 2),
+    Catalan(0),
+    Catalan(3),
+    FussCatalan(1, 3),
+    FussCatalan(2, 2),
+    DDivisible(0, 0, 3),
+    DDivisible(4, 2, 2),
+    DDivisible(3, 1, 3),
+]
 
 # A delta_6 tiling that exercises every path behaviour: rows bottom-up,
 # row 1 = M M D M, row 2 = D M M, row 3 = M D, row 4 = M M, row 5 = M.
@@ -189,6 +206,17 @@ class TestEnumeration:
     def test_count_is_the_enumerated_count(self, shape):
         # The skew rows are out of length order: 2, 3, 4, 2 and 1, 4, 1 cells.
         assert count_tilings(shape) == len(list(enumerate_tilings(shape)))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [staircase(12), staircase(20), d_staircase(7, 3), Shape((9, 9, 6, 3), (4, 2, 1))],
+        ids=["delta_12", "delta_20", "delta_7:3", "skew"],
+    )
+    def test_count_is_the_product_of_row_list_lengths(self, shape):
+        # Too many tilings to list; the rows' own listings, multiplied, are the oracle.
+        lengths = [len(row_tilings(shape.cells(r))) for r in range(1, shape.n_rows + 1)]
+        assert count_tilings(shape) == math.prod(lengths)
+
 
 
 class TestWeights:
@@ -390,6 +418,41 @@ class TestPartials:
         data = binomial_4_2_document()
         data["rows"].pop()
         with pytest.raises(MalformedPartial, match="2 rows"):
+            PartialTiling.from_json_dict(data)
+
+    @pytest.mark.parametrize("variant", SIZED_VARIANTS, ids=repr)
+    def test_shape_has_at_least_terminal_minus_one_rows(self, variant):
+        # What lets from_json_dict refuse too few rows before it builds the shape.
+        assert variant.shape().n_rows >= variant.terminal() - 1
+
+    @pytest.mark.parametrize("variant", SIZED_VARIANTS, ids=repr)
+    def test_json_row_counts_the_bound_admits_keep_their_message(self, variant):
+        shape_rows = variant.shape().n_rows
+        for count in range(max(variant.terminal() - 1, 0), shape_rows + 2):
+            if count != shape_rows:
+                data = {"variant": _variant_to_json(variant), "rows": [[]] * count, "start": [0, 0], "path": ""}
+                with pytest.raises(MalformedPartial, match=f"^{count} rows for a shape with {shape_rows}$"):
+                    PartialTiling.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            {"kind": "binomial", "n": 10**9, "k": 1},
+            {"kind": "catalan", "n": 10**9},
+            {"kind": "fuss", "n": 10**9, "k": 3},
+            {"kind": "ddivisible", "n": 10**9, "k": 1, "d": 2},
+        ],
+        ids=lambda variant: variant["kind"],
+    )
+    def test_json_refuses_too_few_rows_before_the_shape(self, variant, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"built the shape of {self!r}")
+
+        for cls in (FussCatalan, DDivisible):
+            monkeypatch.setattr(cls, "shape", refuse)
+        data = {"variant": variant, "rows": [[]] * 3, "start": [0, 0], "path": ""}
+        least = VARIANTS[variant["kind"]](*(v for name, v in variant.items() if name != "kind")).terminal() - 1
+        with pytest.raises(MalformedPartial, match=f"^3 rows for a shape with at least {least}$"):
             PartialTiling.from_json_dict(data)
 
     @pytest.mark.parametrize("rows", [5, "D..", [".", "D", "."], None])

@@ -116,6 +116,11 @@ REPORT_FORMATS = ("pretty", "json")
 # `tilings enumerate` lists every tiling: delta_9's 2,227,680 still run, delta_10's 122,522,400 are refused.
 MAX_ENUMERATED_TILINGS = 10**7
 
+# A row of m cells has F_{m+1} < 10^(0.21 m) tilings, so no shape of 20,000 cells has a
+# count past Python's 4,300-digit int-to-str limit: delta_200 (19,900 cells) is read,
+# and delta_204, ddelta:300:2 and skew:100000 are refused before any shape is built.
+MAX_SHAPE_CELLS = 20_000
+
 # The involution check proves iota by levels, but falls back to tracing every member when a
 # level fails.  That exhaustive check holds each type's members with its mirror's, about
 # 1.2 KB a member at the peak: every type with n <= 8 together (944,122 members) runs in
@@ -151,19 +156,35 @@ def _poly_output(value: Poly2, fmt: str) -> str:
 
 
 def _parse_shape(spec: str) -> shapes_tilings.Shape:
-    """delta:n | ddelta:n:d | skew:outer.parts[/inner.parts]"""
+    """delta:n | ddelta:n:d | skew:outer.parts[/inner.parts], refused past ``MAX_SHAPE_CELLS`` cells.
+
+    The cells are counted from the spec's integers, before any shape is
+    built; a skew shape counts its outer shape's, which also bound its
+    width.  A negative n counts none, so the constructor refuses it.
+    """
     kind, _, rest = spec.partition(":")
     if kind == "delta":
-        return shapes_tilings.staircase(int(rest))
+        n = int(rest)
+        m = max(n, 0)
+        return _sized(m * (m - 1) // 2, shapes_tilings.staircase, n)
     if kind == "ddelta":
         n, d = rest.split(":")
-        return shapes_tilings.d_staircase(int(n), int(d))
+        n, d = int(n), int(d)
+        m = max(n, 0)
+        return _sized(d * m * (m + 1) // 2 - m, shapes_tilings.d_staircase, n, d)
     if kind == "skew":
         outer_part, _, inner_part = rest.partition("/")
         outer = tuple(int(x) for x in outer_part.split(".") if x)
         inner = tuple(int(x) for x in inner_part.split(".") if x)
-        return shapes_tilings.Shape(outer, inner)
+        return _sized(sum(outer), shapes_tilings.Shape, outer, inner)
     raise ValueError(f"unknown shape spec {spec!r} (want delta:n, ddelta:n:d or skew:...)")
+
+
+def _sized(cells: int, build, *args) -> shapes_tilings.Shape:
+    """``build(*args)``, unless its ``cells`` are past ``MAX_SHAPE_CELLS``."""
+    if cells > MAX_SHAPE_CELLS:
+        raise ValueError(f"the outer shape has {cells} cells; at most {MAX_SHAPE_CELLS} are read")
+    return build(*args)
 
 
 def _bound(args, flag: str, default: int) -> int:

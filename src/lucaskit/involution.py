@@ -34,7 +34,6 @@ from .shapes_tilings import (
     Run,
     Tiles,
     _row_data,
-    _row_groups,
     check_keys,
     partial_from_fixed,
     row_tilings,
@@ -318,9 +317,9 @@ class InvolutionReport:
     """The involution's check on one type class and its mirror.
 
     ``method`` names how it was made: ``"levels"`` when iota was proved on
-    the type and its mirror level by level (``levels.holds``) and the class
-    sums were folded over the bottom rows, ``"exhaustive"`` when iota
-    was traced on every member (``_verify_pair``).  Both give the same
+    the type and its mirror level by level (``levels.holds``) and each
+    class's partials summed to {n brace k}, ``"exhaustive"`` when iota was
+    traced on every member (``_verify_pair``).  Both give the same
     fields, so ``to_json_dict`` leaves the method out.  Frozen, with
     ``failures`` a tuple: ``verify_involution`` hands the same cached report
     to every caller.
@@ -442,22 +441,6 @@ def _class_keys(n: int, k: int, r: int) -> Iterator[tuple[Key, Monomial]]:
         monos, doms = tile_counts(partial.fixed_tiles())
         for strips, (strip_monos, strip_doms) in strip_choices:
             yield (partial.fixed, strips), (monos + strip_monos, doms + strip_doms)
-
-
-# 171 is the number of Binomial(m, k) with m <= 17, as in the level check's caches.
-@functools.lru_cache(maxsize=171)
-def _bottom_table(n: int, k: int) -> dict[tuple[Run, ...], tuple[int, Monomial]]:
-    """Each legal bottom row of Binomial(n, k), as its fixed runs, with the next level's k and its counts.
-
-    The rows are read off the greedy row step: ``_row_groups`` groups the
-    tilings of delta_n's bottom row, n - 1 cells entered at x = k, by
-    where the path crosses it and the runs it fixes.  The crossing is the
-    k that delta_{n-1} above is entered at, and the counts are the fixed
-    runs' (#monominoes, #dominoes).  Only the level check (``levels``)
-    reads it; every caller shares the cached table, and none changes it.
-    """
-    groups = _row_groups(Binomial(n, k), 1, n - 1, k, frozenset(), None)
-    return {runs: (x, tile_counts(tiles for _, tiles in runs)) for x, _, _, runs in groups}
 
 
 def _trace_key(n: int, k: int, key: Key, mirror: Container[Key], memo: _Memo) -> _Image | Malformed:

@@ -2,10 +2,10 @@
 
 ``check_level`` runs the recursive involution, ``involution._iota``
 itself, never a copy of its cases, on one level of type (m, k, r): a
-member whose bottom row R, from ``involution._bottom_table``, is concrete
-and whose other parts are opaque (``_Opaque``): the rows above R, the
-strips, and the image the recursive call returns, which ``_Answer``,
-passed as the memo that ``involution._inner`` consults, hands back.
+member whose bottom row R, a row of ``_bottom_table``, is concrete and
+whose other parts are opaque (``_Opaque``): the rows above R, the strips,
+and the image the recursive call returns, which ``_Answer``, passed as
+the memo that ``involution._inner`` consults, hands back.
 Reading an opaque part fails the level, but for S_1 and the first and last
 strips of the inner image, which are made concrete, tiling by tiling, when
 a run reads them.  For each such configuration the level checks that
@@ -39,7 +39,9 @@ run: iota never read the opaque parts, so their values cannot change what
 it does, and the checks above become the three claims.  The check
 over-approximates, since it pairs every input with every inner image, so a
 level may fail on a run no member makes; ``verify_involution`` then falls
-back to tracing every member.
+back to tracing every member.  No class sum lists a member either:
+``_class_weight`` folds each over ``_bottom_table``, the greedy row step's
+bottom rows, and ``pair_by_levels`` checks it against {n brace k}.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ import functools
 from typing import Mapping
 
 from . import involution
-from .lucas import lucas, symmetry_sides
+from .lucas import lucasnomial, symmetry_sides
 from .polyring import Monomial, Poly2
-from .shapes_tilings import Tiles, row_tilings, tile_counts
+from .shapes_tilings import Binomial, Run, Tiles, _row_groups, row_tilings, tile_counts
 
 
 class _Read(Exception):
@@ -218,7 +220,7 @@ def _level_run(m: int, k: int, r: int, bottom, values: Mapping[str, Tiles]) -> t
     call, image = forward.call, forward.image
     n_in, k_in, rows_in, strips_in = call
     image_rows, image_strips = image
-    k_next, counts = involution._bottom_table(m, k)[bottom]
+    k_next, counts = _bottom_table(m, k)[bottom]
     _require(n_in == m - 1 and k_in == k_next, "the recursive call gets the bottom row's k")
     _require(_same(rows_in, rows[1:]), "the recursive call gets the rows above the bottom row")
     _require(all(_strip_ok(s, k_in - i) for i, s in enumerate(strips_in, 1)), "the recursive call gets strips")
@@ -231,7 +233,7 @@ def _level_run(m: int, k: int, r: int, bottom, values: Mapping[str, Tiles]) -> t
     else:
         out_bottom, above = (), out_rows
     # Hashing a row that holds an opaque part reads it, which fails the level.
-    legal = involution._bottom_table(m, k_out).get(out_bottom)
+    legal = _bottom_table(m, k_out).get(out_bottom)
     _require(legal is not None, "the image's bottom row is legal")
     k_image = n_in - k_in + len(strips_in)
     _require(legal[0] == k_image, "the image's bottom row leaves the inner image's k")
@@ -279,7 +281,7 @@ def check_level(m: int, k: int, r: int) -> frozenset[tuple[int, int, int]] | Non
                 _require(_same(_run(0, 0, (), (), trace, _Expect(None, None)), ((), ())), "iota(x) = x at n = 0")
             return frozenset()
         calls = set()
-        for bottom in involution._bottom_table(m, k):
+        for bottom in _bottom_table(m, k):
             pending: list[dict[str, Tiles]] = [{}]
             while pending:
                 values = pending.pop()
@@ -296,6 +298,21 @@ def check_level(m: int, k: int, r: int) -> frozenset[tuple[int, int, int]] | Non
 
 # The level check reaches every type with n <= 12 in about a second.  Its caches
 # hold every (m, k, r) and (m, k) with m <= 17: 1,140 and 171 of them.
+@functools.lru_cache(maxsize=171)
+def _bottom_table(n: int, k: int) -> dict[tuple[Run, ...], tuple[int, Monomial]]:
+    """Each legal bottom row of Binomial(n, k), as its fixed runs, with the next level's k and its counts.
+
+    The rows are read off the greedy row step: ``_row_groups`` groups the
+    tilings of delta_n's bottom row, n - 1 cells entered at x = k, by
+    where the path crosses it and the runs it fixes.  The crossing is the
+    k that delta_{n-1} above is entered at, and the counts are the fixed
+    runs' (#monominoes, #dominoes).  Only this module reads it; every
+    caller shares the cached table, and none changes it.
+    """
+    groups = _row_groups(Binomial(n, k), 1, n - 1, k, frozenset(), None)
+    return {runs: (x, tile_counts(tiles for _, tiles in runs)) for x, _, _, runs in groups}
+
+
 @functools.lru_cache(maxsize=1140)
 def holds(m: int, k: int, r: int) -> bool:
     """Whether iota is proved, by induction on m, to be a weight-preserving map
@@ -312,28 +329,15 @@ def holds(m: int, k: int, r: int) -> bool:
 def _class_weight(n: int, k: int) -> Poly2:
     """The weight sum of Binomial(n, k)'s partials, by the row recursion, with no partial listed.
 
-    A partial is a legal bottom row (``involution._bottom_table``) under a
-    partial of the level below, entered at the row's next k.  So the sum
-    is, over the bottom rows, the row's monomial times that level's sum.
-    delta_1 and delta_0 have one empty partial.
+    A partial is a legal bottom row (``_bottom_table``) under a partial of
+    the level below, entered at the row's next k.  So the sum is, over the
+    bottom rows, the row's monomial times that level's sum.  delta_1 and
+    delta_0 have one empty partial.
     """
     if n <= 1:
         return Poly2.one()
-    rows = involution._bottom_table(n, k).values()
+    rows = _bottom_table(n, k).values()
     return sum((Poly2.monomial(*counts) * _class_weight(n - 1, k_next) for k_next, counts in rows), Poly2.zero())
-
-
-def _class_total(n: int, k: int, r: int) -> tuple[int, Poly2]:
-    """Type (n, k, r)'s size and weight sum: the partials' sum times the strips'.
-
-    Strip S_i has k - i cells, whose tilings weigh {k-i+1} together, so the
-    sum is ``_class_weight(n, k)`` times {k}{k-1}...{k-r+1}.  Every member
-    weighs 1 at s = t = 1, so the size is the sum there.
-    """
-    total = _class_weight(n, k)
-    for i in range(1, r + 1):
-        total = total * lucas(k - i + 1)
-    return total.evaluate(1, 1), total
 
 
 def pair_by_levels(n: int, k_lo: int, k_hi: int, r: int) -> tuple[involution.InvolutionReport, ...] | None:
@@ -346,17 +350,16 @@ def pair_by_levels(n: int, k_lo: int, k_hi: int, r: int) -> tuple[involution.Inv
     levels would do with both sums, as the two sides are equal and an
     injection that keeps weights between classes of equal sum is onto; the
     mirror's are required too, so that each report rests on its own levels.
+
+    Type (n, k, r)'s class sum is ``_class_weight(n, k)`` times the strips'
+    {k}...{k-r+1}, and its LHS is {n brace k} times the same nonzero factors
+    (r <= k), so the two are equal exactly when their first factors are.  The
+    sums are then ``symmetry_sides(n, k_lo, r)``, swapped for the mirror, and
+    a class's size is its sum at s = t = 1, where every member weighs 1.
     """
-    if not (holds(n, k_lo, r) and holds(n, k_hi, r)):
+    if not all(holds(n, k, r) and _class_weight(n, k) == lucasnomial(n, k) for k in (k_lo, k_hi)):
         return None
-    totals = {k: _class_total(n, k, r) for k in dict.fromkeys((k_lo, k_hi))}
-    reports = {}
-    for k, (size, total) in totals.items():
-        target_size, target_total = totals[n - k + r]
-        lhs, rhs = symmetry_sides(n, k, r)
-        if total != lhs or target_total != rhs:
-            return None
-        reports[k] = involution.InvolutionReport(
-            n, k, r, size, target_size, total, target_total, lhs, rhs, method="levels"
-        )
-    return reports[k_lo], reports[k_hi]
+    lhs, rhs = symmetry_sides(n, k_lo, r)
+    size, target_size = lhs.evaluate(1, 1), rhs.evaluate(1, 1)
+    low = involution.InvolutionReport(n, k_lo, r, size, target_size, lhs, rhs, lhs, rhs, method="levels")
+    return low, involution.InvolutionReport(n, k_hi, r, target_size, size, rhs, lhs, rhs, lhs, method="levels")

@@ -316,6 +316,58 @@ class TestTilings:
         assert cli.main(["tilings", "enumerate", "--shape", "delta:40"]) == 1
         assert capsys.readouterr().err == f"error: {count} tilings; enumerate lists at most 10000000\n"
 
+    @pytest.mark.parametrize("command", ["enumerate", "render"])
+    @pytest.mark.parametrize(
+        "spec, cells",
+        [
+            ("delta:204", 20_706),
+            ("delta:205", 20_910),
+            ("ddelta:300:2", 90_000),
+            ("skew:100000", 100_000),
+            ("skew:100000/99999", 100_000),
+            ("delta:6000", 17_997_000),
+            ("delta:1000000000", 499_999_999_500_000_000),
+        ],
+    )
+    def test_a_shape_past_the_cell_bound_is_refused_unbuilt(self, capsys, monkeypatch, command, spec, cells):
+        def built(*args):
+            raise AssertionError("built a refused shape")
+
+        for name in ("staircase", "d_staircase", "Shape"):
+            monkeypatch.setattr(cli.shapes_tilings, name, built)
+        start = time.perf_counter()
+        assert cli.main(["tilings", command, "--shape", spec]) == 1
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the outer shape has {cells} cells; at most 20000 are read\n"
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("delta:-1000", "negative staircase index"),
+            ("ddelta:-1000:2", "need n >= 0 and d >= 1"),
+            ("ddelta:300:-2", "need n >= 0 and d >= 1"),
+        ],
+    )
+    def test_a_negative_shape_keeps_its_refusal(self, capsys, spec, message):
+        for command in ("enumerate", "render"):
+            assert cli.main(["tilings", command, "--shape", spec]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_the_cell_bound_admits_delta_200_with_its_exact_count(self, capsys):
+        # delta_200's rows hold 1..199 cells, and a row of m cells has F_{m+1} tilings.
+        count, fib, next_fib = 1, 1, 1
+        for _ in range(199):
+            fib, next_fib = next_fib, fib + next_fib
+            count *= fib
+        assert len(str(count)) < 4300
+        assert cli.main(["tilings", "enumerate", "--shape", "delta:200"]) == 1
+        assert capsys.readouterr().err == f"error: {count} tilings; enumerate lists at most 10000000\n"
+        # The most a shape may hold, on one row: its count still prints.
+        assert cli.main(["tilings", "enumerate", "--shape", f"skew:{cli.MAX_SHAPE_CELLS}"]) == 1
+        assert capsys.readouterr().err.endswith(f" tilings; enumerate lists at most {cli.MAX_ENUMERATED_TILINGS}\n")
+
     def test_enumerate_bound_admits_delta_9_not_delta_10(self):
         assert count_tilings(staircase(9)) == 2_227_680 <= cli.MAX_ENUMERATED_TILINGS
         assert count_tilings(staircase(10)) == 122_522_400 > cli.MAX_ENUMERATED_TILINGS

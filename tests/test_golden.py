@@ -90,6 +90,9 @@ COMMANDS = [
     *(["tilings", "render", *source, "--format", fmt] for source in RENDERED for fmt in ("ascii", "svg")),
     ["involution", "apply", "--input", "{extended}"],
     ["involution", "apply", "--input", "{extended}", "--format", "json"],
+    ["involution", "verify", "--n", "6", "--k", "3", "--r", "2", "--format", "json"],
+    ["verify", "involution", "--max-n", "8"],
+    ["verify", "involution", "--max-n", "8", "--format", "json"],
     ["findings", "narayana", "--max-n", "12"],
     ["findings", "rational", "--max-ab", "12"],
     ["findings", "exceptional-fuss", "--max-k", "2"],

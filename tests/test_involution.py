@@ -29,6 +29,7 @@ from lucaskit.involution import (
     symmetry_sides,
     verify_involution,
 )
+from lucaskit.lucas import lucasnomial
 from lucaskit.polyring import Poly2
 from lucaskit.shapes_tilings import (
     Binomial,
@@ -46,7 +47,7 @@ def clear_pair_caches():
         involution._verify_pair,
         levels.holds,
         levels._class_weight,
-        involution._bottom_table,
+        levels._bottom_table,
     ):
         cache.cache_clear()
 
@@ -403,7 +404,7 @@ class TestClassPartials:
     def test_bottom_table_is_the_hand_written_rule(self, n):
         for k in range(n + 1):
             labels = {}
-            for runs, (k_next, counts) in involution._bottom_table(n, k).items():
+            for runs, (k_next, counts) in levels._bottom_table(n, k).items():
                 labels.setdefault(k_next, []).append((runs, counts))
             assert sorted(labels.items(), reverse=True) == oracles.bottom_rows(n, k), (n, k)
 
@@ -423,7 +424,7 @@ class TestClassPartials:
             by_bottom = {}
             for partial in enumerate_partials(Binomial(n, k)):
                 by_bottom.setdefault(partial.fixed[0], set()).add(partial.fixed[1:])
-            table = involution._bottom_table(n, k)
+            table = levels._bottom_table(n, k)
             assert by_bottom.keys() == table.keys(), (n, k)
             for runs, (x, _) in table.items():
                 assert by_bottom[runs] == above(x), (n, k, runs)
@@ -463,9 +464,9 @@ class TestClassPartials:
         "module, cache",
         [
             (involution, name)
-            for name in ("_bottom_table", "_classify_bottom", "strip_first")
+            for name in ("_classify_bottom", "strip_first")
         ]
-        + [(levels, name) for name in ("holds", "_class_weight", "_opaque", "_opaque_rows")],
+        + [(levels, name) for name in ("_bottom_table", "holds", "_class_weight", "_opaque", "_opaque_rows")],
         ids=lambda value: value if isinstance(value, str) else value.__name__.rpartition(".")[2],
     )
     def test_cache_is_bounded(self, module, cache):
@@ -831,16 +832,50 @@ class TestLevels:
         # sum misses the symmetry side, so the pair is traced over the block partition's class.
         expected = involution._verify_exhaustively(4, 2, 1).to_json_dict()
         clear_pair_caches()
-        build = involution._bottom_table
+        build = levels._bottom_table
 
         def lossy(n, k):
             table = build(n, k)
             return dict(list(table.items())[:-1]) if (n, k) == (4, 3) else table
 
-        monkeypatch.setattr(involution, "_bottom_table", lossy)
+        monkeypatch.setattr(levels, "_bottom_table", lossy)
         report = verify_involution(4, 2, 1)
         assert report.method == "exhaustive"
         assert not report.failures and report.to_json_dict() == expected
+
+    def test_one_symmetry_sides_per_pair(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(levels, "symmetry_sides", lambda *t: calls.append(t) or symmetry_sides(*t))
+        for n in range(7):
+            for k_lo in range(n + 1):
+                for r in range(k_lo + 1):
+                    k_hi = n - k_lo + r
+                    if k_lo < k_hi <= n:
+                        calls.clear()
+                        assert levels.pair_by_levels(n, k_lo, k_hi, r) is not None
+                        assert calls == [(n, k_lo, r)]
+
+    @pytest.mark.parametrize("off", [(0, 0), (2, 1), (4, 0), (5, 5), (6, 3)], ids=lambda t: "%d-%d" % t)
+    def test_a_wrong_partial_sum_falls_back(self, monkeypatch, off):
+        # One Binomial(n, k)'s partial sum is off by 1: the pairs with that class are traced,
+        # and every report is what the levels give when no sum is wrong.
+        types = [(n, k, r) for n in range(7) for k in range(n + 1) for r in range(k + 1)]
+        expected = {t: verify_involution(*t).to_json_dict() for t in types}
+        clear_pair_caches()
+        weight = levels._class_weight
+        monkeypatch.setattr(levels, "_class_weight", lambda n, k: weight(n, k) + ((n, k) == off))
+        for n, k, r in types:
+            report = verify_involution(n, k, r)
+            if off in {(n, k), (n, n - k + r)}:
+                assert report.method == "exhaustive", (n, k, r)
+            elif n <= off[0]:
+                assert report.method == "levels", (n, k, r)
+            assert report.to_json_dict() == expected[n, k, r], (n, k, r)
+
+    def test_partial_sums_are_the_lucasnomials(self):
+        for n in range(14):
+            for k in range(n + 1):
+                assert levels._class_weight(n, k) == lucasnomial(n, k), (n, k)
 
     def test_opaque_parts_refuse_every_read(self):
         part = levels._Opaque("S2", 3)

@@ -107,7 +107,7 @@ def peel_atoms(view: CoeffSeq) -> tuple[dict[int, int], CoeffSeq]:
             and next_value % _atom_value(d, y0 + 1) == 0
         ):
             try:
-                h = _hom_exact_div(weight, h, weights[d], coeff_view(lucas_atom(d)).coeffs)
+                h = _hom_exact_div(weight, h, weights[d], lucas_atom(d).weighted_profile()[1])
             except NotDivisible:
                 break
             weight, value, next_value = weight - weights[d], value // values[d], next_value // _atom_value(d, y0 + 1)

@@ -121,6 +121,12 @@ MAX_ENUMERATED_TILINGS = 10**7
 # and delta_204, ddelta:300:2 and skew:100000 are refused before any shape is built.
 MAX_SHAPE_CELLS = 20_000
 
+# `tilings partition` lists every tiling of each row it folds in, so its time and memory grow
+# about 1.6-fold per cell of the longest row: 23 cells (Catalan(12), Binomial(24, 12)) take
+# 1.9-2.1 s and 184 MB, 24 cells (Binomial(25, 12)) 2.8 s and 297 MB, and Catalan(14)'s 27
+# about 15 s (2 cores, Python 3.11).  Longer rows are refused before any shape is built.
+MAX_PARTITION_ROW = 23
+
 # The involution check proves iota by levels, but falls back to tracing every member when a
 # level fails.  That exhaustive check holds each type's members with its mirror's, about
 # 1.2 KB a member at the peak: every type with n <= 8 together (944,122 members) runs in
@@ -305,6 +311,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_partition(args) -> int:
     variant = _parse_variant(args)
+    if (cells := variant.longest_row()) > MAX_PARTITION_ROW:
+        raise ValueError(f"the longest row has {cells} cells; partition folds rows of at most {MAX_PARTITION_ROW}")
     report = shapes_tilings.verify_block_partition(variant)
     if args.format == "json":
         _emit(json.dumps(report.to_json_dict()), args.out)

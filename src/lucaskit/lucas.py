@@ -97,6 +97,11 @@ def lucas_atom(d: int) -> Poly2:
     return lucas(d).exact_div(proper)
 
 
+# y0 -> (weights, values, ({n-2}, {n-1}) at (1, y0)) of the largest sieve built, n = len(values).
+# Each entry is replaced whole, never changed in place, so a reader always sees a finished table.
+_SIEVES: dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, int]]] = {}
+
+
 @lru_cache(maxsize=16)
 def atom_values(y0: int, bound: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """For 2 <= d < bound, the weight phi(d) of P_d and the value P_d(1, y0), in plain ints.
@@ -105,16 +110,29 @@ def atom_values(y0: int, bound: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     P_e(1, y0) out of every proper multiple of e, as ``lucas_atom`` divides
     the polynomials; the weight n - 1 of {n} splits the same way.  No
     polynomial is built.  The entries at d = 0 and 1 are not atoms.
+
+    One sieve per y0 grows with the largest bound asked for: a larger bound
+    appends the new {n}(1, y0), from the last two kept, and divides each
+    P_e(1, y0) out of its multiples among them only.  Every P_e with e < n
+    is final before it divides {n}, so the tables are those of a sieve run
+    from d = 2 up to the bound.
     """
-    values = [0, 1]
-    while len(values) < bound:
-        values.append(values[-1] + y0 * values[-2])
-    weights = [n - 1 for n in range(len(values))]
-    for e in range(2, bound):
-        for m in range(2 * e, bound, e):
-            values[m] //= values[e]
-            weights[m] -= weights[e]
-    return tuple(weights), tuple(values)
+    weights, values, (a, b) = _SIEVES.get(y0, ((-1, 0), (0, 1), (0, 1)))
+    start = len(values)
+    if bound > start:
+        weights, values = list(weights), list(values)
+        for n in range(start, bound):
+            a, b = b, b + y0 * a
+            values.append(b)
+            weights.append(n - 1)
+        for e in range(2, bound):
+            for m in range(max(2 * e, -(-start // e) * e), bound, e):
+                values[m] //= values[e]
+                weights[m] -= weights[e]
+        weights, values = tuple(weights), tuple(values)
+        _SIEVES[y0] = weights, values, (a, b)
+    end = max(bound, 2)
+    return weights[:end], values[:end]
 
 
 def lucas_quotient(num: Iterable[int], den: Iterable[int]) -> Poly2:

@@ -404,6 +404,10 @@ class FussCatalan:
     def terminal(self) -> int:
         return (self.k + 1) * self.n
 
+    def longest_row(self) -> int:
+        """The cells of the shape's bottom row, read off n and k without building the shape."""
+        return max(self.terminal() - 1, 0)
+
     def mod_d(self) -> int | None:
         return None
 
@@ -448,6 +452,10 @@ class DDivisible:
 
     def terminal(self) -> int:
         return self.n
+
+    def longest_row(self) -> int:
+        """The cells of the shape's bottom row, read off n and d without building the shape."""
+        return max(self.n * self.d - 1, 0)
 
     def mod_d(self) -> int | None:
         return self.d if self.d >= 2 else None

@@ -28,7 +28,10 @@ expands a substitution term by term in ``Poly1`` arithmetic, as
 the monomino completion ``partial_from_fixed`` used before it walked tile
 tuples: each row written out as "M"/"D"/"." tokens, then parsed back.
 ``one_point_peel`` is ``analysis.peel_atoms`` as it was before it tested a
-second point, and counts its failed divisions.
+second point, and counts its failed divisions.  ``one_shot_atom_values`` is
+``lucas.atom_values`` as it was before it kept a growing sieve per y0: each
+call sieves from d = 2.  ``bench_workloads`` loads the benchmark's pools, its
+checks and its pinned digests from ``bench/workloads.py``.
 ``per_type_verify_involution`` is ``verify_involution`` as it was before it
 verified each mirror pair once: it enumerates its own class and the mirror
 class, runs iota on every member and again on every image, and caches
@@ -39,10 +42,13 @@ row step.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 from lucaskit.lucas import atom_values, lucas, lucas_atom, symmetry_sides
 from lucaskit.analysis import CoeffReport, is_log_concave, is_unimodal
@@ -287,6 +293,29 @@ def one_point_peel(view: CoeffSeq) -> tuple[dict[int, int], CoeffSeq, int]:
             exponents[d] = exponents.get(d, 0) + 1
         d += 1
     return exponents, CoeffSeq(weight, h), failed
+
+
+def one_shot_atom_values(y0: int, bound: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For 2 <= d < bound, the weight phi(d) of P_d and P_d(1, y0), sieved from d = 2 on every call."""
+    values = [0, 1]
+    while len(values) < bound:
+        values.append(values[-1] + y0 * values[-2])
+    weights = [n - 1 for n in range(len(values))]
+    for e in range(2, bound):
+        for m in range(2 * e, bound, e):
+            values[m] //= values[e]
+            weights[m] -= weights[e]
+    return tuple(weights), tuple(values)
+
+
+@lru_cache(maxsize=None)
+def bench_workloads():
+    """``bench/workloads.py``, loaded without putting ``bench/`` on sys.path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def integer_coxeter_catalan(degrees, k: int = 1) -> int:

@@ -1,16 +1,13 @@
 """Coefficient-sequence diagnostics."""
 
-import importlib.util
 import json
 import math
-import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import fraction_analyze, fraction_real_rooted, one_point_peel
+from oracles import bench_workloads, fraction_analyze, fraction_real_rooted, one_point_peel
 from lucaskit import analysis
 from lucaskit.analysis import analyze, is_log_concave, is_unimodal, peel_atoms
 from lucaskit.coxcat import CoxeterType, coxeter_catalan, fuss_catalan, lucas_catalan
@@ -29,20 +26,11 @@ S = Poly2.var_s()
 T = Poly2.var_t()
 
 
-def _bench_coxeter_types() -> list[CoxeterType]:
-    """The benchmark's Coxeter types, read from bench/workloads.py without putting bench/ on sys.path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.COXETER_TYPES
-
-
 # The diagnostics workload's quantities, every benchmark Coxeter type, and Fuss-Catalan at k = 3.
 SWEEP = (
     [(f"lucasnomial:{n}:{k}", lucasnomial, (n, k)) for n in range(1, 17) for k in range(n + 1)]
     + [(f"catalan:{n}", lucas_catalan, (n,)) for n in range(1, 9)]
-    + [(f"coxeter:{w}", coxeter_catalan, (w,)) for w in _bench_coxeter_types()]
+    + [(f"coxeter:{w}", coxeter_catalan, (w,)) for w in bench_workloads().COXETER_TYPES]
     + [(f"fuss:{n}:3", fuss_catalan, (n, 3)) for n in range(1, 7)]
 )
 # Beyond the benchmark's quantities: the largest Fuss-Catalan the Sturm chains still decide in seconds.

@@ -343,6 +343,38 @@ class TestTilings:
         assert captured.err == f"error: the outer shape has {cells} cells; at most 20000 are read\n"
 
     @pytest.mark.parametrize(
+        "flags, cells",
+        [
+            ("catalan --n 13", 25),
+            ("binomial --n 25 --k 12", 24),
+            ("fuss --n 8 --k 3", 31),
+            ("ddivisible --n 9 --k 4 --d 3", 26),
+            (f"binomial --n {10**9} --k 1", 10**9 - 1),
+        ],
+    )
+    def test_a_partition_past_the_row_bound_is_refused_unbuilt(self, capsys, monkeypatch, flags, cells):
+        def built(*args):
+            raise AssertionError("built a refused variant's shape or partition")
+
+        for name in ("staircase", "d_staircase", "Shape", "verify_block_partition"):
+            monkeypatch.setattr(cli.shapes_tilings, name, built)
+        start = time.perf_counter()
+        assert cli.main(["tilings", "partition", "--variant", *flags.split()]) == 1
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the longest row has {cells} cells; partition folds rows of at most 23\n"
+
+    @pytest.mark.parametrize("flags", ["catalan --n 12", "binomial --n 24 --k 12", "ddivisible --n 8 --k 4 --d 3"])
+    def test_the_row_bound_admits_a_row_of_23_cells(self, capsys, monkeypatch, flags):
+        def partitioned(variant):
+            raise AssertionError(f"partitioning {variant!r}")
+
+        monkeypatch.setattr(cli.shapes_tilings, "verify_block_partition", partitioned)
+        assert cli.main(["tilings", "partition", "--variant", *flags.split()]) == 2
+        assert capsys.readouterr().err.startswith("error: partitioning ")
+
+    @pytest.mark.parametrize(
         "spec, message",
         [
             ("delta:-1000", "negative staircase index"),

@@ -1,11 +1,13 @@
 """Lucas sequence, Lucastorials, Lucasnomials and their identities."""
 
+import importlib
 import itertools
 import math
+import random
 
 import pytest
 
-from oracles import cyclotomic, factorial_quotient, fib, gaussian_binomial, integer_d_binomial
+from oracles import cyclotomic, factorial_quotient, fib, gaussian_binomial, integer_d_binomial, one_shot_atom_values
 from lucaskit.lucas import (
     NegativeAtom,
     atom_values,
@@ -27,6 +29,8 @@ from lucaskit.polyring import NotDivisible, Poly1, Poly2, coeff_view
 
 S = Poly2.var_s()
 T = Poly2.var_t()
+# The package re-exports the function lucas() over the submodule of that name.
+lucas_module = importlib.import_module("lucaskit.lucas")
 
 
 class TestLucas:
@@ -191,6 +195,36 @@ class TestAtomValues:
     def test_weights_are_totients(self):
         weights, _ = atom_values(1, 200)
         assert all(weights[d] == sum(math.gcd(j, d) == 1 for j in range(1, d + 1)) for d in range(2, 200))
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_a_growing_sieve_gives_the_one_shot_tables(self, order):
+        bounds = [0, 1, 2, 3, 4, 7, 8, 30, 31, 64, 97, 128, 300]
+        if order != "ascending":
+            bounds.reverse()
+        if order == "shuffled":
+            random.Random(1).shuffle(bounds)
+        lucas_module._SIEVES.clear()
+        atom_values.cache_clear()
+        for bound in bounds:
+            for y0 in (1, 2, 3):
+                assert atom_values(y0, bound) == one_shot_atom_values(y0, bound), (y0, bound)
+        assert sorted(lucas_module._SIEVES) == [1, 2, 3]
+        assert all(len(values) == 300 for _, values, _ in lucas_module._SIEVES.values())
+
+    def test_a_larger_bound_keeps_the_entries_it_has(self):
+        lucas_module._SIEVES.clear()
+        atom_values.cache_clear()
+        weights, values = atom_values(2, 100)
+        # Mark an entry: a sieve run again from d = 2 would overwrite it, a grown one keeps it.
+        marked = values[:67] + (-1,) + values[68:]  # 67 divides no new entry
+        lucas_module._SIEVES[2] = weights, marked, lucas_module._SIEVES[2][2]
+        try:
+            grown = atom_values(2, 102)
+            assert grown[1][:100] == marked
+            assert grown[1][100:] == one_shot_atom_values(2, 102)[1][100:]
+        finally:
+            lucas_module._SIEVES.clear()
+            atom_values.cache_clear()
 
 
 class TestQuotientEngine:

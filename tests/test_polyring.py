@@ -273,6 +273,69 @@ class TestExactDiv:
             assert dividend.exact_div(q) == expected
 
 
+# A divisor's lowest nonzero entry leads the division: +-1 (monic, as every Lucas atom) or +-3.
+divisor_parts = st.builds(
+    lambda v, lead, rest: (0,) * v + (lead, *rest),
+    st.integers(0, 2),
+    st.sampled_from([1, -1, 3, -3]),
+    st.lists(st.integers(-4, 4), max_size=4),
+).map(polyring._trimmed)
+
+
+class TestHomExactDiv:
+    """``_hom_exact_div`` against long division over the rationals (``fraction_divmod``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        divisor_parts,
+        st.lists(st.integers(-5, 5), min_size=1, max_size=5).filter(lambda h: h[-1]),
+        st.lists(st.integers(-2, 2), max_size=6),
+        st.integers(0, 2),
+        st.integers(0, 3),
+    )
+    def test_matches_rational_division(self, g, h, noise, shift, extra):
+        f = polyring._trimmed((0,) * shift + polyring._add(polyring._convolve(h, g), noise))
+        if not f:
+            return
+        quot, rem = fraction_divmod([Fraction(c) for c in f], [Fraction(c) for c in g])
+        nq = 2 * (len(g) - 1) + extra
+        np_ = nq + 2 * max(len(f) - len(g), 0) + extra
+        if rem or any(c.denominator != 1 for c in quot):
+            with pytest.raises(NotDivisible):
+                polyring._hom_exact_div(np_, f, nq, g)
+        else:
+            assert polyring._hom_exact_div(np_, f, nq, g) == tuple(int(c) for c in quot)
+
+    @pytest.mark.parametrize("lead", [1, -1, 3, -3])
+    def test_a_constant_divisor(self, lead):
+        assert polyring._hom_exact_div(4, (3 * lead, 0, -6 * lead), 0, (lead,)) == (3, 0, -6)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2, (1,), 4, (1, 1)), "weight of dividend is below weight of divisor"),
+            ((4, (1, 1), 2, (0, 1)), "divisor's t-valuation exceeds dividend's"),
+            ((4, (1,), 2, (1, 1)), "dividend has too few terms"),
+            ((4, (1, 3, 3), 2, (1, 1)), "nonzero remainder"),
+            ((4, (1, 3, 3), 2, (3, 1)), "non-integer coefficient in quotient"),
+            ((4, (3, 0, 2), 0, (3,)), "non-integer coefficient in quotient"),
+            ((2, (1, 2, 1), 1, (1, 1)), "quotient would need a negative s exponent"),
+        ],
+    )
+    def test_each_refusal_keeps_its_message(self, args, message):
+        with pytest.raises(NotDivisible, match=f"^{message}$"):
+            polyring._hom_exact_div(*args)
+
+    def test_monic_divisors_take_no_divmod(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(polyring, "divmod", lambda a, b: calls.append(b) or divmod(a, b), raising=False)
+        f = tuple(polyring._convolve((1, 4, 2), (1, 3, 5)))
+        assert polyring._hom_exact_div(8, f, 4, (1, 3, 5)) == (1, 4, 2)
+        assert calls == []
+        assert polyring._hom_exact_div(8, tuple(polyring._convolve((1, 4, 2), (3, 1))), 2, (3, 1)) == (1, 4, 2)
+        assert calls == [3] * 3
+
+
 class TestEval:
     def test_lucas5_fibonacci_point(self):
         five = S**4 + 3 * S**2 * T + T**2

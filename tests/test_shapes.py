@@ -425,6 +425,11 @@ class TestPartials:
         # What lets from_json_dict refuse too few rows before it builds the shape.
         assert variant.shape().n_rows >= variant.terminal() - 1
 
+    @pytest.mark.parametrize("variant", SIZED_VARIANTS + [Binomial(2, 1), DDivisible(1, 0, 4)], ids=repr)
+    def test_longest_row_is_the_shapes(self, variant):
+        # What lets `tilings partition` refuse a long row before it builds the shape.
+        assert variant.longest_row() == max(variant.shape().outer, default=0)
+
     @pytest.mark.parametrize("variant", SIZED_VARIANTS, ids=repr)
     def test_json_row_counts_the_bound_admits_keep_their_message(self, variant):
         shape_rows = variant.shape().n_rows

@@ -12,16 +12,26 @@ the tallies of its block-partition folds.
 
 Every Lucas quantity is *weighted homogeneous*, a single weight (its tilings
 cover a fixed number of cells), so it is one sequence (see ``CoeffSeq``).
-Products convolve each pair of weights.  ``_convolve`` runs the schoolbook
-loop when the shorter sequence has fewer than ``PACK_MIN_TERMS`` = 16 terms;
-otherwise it packs each sequence into one integer, its value at 2^B, takes
-one bigint product (Karatsuba in CPython) and reads the coefficients back as
-balanced base-2^B digits.  B is a whole number of bytes of at least
-bits(max|f|) + bits(max|g|) + bits(min(len f, len g)) + 2, which bounds
-every coefficient of the product, so the digits are exact.  Measured on 4-
-to 300-bit entries, the packed product overtakes the loop at 12 to 20 terms
-for operands of equal length (latest for the widest entries) and at 8 to 14
-against a 100-term partner.
+Products convolve each pair of weights, and a product of two one-weight
+polynomials is built straight from one convolution, which is already
+trimmed.  ``_convolve`` runs the schoolbook loop when the shorter sequence
+has fewer than ``PACK_MIN_TERMS`` = 14 terms.  Otherwise it multiplies by
+two-point Kronecker substitution (Harvey, "Faster polynomial multiplication
+via multipoint Kronecker substitution", J. Symbolic Comput. 2009): each
+sequence's even-index and odd-index halves are packed into integers, their
+values at 2^B, and the two bigint products (Karatsuba in CPython) of the
+values at +2^(B/2) and -2^(B/2) give the product's even and odd halves,
+read back as base-2^B digits.  The two products have operands of half the
+bits of the one product of whole sequences packed at 2^B, which is about
+two thirds of its cost under Karatsuba.  B is a whole number of bytes of at
+least bits(max|f|) + bits(max|g|) + bits(min(len f, len g)) + 2, which
+bounds every coefficient of the product, so the digits are exact.  Each
+entry's bytes are written and read by ``int.to_bytes`` and
+``int.from_bytes`` mapped in C, with an offset for balanced digits only
+when some entry is negative; no Lucas quantity has one.  Measured on 4- to
+300-bit entries, the packed product overtakes the loop at 11 to 17 terms
+for operands of equal length and at 5 to 10 against a 100-term partner
+(one-point packing, on the same machine: 10 to 21 and 5 to 19).
 Exact division is graded long division: the dividend's top weight is divided
 by the divisor's top weight as a univariate exact quotient, and the
 divisor's lower weights times that quotient are subtracted from the lower
@@ -48,8 +58,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
-from operator import add, index
+from operator import add, index, sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -173,6 +184,12 @@ class Poly2:
     def __mul__(self, other: Poly2 | int) -> Poly2:
         if (other := _lift(other, Poly2)) is NotImplemented:
             return NotImplemented
+        if len(self._parts) == 1 == len(other._parts):
+            # One weight each, as every Lucas quantity: the product of two
+            # trimmed nonzero sequences ends in a nonzero entry, so it is canonical.
+            [(na, fa)] = self._parts.items()
+            [(nb, fb)] = other._parts.items()
+            return _from_parts({na + nb: tuple(_convolve(fa, fb))})
         parts: dict[int, Sequence[int]] = {}
         for na, fa in self._parts.items():
             for nb, fb in other._parts.items():
@@ -346,8 +363,13 @@ def _canonical(parts: Mapping[int, Sequence[int]]) -> dict[int, Part]:
 
 def _graded(parts: Mapping[int, Sequence[int]]) -> Poly2:
     """The polynomial whose weight-N part is ``parts[N]``, in canonical form."""
+    return _from_parts(_canonical(parts))
+
+
+def _from_parts(parts: dict[int, Part]) -> Poly2:
+    """The polynomial whose parts are ``parts``, already canonical: trimmed and nonempty tuples."""
     p = Poly2.__new__(Poly2)
-    p._parts = _canonical(parts)
+    p._parts = parts
     p._hash = None
     return p
 
@@ -386,43 +408,70 @@ def _add_part(parts: dict[int, Sequence[int]], n: int, seq: Sequence[int]) -> No
 
 
 # Below this many terms in the shorter operand the loop is faster than packing.
-PACK_MIN_TERMS = 16
+PACK_MIN_TERMS = 14
 
 
 def _convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """The coefficients of a product: c_k = sum of f_i g_j over i + j = k.
 
-    Short operands take the schoolbook loop.  Long ones are multiplied as
-    packed integers, in the style of Kronecker substitution: each becomes its
-    value at 2^B, one bigint product is taken, and the product's base-2^B
-    digits are read back.  B is a whole number of bytes with B >= bits(max|f|)
-    + bits(max|g|) + bits(min(len f, len g)) + 2.  Each entry then fits a
-    signed B-bit field, and each c_k sums at most min(len f, len g) products,
-    so |c_k| < 2^(B-2).  Every digit c_k + 2^(B-1) of the product plus the
-    offset sum_k 2^(B-1) 2^(Bk) therefore lies in [0, 2^B): the digits read
-    back are exactly c_k, with no carry between them and no check afterwards.
+    Short operands take the schoolbook loop.  Long ones are multiplied by
+    two-point Kronecker substitution.  B is a whole number of bytes with
+    B >= bits(max|f|) + bits(max|g|) + bits(min(len f, len g)) + 2, so each
+    c_k, a sum of at most min(len f, len g) products, has |c_k| < 2^(B-2).
+    Split f(x) = fe(x^2) + x fo(x^2), and g and c likewise, and put b = B/2.
+    With the halves packed at 2^B, f(+-2^b) = fe(2^B) +- 2^b fo(2^B), so the
+    two bigint products plus = f(2^b) g(2^b) and minus = f(-2^b) g(-2^b),
+    on operands of half the bits of f(2^B) and g(2^B), are ce(2^B) +- 2^b
+    co(2^B).  Hence plus + minus = 2 ce(2^B) and plus - minus =
+    2^(b+1) co(2^B): both shifts below are exact, whatever the signs.  The
+    coefficients of ce and co are then read back as base-2^B digits.  With
+    no negative entry every c_k lies in [0, 2^B); otherwise adding 2^(B-1)
+    to every digit puts each in [0, 2^B), since |c_k| < 2^(B-1).  Either
+    way no digit carries into the next, so every c_k is read exactly, with
+    no check afterwards.
     """
     if len(f) > len(g):
         f, g = g, f
     if len(f) < PACK_MIN_TERMS:
         return _schoolbook(f, g)
-    bits = max(map(abs, f)).bit_length() + max(map(abs, g)).bit_length() + len(f).bit_length() + 2
+    f_lo, g_lo = min(f), min(g)
+    bits = max(max(f), -f_lo).bit_length() + max(max(g), -g_lo).bit_length() + len(f).bit_length() + 2
     width = (bits + 7) // 8  # B / 8
+    pack, unpack = (_pack, _unpack) if f_lo >= 0 <= g_lo else (_pack_signed, _unpack_signed)
+    fe, fo, ge, go = pack(f[::2], width), pack(f[1::2], width), pack(g[::2], width), pack(g[1::2], width)
+    shift = 4 * width  # b
+    fo <<= shift
+    go <<= shift
+    plus, minus = (fe + fo) * (ge + go), (fe - fo) * (ge - go)
     n = len(f) + len(g) - 1
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    digits = (_pack(f, width) * _pack(g, width) + offset).to_bytes(width * n, "little")
-    half = 1 << (8 * width - 1)
-    return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, width * n, width)]
+    out = [0] * n
+    out[::2] = unpack((plus + minus) >> 1, width, (n + 1) // 2)
+    out[1::2] = unpack((plus - minus) >> (shift + 1), width, n // 2)
+    return out
 
 
 def _pack(seq: Sequence[int], width: int) -> int:
-    """sum seq[i] 2^(8 width i), for entries with |seq[i]| < 2^(8 width - 1)."""
-    value = int.from_bytes(b"".join(c.to_bytes(width, "little", signed=True) for c in seq), "little")
-    if min(seq) >= 0:
-        return value
-    # The field of an entry c < 0 reads c + 2^(8 width): take that carry back out of the next field.
-    one, zero = b"\x01" + bytes(width - 1), bytes(width)
-    return value - (int.from_bytes(b"".join(one if c < 0 else zero for c in seq), "little") << 8 * width)
+    """sum seq[i] 2^(8 width i), for entries with 0 <= seq[i] < 2^(8 width); each entry's bytes are written in C."""
+    return int.from_bytes(b"".join(map(int.to_bytes, seq, repeat(width), repeat("little"))), "little")
+
+
+def _unpack(value: int, width: int, n: int) -> list[int]:
+    """The n base-2^(8 width) digits of 0 <= value < 2^(8 width n), lowest first; each is read in C."""
+    digits = value.to_bytes(width * n, "little")
+    fields = map(slice, range(0, width * n, width), range(width, width * (n + 1), width))
+    return list(map(int.from_bytes, map(digits.__getitem__, fields), repeat("little")))
+
+
+def _pack_signed(seq: Sequence[int], width: int) -> int:
+    """sum seq[i] 2^(8 width i), for entries with |seq[i]| < 2^(8 width): the positive part's value minus the negative part's."""
+    return _pack([c if c > 0 else 0 for c in seq], width) - _pack([-c if c < 0 else 0 for c in seq], width)
+
+
+def _unpack_signed(value: int, width: int, n: int) -> list[int]:
+    """The n balanced digits c_i of value = sum c_i 2^(8 width i), -2^(8 width - 1) <= c_i < 2^(8 width - 1), lowest first."""
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")  # half in every digit
+    return list(map(sub, _unpack(value + offset, width, n), repeat(half)))
 
 
 def _schoolbook(f: Sequence[int], g: Sequence[int]) -> list[int]:

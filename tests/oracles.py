@@ -22,7 +22,9 @@ helpers run on plain lists of ``Fraction``: ``fraction_coeffs`` reads a
 ``Poly1`` through its public coefficients, and ``integral_poly1`` builds
 one back from a result whose entries are all integers.  ``monomial_product``
 multiplies two coefficient sequences term by term into a map, the reference
-for the packed multiply in ``polyring._convolve``.  ``term_substitute``
+for the packed multiply in ``polyring._convolve``; ``one_point_convolve`` is
+that multiply as it was before it split each operand into its even and odd
+halves, one bigint product of the operands packed whole.  ``term_substitute``
 expands a substitution term by term in ``Poly1`` arithmetic, as
 ``Poly2.substitute`` did before it built each image's powers once.  ``token_completion`` is
 the monomino completion ``partial_from_fixed`` used before it walked tile
@@ -123,6 +125,35 @@ def monomial_product(f, g) -> dict[int, int | Fraction]:
         for j, y in enumerate(g):
             out[i + j] = out.get(i + j, 0) + x * y
     return {e: c for e, c in out.items() if c}
+
+
+def one_point_convolve(f, g) -> list[int]:
+    """f times g by one-point Kronecker substitution, as ``polyring._convolve`` packed long operands before it split them.
+
+    Each operand becomes its value at 2^B, one bigint product is taken, and
+    its balanced base-2^B digits are read back, one Python-level
+    ``to_bytes``/``from_bytes`` per coefficient.  B is a whole number of
+    bytes with B >= bits(max|f|) + bits(max|g|) + bits(min(len f, len g)) + 2,
+    so every product coefficient c_k has |c_k| < 2^(B-2).  Takes any lengths
+    of at least 1.
+    """
+    bits = max(map(abs, f)).bit_length() + max(map(abs, g)).bit_length() + min(len(f), len(g)).bit_length() + 2
+    width = (bits + 7) // 8  # B / 8
+    n = len(f) + len(g) - 1
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    digits = (_one_point_pack(f, width) * _one_point_pack(g, width) + offset).to_bytes(width * n, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, width * n, width)]
+
+
+def _one_point_pack(seq, width: int) -> int:
+    """sum seq[i] 2^(8 width i), for entries with |seq[i]| < 2^(8 width - 1)."""
+    value = int.from_bytes(b"".join(c.to_bytes(width, "little", signed=True) for c in seq), "little")
+    if min(seq) >= 0:
+        return value
+    # The field of an entry c < 0 reads c + 2^(8 width): take that carry back out of the next field.
+    one, zero = b"\x01" + bytes(width - 1), bytes(width)
+    return value - (int.from_bytes(b"".join(one if c < 0 else zero for c in seq), "little") << 8 * width)
 
 
 def term_substitute(p: Poly2, s_image: Poly1, t_image: Poly1) -> Poly1:

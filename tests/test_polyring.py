@@ -22,6 +22,7 @@ from oracles import (
     integral_poly1,
     lex_exact_div,
     monomial_product,
+    one_point_convolve,
     poly1_exact_div,
     poly1_primitive,
     term_substitute,
@@ -637,6 +638,132 @@ class TestConvolve:
         assert len(calls) == 2
         polyring._convolve([1] * n, [2] * 100)
         assert len(calls) == 2
+
+    @settings(deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize("shift", [-2, -1, 0, 1, 2, 3])
+    def test_odd_and_even_lengths_about_the_crossover(self, shift, data):
+        m = polyring.PACK_MIN_TERMS + shift
+        entries = st.one_of(st.integers(-9, 9), st.integers(-(2**64), 2**64), st.integers(0, 2**300))
+        f = data.draw(st.lists(entries, min_size=m, max_size=m))
+        g = data.draw(st.lists(entries, min_size=1, max_size=2 * polyring.PACK_MIN_TERMS + 3))
+        assert polyring._convolve(f, g) == _dense_product(f, g)
+        assert polyring._convolve(g, f) == _dense_product(f, g)
+
+    @settings(deadline=None)
+    @given(packed_operands, packed_operands, st.sampled_from([0, 1]))
+    def test_a_half_all_zero(self, f, g, parity):
+        """The even-index (parity 0) or odd-index (parity 1) half of one operand is all zero."""
+        f = [0 if i % 2 == parity else c for i, c in enumerate(f)]
+        assert polyring._convolve(f, g) == _dense_product(f, g)
+        assert polyring._convolve(g, f) == _dense_product(f, g)
+
+    @given(
+        st.integers(polyring.PACK_MIN_TERMS, 3 * polyring.PACK_MIN_TERMS),
+        st.integers(0, 3 * polyring.PACK_MIN_TERMS),
+        st.integers(1, 200),
+        st.integers(0, 7),
+        st.sampled_from(["+", "-", "+-", "mixed"]),
+    )
+    def test_entries_at_the_field_bound(self, m, extra, bits_f, pad, signs):
+        """Every entry is +-max and the widths leave the field no spare byte; with one sign per operand c_k reaches m max|f| max|g|."""
+        # bits(max|f|) + bits(max|g|) + bits(m) + 2 is a whole number of bytes: B itself.
+        bits_g = 8 + pad - (bits_f + m.bit_length() + 2) % 8
+        big_f, big_g = 2**bits_f - 1, 2**bits_g - 1
+        pattern = {"+": (1, 1), "-": (-1, -1), "+-": (1, -1), "mixed": (1, 1)}[signs]
+        f = [pattern[0] * big_f] * m
+        g = [pattern[1] * big_g * (-1 if signs == "mixed" and j % 3 == 1 else 1) for j in range(m + extra)]
+        product = polyring._convolve(f, g)
+        assert product == _dense_product(f, g)
+        assert signs == "mixed" or max(map(abs, product)) == m * big_f * big_g
+
+    @settings(deadline=None)
+    @given(packed_operands, packed_operands)
+    def test_one_signed_operand(self, f, g):
+        g = [abs(c) for c in g]
+        assert polyring._convolve(f, g) == _dense_product(f, g)
+        assert polyring._convolve(g, f) == _dense_product(f, g)
+
+    @given(st.integers(1, 40), st.data())
+    def test_pack_round_trip(self, width, data):
+        n = data.draw(st.integers(0, 12))
+        top = 2 ** (8 * width)
+        seq = data.draw(st.lists(st.one_of(st.integers(0, top - 1), st.sampled_from([0, 1, top - 1])), min_size=n, max_size=n))
+        assert polyring._unpack(polyring._pack(seq, width), width, n) == seq
+        # Signed: balanced digits in [-2^(8 width - 1), 2^(8 width - 1)), the ends included.
+        half = top // 2
+        signed = data.draw(st.lists(st.one_of(st.integers(-half, half - 1), st.sampled_from([-half, half - 1])), min_size=n, max_size=n))
+        value = polyring._pack_signed(signed, width)
+        assert value == sum(c << (8 * width * i) for i, c in enumerate(signed))
+        assert polyring._unpack_signed(value, width, n) == signed
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_matches_the_one_point_multiply(self, data):
+        """Random signed operands past the crossover, entries up to 10,000 bits, against one bigint product."""
+        entries = st.one_of(st.just(0), st.integers(-(2**64), 2**64), huge, st.integers(1, 10_000).map(lambda b: -(2**b) + 1))
+        lengths = st.integers(polyring.PACK_MIN_TERMS, 3 * polyring.PACK_MIN_TERMS)
+        f = data.draw(lengths.flatmap(lambda n: st.lists(entries, min_size=n, max_size=n)))
+        g = data.draw(lengths.flatmap(lambda n: st.lists(entries, min_size=n, max_size=n)))
+        assert polyring._convolve(f, g) == one_point_convolve(f, g)
+
+
+def _dense_product(f, g) -> list[int]:
+    """``monomial_product`` as a list of len(f) + len(g) - 1 coefficients (none for two empty operands), zeros included."""
+    product = monomial_product(f, g)
+    return [product.get(e, 0) for e in range(len(f) + len(g) - 1)]
+
+
+def term_product(p: Poly2, q: Poly2) -> Poly2:
+    """p * q term by term through the constructor, which adds repeated monomials: no ``_convolve``."""
+    return Poly2(((a + c, b + d), x * y) for (a, b), x in p.terms() for (c, d), y in q.terms())
+
+
+# One weight with leading, inner and trailing-free sequences of up to 40 terms: both kernels.
+one_weight = st.tuples(
+    st.integers(0, 3), st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=40).filter(lambda c: c[-1])
+).map(lambda ec: homogeneous(2 * (len(ec[1]) - 1) + ec[0], ec[1]))
+
+
+class TestMulFastPath:
+    """``Poly2.__mul__`` builds a one-weight-by-one-weight product straight from one ``_convolve``."""
+
+    @given(st.one_of(one_weight, polys), st.one_of(one_weight, polys))
+    def test_matches_the_term_product(self, p, q):
+        product = p * q
+        assert product == term_product(p, q)
+        assert all(type(seq) is tuple and seq and seq[-1] for seq in product._parts.values())
+        assert hash(product) == hash(term_product(p, q))
+        assert product._terms == dict(term_product(p, q).terms())
+        assert product.weighted_profile() == term_product(p, q).weighted_profile()
+
+    @given(one_weight, one_weight)
+    def test_one_weight_products_are_one_weight(self, p, q):
+        (n, f), (m, g) = p.weighted_profile(), q.weighted_profile()
+        assert (p * q).weighted_profile() == (n + m, tuple(_dense_product(f, g)))
+
+    def test_fast_path_makes_no_canonical_copy(self, monkeypatch):
+        p, q = homogeneous(40, range(1, 21)), homogeneous(5, [1, 0, -3])
+        monkeypatch.setattr(polyring, "_canonical", None)
+        assert (p * q).weighted_profile() == (45, tuple(_dense_product(range(1, 21), [1, 0, -3])))
+
+    def test_tracer_reads_every_product(self):
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import json, sys\n"
+            f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'bench')!r}]\n"
+            "import tracing\n"
+            "from lucaskit import lucas\n"
+            "tracer = tracing.Tracer()\n"
+            "tracer.install()\n"
+            "lucas.lucasnomial(20, 10)\n"
+            "print(json.dumps(tracer.metrics(1.0)))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        metrics = json.loads(done.stdout)
+        assert metrics["polyring.mul.calls"] > 0
+        assert metrics["polyring.max_coeff_bits"] > 0
 
 
 class TestPower:

@@ -127,14 +127,6 @@ MAX_SHAPE_CELLS = 20_000
 # about 15 s (2 cores, Python 3.11).  Longer rows are refused before any shape is built.
 MAX_PARTITION_ROW = 23
 
-# The involution check proves iota by levels, but falls back to tracing every member when a
-# level fails.  That exhaustive check holds each type's members with its mirror's, about
-# 1.2 KB a member at the peak: every type with n <= 8 together (944,122 members) runs in
-# 15-17 s and 134 MB, and (9, 5, 2) alone (185,640) in 10 s and 446 MB (2 cores, Python
-# 3.11).  So the sweep to n = 9 (31,507,982) and the largest n = 9 types (1,113,840 and
-# 2,227,680) are refused.
-MAX_INVOLUTION_MEMBERS = 10**6
-
 
 @contextlib.contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
@@ -151,6 +143,20 @@ def _emit(text: str, out: str | None) -> None:
         fh.write(text if text.endswith("\n") else text + "\n")
 
 
+@contextlib.contextmanager
+def _all_digits() -> Iterator[None]:
+    """Lift Python's int-to-str digit limit, if it has one, while a computed value is written; input keeps it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@_all_digits()
 def _poly_output(value: Poly2, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(value.to_json_dict())
@@ -359,53 +365,26 @@ def _cmd_apply(args) -> int:
     return PASS
 
 
-def _involution_members(types: list[tuple[int, int, int]]) -> int:
-    """The extended tilings in these types, before any is built.
-
-    A class has its symmetry LHS at s = t = 1, where {m} is the Fibonacci
-    number F_m: {n brace k} F_k F_{k-1} ... F_{k-r+1} members, which is
-    F_n! / (F_{n-k}! F_{k-r}!) with F_m! = F_1 ... F_m.  So the count is
-    summed in plain ints, with no polynomial built.
-    """
-    if any(not 0 <= r <= k <= n for n, k, r in types):
-        raise ValueError("need 0 <= r <= k <= n")
-    fib, next_fib = 0, 1
-    factorials = [1]  # F_m! at index m
-    for _ in range(max((n for n, _, _ in types), default=0)):
-        fib, next_fib = next_fib, fib + next_fib
-        factorials.append(factorials[-1] * fib)
-    return sum(factorials[n] // (factorials[n - k] * factorials[k - r]) for n, k, r in types)
-
-
 def _verify_involution_types(args) -> int:
     missing = [f"--{flag}" for flag in "nkr" if getattr(args, flag) is None]
     if 0 < len(missing) < 3:
         raise ValueError(f"one involution type needs --n, --k and --r; missing {', '.join(missing)}")
-    if not missing:
-        if args.max_n is not None:
-            raise ValueError("--max-n bounds the sweep over every type; give it without --n, --k and --r")
-        types = [(args.n, args.k, args.r)]
-    else:
-        types = list(_types(_bound(args, "max_n", 5)))
-    members = _involution_members(types)
-    if members > MAX_INVOLUTION_MEMBERS:
-        raise ValueError(f"{members} extended tilings; the involution check takes at most {MAX_INVOLUTION_MEMBERS}")
+    if not missing and args.max_n is not None:
+        raise ValueError("--max-n bounds the sweep over every type; give it without --n, --k and --r")
+    largest = _bound(args, "max_n", 5) if missing else args.n
+    if largest > involution.MAX_LEVEL_N:
+        raise ValueError(f"n = {largest}; the involution check proves levels up to n = {involution.MAX_LEVEL_N}")
+    types = _types(largest) if missing else [(args.n, args.k, args.r)]
     reports = [involution.verify_involution(*t) for t in types]
-    lines = []
-    ok = True
-    for report in reports:
-        status = "pass" if report.ok else "FAIL"
-        lines.append(
-            f"involution ({report.n},{report.k},{report.r}): {status}"
-            f" [{report.class_size} objects]"
-        )
-        lines += [f"  {f}" for f in report.failures]
-        ok = ok and report.ok
     if args.format == "json":
         _emit(json.dumps([r.to_json_dict() for r in reports]), args.out)
     else:
+        lines = []
+        for r in reports:
+            lines.append(f"involution ({r.n},{r.k},{r.r}): {'pass' if r.ok else 'FAIL'} [{r.class_size} objects]")
+            lines += [f"  {f}" for f in r.failures]
         _emit("\n".join(lines), args.out)
-    return PASS if ok else VERIFY_FAIL
+    return PASS if all(r.ok for r in reports) else VERIFY_FAIL
 
 
 def _cmd_verify(args) -> int:
@@ -432,21 +411,23 @@ def _cmd_findings(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    report = analysis.analyze(_named_quantity(args.expr))
-    if args.format == "json":
-        _emit(json.dumps(report.to_json_dict()), args.out)
-    elif args.format == "csv":
-        _emit(report.to_csv(), args.out)
-    else:
-        lines = [
-            f"weight: {report.weight}",
-            f"coeffs: {', '.join(str(c) for c in report.coeffs)}",
-            f"unimodal: {report.unimodal}",
-            f"log-concave: {report.log_concave}",
-            f"real-rooted: {report.real_rooted}",
-        ]
-        _emit("\n".join(lines), args.out)
+    _emit(_analysis_output(analysis.analyze(_named_quantity(args.expr)), args.format), args.out)
     return PASS
+
+
+@_all_digits()
+def _analysis_output(report: analysis.CoeffReport, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(report.to_json_dict())
+    if fmt == "csv":
+        return report.to_csv()
+    return "\n".join([
+        f"weight: {report.weight}",
+        f"coeffs: {', '.join(str(c) for c in report.coeffs)}",
+        f"unimodal: {report.unimodal}",
+        f"log-concave: {report.log_concave}",
+        f"real-rooted: {report.real_rooted}",
+    ])
 
 
 # -- parser ---------------------------------------------------------------------

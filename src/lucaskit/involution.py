@@ -364,7 +364,9 @@ def verify_involution(n: int, k: int, r: int) -> InvolutionReport:
     report.  The pair is proved level by level (``levels.pair_by_levels``),
     with no member traced; only when a level fails, or a class sum misses its
     symmetry side, is every member traced (``_verify_pair``), so that the
-    report names what failed.  Both methods give the same report.
+    report names what failed; past ``MAX_TRACED_MEMBERS`` members, counted
+    as its symmetry sides at s = t = 1, the pair raises ValueError.  Both
+    methods give the same report.
     """
     return _report(n, k, r, _checked_pair)
 
@@ -383,6 +385,15 @@ def _report(n: int, k: int, r: int, verify_pair) -> InvolutionReport:
     return low if k <= mirror else high
 
 
+# The level check's work grows about 1.8-fold per n: every type with n <= 12 proves in 1.4-1.9 s,
+# n <= 17 in 27-34 s and 35 MB (2 cores, Python 3.11).  ``levels`` sizes its caches for this n.
+MAX_LEVEL_N = 17
+# A pair whose levels fail traces each member of its two classes, about 1.2 KB a member at the
+# peak: (9, 5, 2) with (9, 6, 2), 371,280 members, took 10 s and 446 MB (2 cores, Python 3.11).
+# A larger pair is refused before any member is listed.
+MAX_TRACED_MEMBERS = 10**6
+
+
 @functools.lru_cache(maxsize=None)
 def _checked_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionReport, InvolutionReport]:
     """The mirror pair's reports by levels, or, when the levels fail, by tracing every member."""
@@ -390,7 +401,13 @@ def _checked_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionRepor
     # every other command about 3 ms of start-up where bytecode is not cached.
     from . import levels
 
-    return levels.pair_by_levels(n, k_lo, k_hi, r) or _verify_pair(n, k_lo, k_hi, r)
+    if reports := levels.pair_by_levels(n, k_lo, k_hi, r):
+        return reports
+    lhs, rhs = symmetry_sides(n, k_lo, r)
+    if (members := lhs.evaluate(1, 1) + rhs.evaluate(1, 1) * (k_hi != k_lo)) > MAX_TRACED_MEMBERS:
+        pair = f"{members} extended tilings in ({n},{k_lo},{r}) and its mirror"
+        raise ValueError(f"{pair}; the exhaustive check traces at most {MAX_TRACED_MEMBERS}")
+    return _verify_pair(n, k_lo, k_hi, r)
 
 
 # iota's image with its case letters: the key of a member of the mirror

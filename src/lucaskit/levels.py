@@ -47,6 +47,7 @@ bottom rows, and ``pair_by_levels`` checks it against {n brace k}.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Mapping
 
 from . import involution
@@ -104,7 +105,7 @@ _LAZY = frozenset({"S1", "image S1", "image S_last"})
 # The trace a level runs under as a subcall; as a top-level call its trace is empty.
 _SUBCALL = ("a",)
 # Opaque parts are shared by every level run, which tells them apart by
-# identity alone: (name, cells) for n <= 17 takes a few hundred.
+# identity alone: (name, cells) for every level it reaches takes a few hundred.
 _OPAQUE_CACHE = 4096
 
 
@@ -296,9 +297,9 @@ def check_level(m: int, k: int, r: int) -> frozenset[tuple[int, int, int]] | Non
         return None
 
 
-# The level check reaches every type with n <= 12 in about a second.  Its caches
-# hold every (m, k, r) and (m, k) with m <= 17: 1,140 and 171 of them.
-@functools.lru_cache(maxsize=171)
+# The level caches hold every level up to N = ``involution.MAX_LEVEL_N``: its C(N + 2, 2) pairs
+# (m, k), 171 when N = 17, and its C(N + 3, 3) types (m, k, r), 1,140.
+@functools.lru_cache(maxsize=math.comb(involution.MAX_LEVEL_N + 2, 2))
 def _bottom_table(n: int, k: int) -> dict[tuple[Run, ...], tuple[int, Monomial]]:
     """Each legal bottom row of Binomial(n, k), as its fixed runs, with the next level's k and its counts.
 
@@ -313,7 +314,7 @@ def _bottom_table(n: int, k: int) -> dict[tuple[Run, ...], tuple[int, Monomial]]
     return {runs: (x, tile_counts(tiles for _, tiles in runs)) for x, _, _, runs in groups}
 
 
-@functools.lru_cache(maxsize=1140)
+@functools.lru_cache(maxsize=math.comb(involution.MAX_LEVEL_N + 3, 3))
 def holds(m: int, k: int, r: int) -> bool:
     """Whether iota is proved, by induction on m, to be a weight-preserving map
     from type (m, k, r) into type (m, m-k+r, r) that its mirror's iota inverts.
@@ -325,7 +326,7 @@ def holds(m: int, k: int, r: int) -> bool:
     return calls is not None and all(holds(*call) for call in calls)
 
 
-@functools.lru_cache(maxsize=171)
+@functools.lru_cache(maxsize=math.comb(involution.MAX_LEVEL_N + 2, 2))
 def _class_weight(n: int, k: int) -> Poly2:
     """The weight sum of Binomial(n, k)'s partials, by the row recursion, with no partial listed.
 

@@ -6,11 +6,12 @@ d-divisible analogues {n:d}! = {d}{2d}...{nd}, the divisibility facts
 ({m} | {n} iff m | n, gcd behaviour), and the Chebyshev image {n} = U_{n-1}
 under s = 2x, t = -1.  Everything returns exact ``Poly2``/``Poly1`` values.
 
-Every quotient prod {a_i} / prod {b_j} goes through one engine,
-``lucas_quotient``.  It factors each {n} into the Lucas atoms P_d, d | n,
-d >= 2 (Sagan and Tirrell), which are pairwise coprime irreducibles, so the
-quotient is a polynomial iff every atom's exponent is nonnegative, and then
-it is the product of the atom powers: no {n}! and no trial division.
+Every quotient prod {a_i} / prod {b_j}, and every product such as {n:d}!,
+goes through one engine, ``lucas_quotient``.  It factors each {n} into the
+Lucas atoms P_d, d | n, d >= 2 (Sagan and Tirrell), which are pairwise
+coprime irreducibles, so the quotient is a polynomial iff every atom's
+exponent is nonnegative, and then it is the product of the atom powers: no
+{n}! and no trial division.
 ``atom_values`` gives each atom's weight and its value at (1, y0) in plain
 ints, which ``analysis`` uses to tell which atoms can divide a polynomial.
 
@@ -192,12 +193,10 @@ def lucasnomial(n: int, k: int) -> Poly2:
 
 @lru_cache(maxsize=None)
 def d_lucastorial(n: int, d: int) -> Poly2:
-    """{n:d}! = {d}{2d}...{nd}."""
+    """{n:d}! = {d}{2d}...{nd}, with {0:d}! = 1, the ``lucas_quotient`` of d, 2d, ..., nd over nothing."""
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
-    if n == 0:
-        return Poly2.one()
-    return d_lucastorial(n - 1, d) * lucas(n * d)
+    return lucas_quotient(range(d, n * d + 1, d), ())
 
 
 @lru_cache(maxsize=None)

@@ -39,7 +39,9 @@ verified each mirror pair once: it enumerates its own class and the mirror
 class, runs iota on every member and again on every image, and caches
 nothing.  ``bottom_rows`` is the binomial bottom-row rule written out by
 hand, as ``involution`` stated it before it read its rows off the greedy
-row step.
+row step.  ``loop_d_lucastorial`` is ``lucas.d_lucastorial`` as it was
+before it went through ``lucas_quotient``: a plain loop product of the
+Lucas polynomials.
 """
 
 from __future__ import annotations
@@ -181,6 +183,14 @@ def token_completion(variant, fixed) -> Tiling:
         row += ["."] * (shape.cells(r) + 1 - col)
         token_rows.append(["M" if tok == "." else tok for tok in row])
     return Tiling(shape, tile_rows_from_json(token_rows))
+
+
+def loop_d_lucastorial(n: int, d: int) -> Poly2:
+    """{n:d}! = {d}{2d}...{nd}, multiplied one {id} at a time."""
+    product = Poly2.one()
+    for i in range(1, n + 1):
+        product = product * lucas(i * d)
+    return product
 
 
 def factorial_quotient(num, den) -> Poly2:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -18,10 +19,22 @@ from lucaskit.shapes_tilings import Binomial, count_tilings, partial_from_tiling
 HUGE_ROWLESS_PARTIAL = {"variant": {"kind": "binomial", "n": 10**9, "k": 1}, "rows": [], "start": [1, 0], "path": ""}
 
 
+# The digits of 10^5000: 5,001 of them, past Python's 4,300-digit int-to-str limit.
+HUGE_DIGITS = "1" + "0" * 5000
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.fixture(autouse=True)
+def digit_limit_kept():
+    """Every command leaves Python's int-to-str digit limit as it found it: 4,300 digits."""
+    assert sys.get_int_max_str_digits() == 4300
+    yield
+    assert sys.get_int_max_str_digits() == 4300
 
 
 class TestComputeCommands:
@@ -177,50 +190,34 @@ class TestVerifyCommands:
         assert captured.out == ""
         assert captured.err == "error: need 0 <= r <= k <= n\n"
 
-    def test_involution_bound_admits_n_8_not_n_9(self):
-        assert cli._involution_members(list(cli._types(8))) == 944_122 <= cli.MAX_INVOLUTION_MEMBERS
-        assert cli._involution_members(list(cli._types(9))) == 31_507_982 > cli.MAX_INVOLUTION_MEMBERS
-
-    def test_involution_count_is_the_symmetry_lhs(self):
-        # The count reads Fibonacci numbers; each class has its symmetry LHS at s = t = 1 members.
-        types = list(cli._types(12))
-        assert len(types) == 455
-        for ext_type in types:
-            assert cli._involution_members([ext_type]) == lucas.symmetry_sides(*ext_type)[0].evaluate(1, 1)
-        assert cli._involution_members([]) == 0
-
-    def test_involution_count_is_the_printed_objects(self, capsys):
-        code, out = run(capsys, "verify", "involution", "--max-n", "5")
-        assert code == 0
-        printed = sum(int(line.split("[")[1].split()[0]) for line in out.splitlines())
-        assert printed == cli._involution_members(list(cli._types(5))) == 478
-
     @pytest.mark.parametrize("command", [["involution", "verify"], ["verify", "involution"]], ids=" ".join)
-    def test_involution_refuses_a_huge_sweep_before_any_work(self, capsys, monkeypatch, command):
+    def test_involution_refuses_past_the_reach_before_any_work(self, capsys, monkeypatch, command):
         def verified(n, k, r):
             raise AssertionError("verified a type of a refused check")
 
         monkeypatch.setattr(cli.involution, "verify_involution", verified)
-        assert cli.main([*command, "--max-n", "9"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: 31507982 extended tilings; the involution check takes at most 1000000\n"
+        # No type is listed, so a sweep to 10^9 is refused as fast as one to 18.
+        for argv in (["--max-n", "18"], ["--max-n", str(10**9)], ["--n", "18", "--k", "9", "--r", "0"]):
+            start = time.perf_counter()
+            assert cli.main([*command, *argv]) == 1
+            assert time.perf_counter() - start < 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: n = {argv[1]}; the involution check proves levels up to n = 17\n"
 
     @pytest.mark.parametrize("command", [["involution", "verify"], ["verify", "involution"]], ids=" ".join)
-    @pytest.mark.parametrize("fmt", ["pretty", "json"])
-    def test_involution_refuses_past_the_bound(self, capsys, monkeypatch, command, fmt):
-        monkeypatch.setattr(cli, "MAX_INVOLUTION_MEMBERS", 28)
-        code, out = run(capsys, *command, "--max-n", "3", "--format", fmt)
-        assert code == 0 and out
-        code, out = run(capsys, *command, "--max-n", "4", "--format", fmt)
-        assert (code, out) == (1, "")
-        # (4,2,1) has 6 members, within the bound; (5,3,2) has 30, past it.
-        code, out = run(capsys, *command, "--n", "4", "--k", "2", "--r", "1", "--format", fmt)
-        assert code == 0 and out
-        assert cli.main([*command, "--n", "5", "--k", "3", "--r", "2", "--format", fmt]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: 30 extended tilings; the involution check takes at most 28\n"
+    def test_involution_reach_admits_n_17(self, capsys, monkeypatch, command):
+        from lucaskit.involution import InvolutionReport
+
+        def verified(n, k, r):
+            return InvolutionReport(n, k, r, 1, 1, Poly2.one(), Poly2.one(), Poly2.one(), Poly2.one())
+
+        monkeypatch.setattr(cli.involution, "verify_involution", verified)
+        assert cli.involution.MAX_LEVEL_N == 17
+        code, out = run(capsys, *command, "--n", "17", "--k", "9", "--r", "2")
+        assert (code, out) == (0, "involution (17,9,2): pass [1 objects]\n")
+        code, out = run(capsys, *command, "--max-n", "17")
+        assert code == 0 and len(out.splitlines()) == 1140
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         # force a failing report through the formatting path
@@ -546,6 +543,43 @@ class TestAnalyzeCli:
     def test_wrong_arity(self, capsys, expr):
         assert cli.main(["analyze", "--expr", expr]) == 1
         assert capsys.readouterr().err.startswith(f"error: {expr!r}: want ")
+
+
+class TestComputedDigits:
+    """A computed value prints in full past Python's int-to-str limit; an input document keeps the limit."""
+
+    @pytest.fixture(autouse=True)
+    def huge_lucastorial(self, monkeypatch):
+        monkeypatch.setattr(lucas, "lucastorial", lambda n: Poly2.monomial(2, 1, 10**5000))
+
+    @pytest.mark.parametrize("command", [["lucastorial", "--n", "3"], ["analyze", "--expr", "lucastorial:3"]], ids=" ".join)
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    def test_prints_every_digit(self, capsys, command, fmt):
+        code, out = run(capsys, *command, "--format", fmt)
+        assert code == 0
+        assert re.findall(r"\d{4301,}", out) == [HUGE_DIGITS]
+
+    def test_quantity_outputs(self, capsys):
+        assert run(capsys, "lucastorial", "--n", "3") == (0, f"{HUGE_DIGITS}*s^2*t\n")
+        assert run(capsys, "lucastorial", "--n", "3", "--format", "csv") == (0, f"s,t,c\n2,1,{HUGE_DIGITS}\n")
+        code, out = run(capsys, "lucastorial", "--n", "3", "--format", "json")
+        assert (code, json.loads(out)) == (0, {"terms": [{"s": 2, "t": 1, "c": HUGE_DIGITS}]})
+
+    def test_limit_is_restored_when_formatting_fails(self, capsys, monkeypatch):
+        def refused(self):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(Poly2, "pretty", refused)
+        assert cli.main(["lucastorial", "--n", "3"]) == 1
+        assert capsys.readouterr().err == "error: refused\n"
+
+    def test_input_documents_keep_the_limit(self, capsys, tmp_path):
+        document = tmp_path / "huge.json"
+        document.write_text('{"shape": {"outer": [' + "9" * 5000 + "]}, \"rows\": []}")
+        assert cli.main(["tilings", "render", "--input", str(document)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Exceeds the limit (4300 digits) for integer string conversion")
 
 
 class TestDeterminism:

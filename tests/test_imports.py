@@ -1,6 +1,7 @@
 """The library imports only the standard library: no undeclared numeric package, and no ``fractions``.
 
-It also imports the level check only when an involution is verified.
+It also imports the level check only when an involution is verified, not
+when a sweep is refused past its reach.
 """
 
 import json
@@ -24,7 +25,8 @@ CLI_SCRIPT = f"""
 import json, sys
 sys.path.insert(0, {str(SRC)!r})
 import lucaskit.cli
-print(json.dumps(list(sys.modules)))
+code = lucaskit.cli.main(["verify", "involution", "--max-n", "18"])
+print(json.dumps({{"code": code, "loaded": list(sys.modules)}}))
 """
 
 
@@ -41,8 +43,12 @@ def test_no_undeclared_numeric_package_is_imported():
 def test_cli_leaves_the_level_check_unloaded():
     # ``involution`` imports ``levels`` on first use: compiling it costs every
     # other command a few milliseconds of start-up where bytecode is not cached.
+    # The reach the CLI refuses past lives in ``involution``, so a refused sweep loads no level check either.
     done = subprocess.run([sys.executable, "-c", CLI_SCRIPT], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    loaded = set(json.loads(done.stdout))
+    assert done.stderr == "error: n = 18; the involution check proves levels up to n = 17\n"
+    result = json.loads(done.stdout)
+    assert result["code"] == 1
+    loaded = set(result["loaded"])
     assert "lucaskit.involution" in loaded
     assert "lucaskit.levels" not in loaded

@@ -13,7 +13,7 @@ import oracles
 import pytest
 from oracles import per_type_verify_involution
 
-from lucaskit import involution, levels, shapes_tilings
+from lucaskit import cli, involution, levels, shapes_tilings
 from lucaskit.involution import (
     BrokenDomino,
     ExtendedTiling,
@@ -1075,3 +1075,82 @@ class TestTracerSeesTheFallback:
         for name in ("shapes_tilings.enumerate_partials.calls", "shapes_tilings.block_partition.calls"):
             assert by_levels[name] == 0, name
             assert with_fallback[name] > 0, name
+
+
+def pair_members(n: int, k: int, r: int) -> int:
+    """The members of type (n, k, r) and of its mirror, counted once when the two are one type."""
+    lhs, rhs = symmetry_sides(n, k, r)
+    return lhs.evaluate(1, 1) + (rhs.evaluate(1, 1) if n - k + r != k else 0)
+
+
+# Each n = 9 mirror pair, as its type with the smaller k, whose two classes hold at most 20,000 members.
+SMALL_PAIRS_AT_9 = [(9, k, r) for k in range(10) for r in range(k + 1) if k <= 9 - k + r and pair_members(9, k, r) <= 20_000]
+
+
+@pytest.mark.usefixtures("fresh_pairs")
+class TestReach:
+    """The level check reaches n = MAX_LEVEL_N, past the exhaustive check; a failing pair is traced only within MAX_TRACED_MEMBERS."""
+
+    def test_level_caches_hold_exactly_the_reach(self, monkeypatch):
+        reach = involution.MAX_LEVEL_N
+        pairs = [(m, k) for m in range(reach + 1) for k in range(m + 1)]
+        types = [(m, k, r) for m, k in pairs for r in range(k + 1)]
+        # Empty bottom-row tables and levels that hold with no call fill each cache key by key.
+        monkeypatch.setattr(levels, "_row_groups", lambda *args: ())
+        monkeypatch.setattr(levels, "check_level", lambda *level_type: frozenset())
+        for cache, keys in ((levels._bottom_table, pairs), (levels._class_weight, pairs), (levels.holds, types)):
+            assert cache.cache_info().maxsize == len(keys)
+            for _ in range(2):
+                for key in keys:
+                    cache(*key)
+            info = cache.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (len(keys), len(keys), len(keys)), cache
+
+    def test_sweep_to_9_proves_every_pair_by_levels(self, capsys):
+        assert cli.main(["verify", "involution", "--max-n", "9"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 220
+        assert involution._verify_pair.cache_info().currsize == 0
+        for n in range(10):
+            for k in range(n + 1):
+                for r in range(k + 1):
+                    assert verify_involution(n, k, r).method == "levels", (n, k, r)
+
+    @pytest.mark.parametrize("ext_type", SMALL_PAIRS_AT_9, ids=lambda t: "%d-%d-%d" % t)
+    def test_levels_match_exhaustive_at_9(self, ext_type):
+        n, k, r = ext_type
+        for t in (ext_type, (n, n - k + r, r)):
+            report = verify_involution(*t)
+            assert report.method == "levels"
+            assert report.to_json_dict() == involution._verify_exhaustively(*t).to_json_dict(), t
+
+    def test_a_failing_pair_is_traced_only_within_the_bound(self, capsys, monkeypatch):
+        expected = {t: verify_involution(*t).to_json_dict() for t in ((9, 1, 0), (9, 8, 0))}
+        clear_pair_caches()
+        inner = involution._iota
+
+        def peeking(n, k, rows, strips, trace, memo):
+            if n == 9:
+                rows[1] == ()  # reads the row above the bottom row: opaque in a level, a tuple in a member
+            return inner(n, k, rows, strips, trace, memo)
+
+        monkeypatch.setattr(involution, "_iota", peeking)
+        assert not levels.holds(9, 1, 0) and not levels.holds(9, 8, 0)
+        # (9, 1, 0) and its mirror (9, 8, 0) have F_9 = 34 members each.
+        assert pair_members(9, 1, 0) == 68
+        listed = []
+        class_keys, partials = involution._class_keys, shapes_tilings.enumerate_partials
+        monkeypatch.setattr(involution, "_class_keys", lambda *args: listed.append(args))
+        monkeypatch.setattr(shapes_tilings, "enumerate_partials", lambda *args: listed.append(args))
+        monkeypatch.setattr(involution, "MAX_TRACED_MEMBERS", 67)
+        message = "68 extended tilings in (9,1,0) and its mirror; the exhaustive check traces at most 67"
+        for n, k, r in expected:
+            assert cli.main(["verify", "involution", "--n", str(n), "--k", str(k), "--r", str(r)]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert listed == []
+        monkeypatch.setattr(involution, "_class_keys", class_keys)
+        monkeypatch.setattr(shapes_tilings, "enumerate_partials", partials)
+        monkeypatch.setattr(involution, "MAX_TRACED_MEMBERS", 68)
+        for ext_type, report in expected.items():
+            fallback = verify_involution(*ext_type)
+            assert fallback.method == "exhaustive" and fallback.to_json_dict() == report, ext_type

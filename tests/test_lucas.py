@@ -7,7 +7,15 @@ import random
 
 import pytest
 
-from oracles import cyclotomic, factorial_quotient, fib, gaussian_binomial, integer_d_binomial, one_shot_atom_values
+from oracles import (
+    cyclotomic,
+    factorial_quotient,
+    fib,
+    gaussian_binomial,
+    integer_d_binomial,
+    loop_d_lucastorial,
+    one_shot_atom_values,
+)
 from lucaskit.lucas import (
     NegativeAtom,
     atom_values,
@@ -146,6 +154,16 @@ class TestDDivisible:
 
     def test_empty(self):
         assert d_lucastorial(0, 3) == Poly2.one()
+
+    @pytest.mark.parametrize("d", range(1, 4))
+    def test_matches_the_loop_product(self, d):
+        for n in range(13):
+            assert d_lucastorial(n, d) == loop_d_lucastorial(n, d), (n, d)
+
+    @pytest.mark.parametrize("n, d", [(-1, 1), (2, 0)])
+    def test_bad_arguments_refused(self, n, d):
+        with pytest.raises(ValueError, match="need n >= 0 and d >= 1"):
+            d_lucastorial(n, d)
 
     def test_d_one_degenerates(self):
         assert d_lucastorial(3, 1) == lucastorial(3)

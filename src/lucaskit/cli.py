@@ -24,7 +24,7 @@ import json
 import sys
 from typing import Iterator, TextIO
 
-from . import analysis, coxcat, involution, lucas, render, shapes_tilings
+from . import analysis, coxcat, involution, levels, lucas, render, shapes_tilings
 from .lucas import (
     lucas_divides,
     verify_chebyshev_bridge,
@@ -175,21 +175,26 @@ def _parse_shape(spec: str) -> shapes_tilings.Shape:
     width.  A negative n counts none, so the constructor refuses it.
     """
     kind, _, rest = spec.partition(":")
-    if kind == "delta":
-        n = int(rest)
-        m = max(n, 0)
-        return _sized(m * (m - 1) // 2, shapes_tilings.staircase, n)
-    if kind == "ddelta":
-        n, d = rest.split(":")
-        n, d = int(n), int(d)
-        m = max(n, 0)
-        return _sized(d * m * (m + 1) // 2 - m, shapes_tilings.d_staircase, n, d)
+    grammar = "delta:n, ddelta:n:d or skew:..."
+    if kind not in ("delta", "ddelta", "skew"):
+        raise ValueError(f"unknown shape spec {spec!r} (want {grammar})")
+    malformed = ValueError(f"malformed shape spec {spec!r} (want {grammar})")
+    try:
+        if kind == "skew":
+            outer_part, _, inner_part = rest.partition("/")
+            outer, inner = (tuple(int(x) for x in part.split(".") if x) for part in (outer_part, inner_part))
+        else:
+            n, *d = map(int, rest.split(":"))
+    except ValueError:
+        raise malformed from None
     if kind == "skew":
-        outer_part, _, inner_part = rest.partition("/")
-        outer = tuple(int(x) for x in outer_part.split(".") if x)
-        inner = tuple(int(x) for x in inner_part.split(".") if x)
         return _sized(sum(outer), shapes_tilings.Shape, outer, inner)
-    raise ValueError(f"unknown shape spec {spec!r} (want delta:n, ddelta:n:d or skew:...)")
+    m = max(n, 0)
+    if kind == "delta" and not d:
+        return _sized(m * (m - 1) // 2, shapes_tilings.staircase, n)
+    if kind == "ddelta" and len(d) == 1:
+        return _sized(d[0] * m * (m + 1) // 2 - m, shapes_tilings.d_staircase, n, d[0])
+    raise malformed
 
 
 def _sized(cells: int, build, *args) -> shapes_tilings.Shape:
@@ -372,8 +377,8 @@ def _verify_involution_types(args) -> int:
     if not missing and args.max_n is not None:
         raise ValueError("--max-n bounds the sweep over every type; give it without --n, --k and --r")
     largest = _bound(args, "max_n", 5) if missing else args.n
-    if largest > involution.MAX_LEVEL_N:
-        raise ValueError(f"n = {largest}; the involution check proves levels up to n = {involution.MAX_LEVEL_N}")
+    if largest > levels.MAX_LEVEL_N:
+        raise ValueError(f"n = {largest}; the involution check proves levels up to n = {levels.MAX_LEVEL_N}")
     types = _types(largest) if missing else [(args.n, args.k, args.r)]
     reports = [involution.verify_involution(*t) for t in types]
     if args.format == "json":

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Container, Iterator, Mapping
 
-from . import shapes_tilings
+from . import levels, shapes_tilings
 from .lucas import symmetry_sides
 from .polyring import Monomial, Poly2
 from .shapes_tilings import (
@@ -64,11 +64,14 @@ def strip_concat(left: Strip, right: Strip) -> Strip:
 
 # iota reads only short rows and strips, so its row arithmetic repeats: the
 # level check's sweep to n = 8 makes 14,545 bottom-row classifications of
-# 880 keys and 14,196 first cuts of 277 keys (the exhaustive fallback's, 2.2
-# million of each over the same keys).  So those two are cached, bounded
-# well above that, and take only tuples.  ``strip_last`` goes through the
-# cached ``strip_first``; a cache of its own measured about 3 % faster but
-# added about 64 KB to a pass's peak RSS.
+# 880 keys and 14,196 first cuts of 277 keys, the exhaustive fallback 2.2
+# million of each over the same keys.  So those two are cached, on tuples
+# only.  Past n = 8 the keys outgrow the bound: to n = 12 the classifications
+# miss 11,221 times, and to n = 14 the two see 31,030 and 9,239 keys.  Yet
+# unbounded caches ran that sweep at most about 5 % faster, while with neither
+# (nor ``levels``' opaque-part caches) the sweep to n = 12 took 2.3-2.8 s
+# against 1.3-1.9 s (2 cores, Python 3.11).  ``strip_last`` goes through
+# ``strip_first``; a cache of its own ran about 3 % faster for 64 KB more peak RSS.
 _ROW_CACHE = 4096
 
 
@@ -361,7 +364,7 @@ def verify_involution(n: int, k: int, r: int) -> InvolutionReport:
 
     iota pairs type (n, k, r) with its mirror (n, n-k+r, r), so the two are
     verified together, once, and a later call for either returns its cached
-    report.  The pair is proved level by level (``levels.pair_by_levels``),
+    report.  The pair is proved level by level (``levels.proves``),
     with no member traced; only when a level fails, or a class sum misses its
     symmetry side, is every member traced (``_verify_pair``), so that the
     report names what failed; past ``MAX_TRACED_MEMBERS`` members, counted
@@ -385,9 +388,6 @@ def _report(n: int, k: int, r: int, verify_pair) -> InvolutionReport:
     return low if k <= mirror else high
 
 
-# The level check's work grows about 1.8-fold per n: every type with n <= 12 proves in 1.4-1.9 s,
-# n <= 17 in 27-34 s and 35 MB (2 cores, Python 3.11).  ``levels`` sizes its caches for this n.
-MAX_LEVEL_N = 17
 # A pair whose levels fail traces each member of its two classes, about 1.2 KB a member at the
 # peak: (9, 5, 2) with (9, 6, 2), 371,280 members, took 10 s and 446 MB (2 cores, Python 3.11).
 # A larger pair is refused before any member is listed.
@@ -396,15 +396,21 @@ MAX_TRACED_MEMBERS = 10**6
 
 @functools.lru_cache(maxsize=None)
 def _checked_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionReport, InvolutionReport]:
-    """The mirror pair's reports by levels, or, when the levels fail, by tracing every member."""
-    # Imported on first use: only this check reads it, and compiling it cost
-    # every other command about 3 ms of start-up where bytecode is not cached.
-    from . import levels
+    """The mirror pair's reports by levels, or, when the levels fail, by tracing every member.
 
-    if reports := levels.pair_by_levels(n, k_lo, k_hi, r):
-        return reports
+    A class sum is its partials' sum (``levels._class_weight``) times the
+    strips' {k}...{k-r+1}, and its symmetry side {n brace k} times the same
+    nonzero factors (r <= k), so ``levels.proves`` compares the first
+    factors.  The sums are then ``symmetry_sides(n, k_lo, r)``, swapped for
+    the mirror; a class's size, which the fallback's bound counts, is its sum
+    at s = t = 1, where every member weighs 1.
+    """
     lhs, rhs = symmetry_sides(n, k_lo, r)
-    if (members := lhs.evaluate(1, 1) + rhs.evaluate(1, 1) * (k_hi != k_lo)) > MAX_TRACED_MEMBERS:
+    size, target_size = lhs.evaluate(1, 1), rhs.evaluate(1, 1)
+    if levels.proves(n, k_lo, k_hi, r):
+        low = InvolutionReport(n, k_lo, r, size, target_size, lhs, rhs, lhs, rhs, method="levels")
+        return low, InvolutionReport(n, k_hi, r, target_size, size, rhs, lhs, rhs, lhs, method="levels")
+    if (members := size + target_size * (k_hi != k_lo)) > MAX_TRACED_MEMBERS:
         pair = f"{members} extended tilings in ({n},{k_lo},{r}) and its mirror"
         raise ValueError(f"{pair}; the exhaustive check traces at most {MAX_TRACED_MEMBERS}")
     return _verify_pair(n, k_lo, k_hi, r)

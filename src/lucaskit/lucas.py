@@ -170,25 +170,17 @@ def lucas_quotient(num: Iterable[int], den: Iterable[int]) -> Poly2:
     return factors[0] if factors else Poly2.one()
 
 
-def lucasnomial_indices(n: int, k: int, d: int = 1) -> tuple[list[int], list[int]]:
+def lucasnomial_indices(n: int, k: int, d: int) -> tuple[list[int], list[int]]:
     """{n:d brace k:d} as ``lucas_quotient`` indices: d, 2d, ..., nd over d..kd and d..(n-k)d."""
     return list(range(d, n * d + 1, d)), [*range(d, k * d + 1, d), *range(d, (n - k) * d + 1, d)]
 
 
 @lru_cache(maxsize=None)
 def lucasnomial(n: int, k: int) -> Poly2:
-    """{n brace k} = {n}!/({k}!{n-k}!); zero outside 0 <= k <= n.
-
-    {n brace k} = {n brace n-k}, so a k above n/2 is looked up under its
-    mirror key (n, n-k): both keys hold one value, computed once.
-    """
+    """{n brace k} = {n}!/({k}!{n-k}!), the d = 1 case of ``d_lucasnomial``; zero outside 0 <= k <= n."""
     if n < 0:
         raise ValueError("negative Lucasnomial index")
-    if k < 0 or k > n:
-        return Poly2.zero()
-    if 2 * k > n:
-        return lucasnomial(n, n - k)
-    return lucas_quotient(*lucasnomial_indices(n, k))
+    return d_lucasnomial(n, k, 1)
 
 
 @lru_cache(maxsize=None)
@@ -203,8 +195,8 @@ def d_lucastorial(n: int, d: int) -> Poly2:
 def d_lucasnomial(n: int, k: int, d: int) -> Poly2:
     """{n:d brace k:d} = {n:d}!/({k:d}!{n-k:d}!); zero outside 0 <= k <= n.
 
-    Symmetric in k and n - k like ``lucasnomial``: a k above n/2 is looked
-    up under its mirror key (n, n-k, d).
+    {n:d brace k:d} = {n:d brace n-k:d}, so a k above n/2 is looked up
+    under its mirror key (n, n-k, d): both keys hold one value, computed once.
     """
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")

@@ -213,7 +213,7 @@ class TestVerifyCommands:
             return InvolutionReport(n, k, r, 1, 1, Poly2.one(), Poly2.one(), Poly2.one(), Poly2.one())
 
         monkeypatch.setattr(cli.involution, "verify_involution", verified)
-        assert cli.involution.MAX_LEVEL_N == 17
+        assert cli.levels.MAX_LEVEL_N == 17
         code, out = run(capsys, *command, "--n", "17", "--k", "9", "--r", "2")
         assert (code, out) == (0, "involution (17,9,2): pass [1 objects]\n")
         code, out = run(capsys, *command, "--max-n", "17")
@@ -383,6 +383,14 @@ class TestTilings:
         for command in ("enumerate", "render"):
             assert cli.main(["tilings", command, "--shape", spec]) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("spec", ["ddelta:3", "ddelta:3:2:1", "delta:", "delta:3:4", "delta:2.5", "skew:3.x"])
+    def test_a_malformed_shape_spec_is_refused_by_its_grammar(self, capsys, spec):
+        for command in ("enumerate", "render"):
+            assert cli.main(["tilings", command, "--shape", spec]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: malformed shape spec {spec!r} (want delta:n, ddelta:n:d or skew:...)\n"
 
     def test_the_cell_bound_admits_delta_200_with_its_exact_count(self, capsys):
         # delta_200's rows hold 1..199 cells, and a row of m cells has F_{m+1} tilings.

@@ -1,7 +1,7 @@
 """The library imports only the standard library: no undeclared numeric package, and no ``fractions``.
 
-It also imports the level check only when an involution is verified, not
-when a sweep is refused past its reach.
+A fresh process also refuses an involution sweep past the level check's
+reach before it checks any level.
 """
 
 import json
@@ -25,8 +25,10 @@ CLI_SCRIPT = f"""
 import json, sys
 sys.path.insert(0, {str(SRC)!r})
 import lucaskit.cli
+from lucaskit import involution, levels
 code = lucaskit.cli.main(["verify", "involution", "--max-n", "18"])
-print(json.dumps({{"code": code, "loaded": list(sys.modules)}}))
+caches = [involution._checked_pair, levels.holds, levels._class_weight, levels._bottom_table]
+print(json.dumps({{"code": code, "cached": sum(cache.cache_info().currsize for cache in caches)}}))
 """
 
 
@@ -40,15 +42,9 @@ def test_no_undeclared_numeric_package_is_imported():
     assert "fractions" not in result["loaded"]  # every coefficient is an int
 
 
-def test_cli_leaves_the_level_check_unloaded():
-    # ``involution`` imports ``levels`` on first use: compiling it costs every
-    # other command a few milliseconds of start-up where bytecode is not cached.
-    # The reach the CLI refuses past lives in ``involution``, so a refused sweep loads no level check either.
+def test_cli_refuses_past_the_reach_before_any_work():
+    # The reach lives in ``levels``, which ``involution`` imports; a refused sweep proves no level.
     done = subprocess.run([sys.executable, "-c", CLI_SCRIPT], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == "error: n = 18; the involution check proves levels up to n = 17\n"
-    result = json.loads(done.stdout)
-    assert result["code"] == 1
-    loaded = set(result["loaded"])
-    assert "lucaskit.involution" in loaded
-    assert "lucaskit.levels" not in loaded
+    assert json.loads(done.stdout) == {"code": 1, "cached": 0}

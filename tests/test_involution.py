@@ -843,16 +843,26 @@ class TestLevels:
         assert report.method == "exhaustive"
         assert not report.failures and report.to_json_dict() == expected
 
-    def test_one_symmetry_sides_per_pair(self, monkeypatch):
+    @pytest.mark.parametrize("falls_back", [False, True], ids=["levels", "fallback"])
+    def test_one_symmetry_sides_per_pair(self, monkeypatch, falls_back):
         calls = []
-        monkeypatch.setattr(levels, "symmetry_sides", lambda *t: calls.append(t) or symmetry_sides(*t))
+        monkeypatch.setattr(involution, "symmetry_sides", lambda *t: calls.append(t) or symmetry_sides(*t))
+        if falls_back:
+            # The pair is sized from the same sides; the tracing itself is stubbed out.
+            monkeypatch.setattr(levels, "proves", lambda *pair: False)
+            monkeypatch.setattr(involution, "_verify_pair", lambda *pair: ("traced", pair))
         for n in range(7):
             for k_lo in range(n + 1):
                 for r in range(k_lo + 1):
                     k_hi = n - k_lo + r
                     if k_lo < k_hi <= n:
+                        involution._checked_pair.cache_clear()
                         calls.clear()
-                        assert levels.pair_by_levels(n, k_lo, k_hi, r) is not None
+                        reports = involution._checked_pair(n, k_lo, k_hi, r)
+                        if falls_back:
+                            assert reports == ("traced", (n, k_lo, k_hi, r))
+                        else:
+                            assert [report.method for report in reports] == ["levels", "levels"]
                         assert calls == [(n, k_lo, r)]
 
     @pytest.mark.parametrize("off", [(0, 0), (2, 1), (4, 0), (5, 5), (6, 3)], ids=lambda t: "%d-%d" % t)
@@ -1092,7 +1102,7 @@ class TestReach:
     """The level check reaches n = MAX_LEVEL_N, past the exhaustive check; a failing pair is traced only within MAX_TRACED_MEMBERS."""
 
     def test_level_caches_hold_exactly_the_reach(self, monkeypatch):
-        reach = involution.MAX_LEVEL_N
+        reach = levels.MAX_LEVEL_N
         pairs = [(m, k) for m in range(reach + 1) for k in range(m + 1)]
         types = [(m, k, r) for m, k in pairs for r in range(k + 1)]
         # Empty bottom-row tables and levels that hold with no call fill each cache key by key.

@@ -87,6 +87,11 @@ class TestLucasnomial:
         assert lucasnomial(4, -1) == Poly2.zero()
         assert lucasnomial(4, 5) == Poly2.zero()
 
+    def test_negative_n_refused(self):
+        # Its own refusal, which the CLI prints, not d_lucasnomial's.
+        with pytest.raises(ValueError, match="^negative Lucasnomial index$"):
+            lucasnomial(-1, 0)
+
     def test_binomial_specialization(self):
         for n in range(21):
             for k in range(n + 1):
@@ -96,6 +101,12 @@ class TestLucasnomial:
         for n in range(11):
             for k in range(n + 1):
                 assert lucasnomial(n, k).specialize_q() == gaussian_binomial(n, k)
+
+    def test_is_the_d_one_value(self):
+        # One rule: the d = 1 Lucasnomial is d_lucasnomial's cached value itself, not a copy.
+        for n in range(13):
+            for k in range(n + 1):
+                assert lucasnomial(n, k) is d_lucasnomial(n, k, 1), (n, k)
 
     def test_nonnegative_and_weight(self):
         for n in range(13):

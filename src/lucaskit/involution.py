@@ -443,6 +443,8 @@ def _verify_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionReport
     own, which hold no member and no image.
     The classes, their traces and their reports are keyed by k, low k first,
     so when k_lo = k_hi the two classes are one, and so are the reports.
+    The pair's symmetry sides are computed once: each report checks its
+    class sums against its own, the mirror's swapped.
     """
     memo: _Memo = {}
     classes = {k: dict(_class_keys(n, k, r)) for k in dict.fromkeys((k_lo, k_hi))}
@@ -450,7 +452,9 @@ def _verify_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionReport
         k: {key: (counts, _trace_key(n, k, key, classes[n - k + r], memo)) for key, counts in members.items()}
         for k, members in classes.items()
     }
-    reports = {k: _class_report(n, k, r, source, traced[n - k + r]) for k, source in traced.items()}
+    lhs, rhs = symmetry_sides(n, k_lo, r)
+    sides = {k_hi: (rhs, lhs), k_lo: (lhs, rhs)}
+    reports = {k: _class_report(n, k, r, source, traced[n - k + r], *sides[k]) for k, source in traced.items()}
     return reports[k_lo], reports[k_hi]
 
 
@@ -490,8 +494,10 @@ def _trace_key(n: int, k: int, key: Key, mirror: Container[Key], memo: _Memo) ->
     return image, "".join(trace)
 
 
-def _class_report(n: int, k: int, r: int, source: _Traced, target: _Traced) -> InvolutionReport:
-    """Check class (n, k, r) against its mirror class from both classes' images.
+def _class_report(
+    n: int, k: int, r: int, source: _Traced, target: _Traced, lhs: Poly2, rhs: Poly2
+) -> InvolutionReport:
+    """Check class (n, k, r) against its mirror class from both classes' images, and its sums against its sides.
 
     Each tiling's weight is the monomial of its (#monominoes, #dominoes), so
     the class sums are tallied as counts per pair and built once, and an
@@ -507,7 +513,6 @@ def _class_report(n: int, k: int, r: int, source: _Traced, target: _Traced) -> I
     """
     k_mirror = n - k + r
     mirror = (n, k_mirror, r)
-    lhs, rhs = symmetry_sides(n, k, r)
     failures: list[str] = []
     hits = []
     outside = False  # whether an image in hits is not a member of the mirror class

@@ -25,7 +25,7 @@ import threading
 from functools import lru_cache
 from typing import Iterable
 
-from .polyring import NotDivisible, Poly1, Poly2
+from .polyring import NotDivisible, Poly1, Poly2, product
 
 
 class NegativeAtom(NotDivisible):
@@ -136,21 +136,14 @@ def atom_values(y0: int, bound: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return weights[:end], values[:end]
 
 
-def lucas_quotient(num: Iterable[int], den: Iterable[int]) -> Poly2:
-    """prod {a} over a in num divided by prod {b} over b in den.
+def atom_exponents(num: Iterable[int], den: Iterable[int]) -> dict[int, int]:
+    """Each Lucas atom's exponent in prod {a} over a in num divided by prod {b} over b in den.
 
     P_d's exponent is the number of indices in num that d divides minus the
-    number in den.  Raises ValueError for an index below 1 ({0} = 0 is no
-    empty product) and ``NegativeAtom``, a NotDivisible that carries the
-    smallest atom with a negative exponent and that exponent.  The atom
-    powers are multiplied as a balanced product tree, neighbours pairwise,
-    level by level: the operands of the late, large products are long, so
-    ``polyring._convolve`` multiplies them as packed integers, two bigint
-    products of half-size operands each, rather than term by term.  Every
-    product is a ``Poly2`` product of one weight by one weight, built
-    straight from one convolution, and goes through ``Poly2.__mul__``, where
-    a tracer sees it.  A tree on bare coefficient sequences measured no
-    faster.
+    number in den; the map holds the nonzero ones, by increasing d.  Raises
+    ValueError for an index below 1 ({0} = 0 is no empty product) and
+    ``NegativeAtom``, a NotDivisible that carries the smallest atom with a
+    negative exponent and that exponent.
     """
     exponents: dict[int, int] = {}
     for sign, indices in ((1, num), (-1, den)):
@@ -163,11 +156,20 @@ def lucas_quotient(num: Iterable[int], den: Iterable[int]) -> Poly2:
     if negative:
         d = min(negative)
         raise NegativeAtom(d, exponents[d])
-    factors = [lucas_atom(d) ** e for d, e in sorted(exponents.items()) if e]
-    while len(factors) > 1:
-        pairs = [a * b for a, b in zip(factors[::2], factors[1::2])]
-        factors = pairs + factors[-1:] if len(factors) % 2 else pairs
-    return factors[0] if factors else Poly2.one()
+    return {d: e for d, e in sorted(exponents.items()) if e}
+
+
+def lucas_quotient(num: Iterable[int], den: Iterable[int]) -> Poly2:
+    """prod {a} over a in num divided by prod {b} over b in den: the product of its atom powers.
+
+    ``atom_exponents`` counts each P_d's exponent and refuses a quotient that
+    is not a polynomial; ``polyring.product`` multiplies the powers.  A
+    quotient of middling size is evaluated whole, as plain ints at +-2^b,
+    and read back once.  A small one is a balanced tree of ``Poly2``
+    products, and a large one the ``Poly2`` product of two halves, so a
+    tracer of ``Poly2.__mul__`` sees those products and not the int ones.
+    """
+    return product((lucas_atom(d), e) for d, e in atom_exponents(num, den).items())
 
 
 def lucasnomial_indices(n: int, k: int, d: int) -> tuple[list[int], list[int]]:

@@ -32,6 +32,17 @@ when some entry is negative; no Lucas quantity has one.  Measured on 4- to
 300-bit entries, the packed product overtakes the loop at 11 to 17 terms
 for operands of equal length and at 5 to 10 against a 100-term partner
 (one-point packing, on the same machine: 10 to 21 and 5 to 19).
+``product``, the product of many powers p^e of one-weight polynomials (a
+Lucas quotient's atom powers), takes the same step once for the whole:
+the product of the factors' l1 norms bounds every coefficient, so B is
+fixed up front, each p is packed once, its values at +-2^(B/2) are raised
+to e and multiplied as plain ints, and the coefficients are read back
+once.  Every level of a tree of ``Poly2`` products packs and unpacks
+again; here nothing is unpacked between the factors and the product.  The
+low levels are padded to the final width, though, so a product is
+evaluated whole only when its size lies in a measured band
+(``EVAL_MIN_SIZE``, ``EVAL_MAX_SIZE``); outside it, the ``Poly2`` products
+of a balanced tree, or of two halves, take over.
 Exact division is graded long division: the dividend's top weight is divided
 by the divisor's top weight as a univariate exact quotient, and the
 divisor's lower weights times that quotient are subtracted from the lower
@@ -58,7 +69,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import gcd
 from operator import add, index, sub
 from typing import Iterable, Mapping, Sequence
@@ -199,7 +210,7 @@ class Poly2:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly2:
-        return _power(self, n, Poly2.one())
+        return _power(self, n, Poly2.one)
 
     def evaluate(self, s0: int, t0: int) -> int:
         """Exact evaluation at integer arguments; a ring homomorphism."""
@@ -323,7 +334,10 @@ def _pretty(terms: Iterable[tuple[int, Iterable[tuple[str, int]]]]) -> str:
 
 
 def _power(base, n: int, one):
-    """base**n by square-and-multiply: bit_length(n) - 1 squarings and popcount(n) - 1 products."""
+    """base**n by square-and-multiply: bit_length(n) - 1 squarings and popcount(n) - 1 products.
+
+    ``one`` builds the unit, called only for n = 0.
+    """
     if n < 0:
         raise ValueError("negative power of a polynomial")
     result = None
@@ -333,7 +347,7 @@ def _power(base, n: int, one):
         n >>= 1
         if n:
             base = base * base
-    return one if result is None else result
+    return one() if result is None else result
 
 
 def _ascending_powers(seq: Sequence, n: int) -> list[Sequence]:
@@ -437,16 +451,34 @@ def _convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
     f_lo, g_lo = min(f), min(g)
     bits = max(max(f), -f_lo).bit_length() + max(max(g), -g_lo).bit_length() + len(f).bit_length() + 2
     width = (bits + 7) // 8  # B / 8
-    pack, unpack = (_pack, _unpack) if f_lo >= 0 <= g_lo else (_pack_signed, _unpack_signed)
-    fe, fo, ge, go = pack(f[::2], width), pack(f[1::2], width), pack(g[::2], width), pack(g[1::2], width)
-    shift = 4 * width  # b
-    fo <<= shift
-    go <<= shift
-    plus, minus = (fe + fo) * (ge + go), (fe - fo) * (ge - go)
-    n = len(f) + len(g) - 1
+    signed = f_lo < 0 or g_lo < 0
+    f_plus, f_minus = _two_point_values(f, width, signed)
+    g_plus, g_minus = _two_point_values(g, width, signed)
+    return _two_point_coefficients(f_plus * g_plus, f_minus * g_minus, width, len(f) + len(g) - 1, signed)
+
+
+def _two_point_values(seq: Sequence[int], width: int, signed: bool) -> tuple[int, int]:
+    """seq's values at +2^b and -2^b, b = 4 width: its even and odd halves packed at 2^B, B = 2b.
+
+    ``signed`` packs balanced digits, for a sequence with a negative entry.
+    """
+    pack = _pack_signed if signed else _pack
+    even, odd = pack(seq[::2], width), pack(seq[1::2], width) << 4 * width
+    return even + odd, even - odd
+
+
+def _two_point_coefficients(plus: int, minus: int, width: int, n: int, signed: bool) -> list[int]:
+    """The n coefficients c_k of c(x) from plus = c(2^b) and minus = c(-2^b), b = 4 width.
+
+    plus + minus = 2 ce(2^B) and plus - minus = 2^(b+1) co(2^B), so both
+    shifts are exact, and the even and odd coefficients are read back as
+    base-2^B digits: plain ones when every |c_k| < 2^B and no c_k is
+    negative, and balanced ones (``signed``) when every |c_k| < 2^(B-1).
+    """
+    unpack = _unpack_signed if signed else _unpack
     out = [0] * n
     out[::2] = unpack((plus + minus) >> 1, width, (n + 1) // 2)
-    out[1::2] = unpack((plus - minus) >> (shift + 1), width, n // 2)
+    out[1::2] = unpack((plus - minus) >> (4 * width + 1), width, n // 2)
     return out
 
 
@@ -483,6 +515,93 @@ def _schoolbook(f: Sequence[int], g: Sequence[int]) -> list[int]:
                 if y:
                     out[i + j] += x * y
     return out
+
+
+# ``product`` evaluates a product whole when its size, terms times bits of its coefficient bound, lies in
+# [EVAL_MIN_SIZE, EVAL_MAX_SIZE].  Measured on the Lucasnomials and Coxeter quotients of the benchmark's
+# quotients pool (2 cores, Python 3.11.7): evaluated whole, a product broke even with the balanced Poly2
+# tree at sizes 700 to 900 and won from about 900 on; the pool's summed time was 65.9 ms with the lower
+# edge at 700 and 66.1 ms at 1,000, but the benchmark's quotients rel_item_mid (typical items) read 2.6 %
+# above the tree's with the edge at 700 and 1 % with it at 1,000.  Above the band the low levels are
+# padded to the final width (whole, (80, 40) took 1.9x the tree's time), so the product is split.  Over
+# lucasnomial(n, k), 30 <= n <= 46, k in n/4, n/3, n/2, an upper edge of 2^15 took 20.9 ms in all,
+# against 22.1 ms at 2^14 and 21.9 ms at 2^16.
+EVAL_MIN_SIZE = 1000
+EVAL_MAX_SIZE = 2**15
+
+_Power = tuple[Poly2, int, tuple[int, Part]]  # a factor p**e of ``product``: (p, e, p's weighted profile)
+
+
+def product(factors: Iterable[tuple[Poly2, int]]) -> Poly2:
+    """The product of p**e over (p, e), each p of one weight and each e >= 0; 1 for no factor.
+
+    The product of the factors' l1 norms bounds every |coefficient| of the
+    product.  When the size, terms times that bound's bits, lies in
+    [``EVAL_MIN_SIZE``, ``EVAL_MAX_SIZE``], the product is evaluated whole
+    (``_evaluated``) and its coefficients are read back once.  Below the band
+    it is the balanced tree of the ``Poly2`` powers; above it, the ``Poly2``
+    product of two halves of about equal degree, each by the same rule.  A
+    lone factor is p**e.  Raises ValueError for a negative e and
+    NotWeightedHomogeneous for a p that is zero or mixes weights.
+    """
+    powers: list[_Power] = []
+    for p, e in factors:
+        if e < 0:
+            raise ValueError("negative power of a polynomial")
+        if e:
+            if (profile := p.weighted_profile()) is None:
+                raise NotWeightedHomogeneous(f"product factor {p} is not of one weight")
+            powers.append((p, e, profile))
+    return _product(powers) if powers else Poly2.one()
+
+
+def _product(powers: list[_Power]) -> Poly2:
+    """``product`` of nonempty ``powers``."""
+    if len(powers) == 1:
+        [(p, e, _)] = powers
+        return p**e
+    terms, bound = 1, 1
+    for _, e, (_, seq) in powers:
+        terms += e * (len(seq) - 1)
+        bound *= sum(map(abs, seq)) ** e
+    bits = bound.bit_length()
+    if terms * bits < EVAL_MIN_SIZE:
+        return _balanced([p**e for p, e, _ in powers])
+    if terms * bits <= EVAL_MAX_SIZE:
+        return _evaluated(powers, terms, bits)
+    # The halves split where the running degree first reaches half the product's, each nonempty.
+    ends = accumulate(e * (len(seq) - 1) for _, e, (_, seq) in powers)
+    half = min(next(i for i, end in enumerate(ends, 1) if 2 * end >= terms - 1), len(powers) - 1)
+    return _product(powers[:half]) * _product(powers[half:])
+
+
+def _evaluated(powers: list[_Power], terms: int, bits: int) -> Poly2:
+    """The product of ``powers``, of ``terms`` terms and every |coefficient| < 2^bits, from its values at +-2^b.
+
+    B = 2b is fixed once, a whole number of bytes >= bits + 2, as in
+    ``_convolve``.  Each p is packed once, as its even and odd halves, to give
+    p(2^b) and p(-2^b); each value is raised to e and the values are
+    multiplied as a balanced tree of plain ints, so nothing is unpacked
+    between the factors and the product.  Balanced digits are used only when
+    some factor has a negative coefficient.
+    """
+    width = (bits + 9) // 8  # B / 8
+    signed = any(min(seq) < 0 for _, _, (_, seq) in powers)
+    plus, minus = [], []
+    for _, e, (_, seq) in powers:
+        at_plus, at_minus = _two_point_values(seq, width, signed)
+        plus.append(at_plus**e)
+        minus.append(at_minus**e)
+    coeffs = _two_point_coefficients(_balanced(plus), _balanced(minus), width, terms, signed)
+    return _from_parts({sum(e * weight for _, e, (weight, _) in powers): tuple(coeffs)})
+
+
+def _balanced(values: list):
+    """The product of nonempty ``values``, ints or ``Poly2``s, as a balanced tree, neighbours pairwise, level by level."""
+    while len(values) > 1:
+        pairs = [a * b for a, b in zip(values[::2], values[1::2])]
+        values = pairs + values[-1:] if len(values) % 2 else pairs
+    return values[0]
 
 
 def _hom_exact_div(np_: int, f: Part, nq: int, g: Part) -> Part:
@@ -626,7 +745,7 @@ class Poly1:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly1:
-        return _power(self, n, Poly1.const(1))
+        return _power(self, n, lambda: Poly1.const(1))
 
     def derivative(self) -> Poly1:
         return _dense([e * c for e, c in enumerate(self._coeffs) if e])

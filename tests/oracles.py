@@ -41,7 +41,9 @@ nothing.  ``bottom_rows`` is the binomial bottom-row rule written out by
 hand, as ``involution`` stated it before it read its rows off the greedy
 row step.  ``loop_d_lucastorial`` is ``lucas.d_lucastorial`` as it was
 before it went through ``lucas_quotient``: a plain loop product of the
-Lucas polynomials.
+Lucas polynomials.  ``tree_product`` is ``polyring.product`` as
+``lucas_quotient`` multiplied its atom powers before any was evaluated as
+an int: a balanced tree of ``Poly2`` products.
 """
 
 from __future__ import annotations
@@ -191,6 +193,15 @@ def loop_d_lucastorial(n: int, d: int) -> Poly2:
     for i in range(1, n + 1):
         product = product * lucas(i * d)
     return product
+
+
+def tree_product(factors) -> Poly2:
+    """The product of p**e over (p, e) as a balanced tree of ``Poly2`` products, neighbours pairwise, level by level."""
+    powers = [p**e for p, e in factors]
+    while len(powers) > 1:
+        pairs = [a * b for a, b in zip(powers[::2], powers[1::2])]
+        powers = pairs + powers[-1:] if len(powers) % 2 else pairs
+    return powers[0] if powers else Poly2.one()
 
 
 def factorial_quotient(num, den) -> Poly2:

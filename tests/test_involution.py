@@ -865,6 +865,23 @@ class TestLevels:
                             assert [report.method for report in reports] == ["levels", "levels"]
                         assert calls == [(n, k_lo, r)]
 
+    def test_the_fallback_reports_reuse_the_pair_sides(self, monkeypatch, fresh_pairs):
+        # Sized by _checked_pair, then computed once more by _verify_pair for both reports:
+        # no class report computes its own, and the mirror's sides are the pair's swapped.
+        calls = []
+
+        def recording(*triple):
+            calls.append((triple, sys._getframe(1).f_code.co_name))
+            return symmetry_sides(*triple)
+
+        monkeypatch.setattr(involution, "symmetry_sides", recording)
+        monkeypatch.setattr(levels, "proves", lambda *pair: False)
+        report, mirror = verify_involution(6, 2, 1), verify_involution(6, 5, 1)
+        assert calls == [((6, 2, 1), "_checked_pair"), ((6, 2, 1), "_verify_pair")]
+        assert report.method == mirror.method == "exhaustive"
+        assert report.ok and mirror.ok
+        assert (mirror.lhs, mirror.rhs) == (report.rhs, report.lhs) == symmetry_sides(6, 5, 1)
+
     @pytest.mark.parametrize("off", [(0, 0), (2, 1), (4, 0), (5, 5), (6, 3)], ids=lambda t: "%d-%d" % t)
     def test_a_wrong_partial_sum_falls_back(self, monkeypatch, off):
         # One Binomial(n, k)'s partial sum is off by 1: the pairs with that class are traced,

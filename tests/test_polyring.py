@@ -1,8 +1,10 @@
 """Exact arithmetic: canonical form, division, specialization, Sturm."""
 
 import json
+import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
@@ -26,8 +28,10 @@ from oracles import (
     poly1_exact_div,
     poly1_primitive,
     term_substitute,
+    tree_product,
 )
 from lucaskit import polyring
+from lucaskit.lucas import atom_exponents, lucas_atom, lucasnomial, lucasnomial_indices
 from lucaskit.polyring import (
     CoeffSeq,
     DivisionByZero,
@@ -764,6 +768,120 @@ class TestMulFastPath:
         metrics = json.loads(done.stdout)
         assert metrics["polyring.mul.calls"] > 0
         assert metrics["polyring.max_coeff_bits"] > 0
+
+
+def product_size(factors) -> int:
+    """``polyring.product``'s size of a product: its terms times the bits of the product of its factors' l1 norms."""
+    terms, bound = 1, 1
+    for p, e in factors:
+        seq = p.weighted_profile()[1]
+        terms += e * (len(seq) - 1)
+        bound *= sum(map(abs, seq)) ** e
+    return terms * bound.bit_length()
+
+
+def sized(size: int, signed: bool) -> list[tuple[Poly2, int]]:
+    """Two factors whose product has exactly ``size``: L entries +-1 (alternating if ``signed``) and the constant 2^j.
+
+    The product has L terms and l1 bound L 2^j, of bit_length(L) + j bits; L is the largest that fits.
+    """
+    for n in range(size, 1, -1):
+        if size % n == 0 and (j := size // n - n.bit_length()) >= 0:
+            return [(homogeneous(2 * (n - 1), [(-1) ** i if signed else 1 for i in range(n)]), 1), (Poly2.const(2**j), 1)]
+    raise AssertionError(size)
+
+
+@pytest.fixture
+def evaluations(monkeypatch) -> list:
+    """Each (terms, bits) that ``polyring.product`` evaluates whole, as it happens."""
+    calls, evaluated = [], polyring._evaluated
+    monkeypatch.setattr(polyring, "_evaluated", lambda powers, terms, bits: calls.append((terms, bits)) or evaluated(powers, terms, bits))
+    return calls
+
+
+class TestProduct:
+    """``polyring.product`` evaluates a product whole inside its size band and is the balanced tree outside it."""
+
+    def test_synthetic_signed_factors(self, evaluations):
+        rng = random.Random(3341)
+        regimes = Counter()
+        for _ in range(90):
+            factors = []
+            for _ in range(rng.randint(1, 5)):
+                top = 2 ** rng.randint(0, 40)
+                coeffs = [rng.randint(-top if rng.random() < 0.5 else 0, top) for _ in range(rng.randint(1, 30))]
+                coeffs[-1] = coeffs[-1] or 1
+                factors.append((homogeneous(2 * (len(coeffs) - 1) + rng.randint(0, 3), coeffs), rng.randint(0, 5)))
+            used = [(p, e) for p, e in factors if e]
+            size = product_size(used)
+            if len(used) < 2 or size < polyring.EVAL_MIN_SIZE:
+                regime = "tree"
+            else:
+                regime = "inside" if size <= polyring.EVAL_MAX_SIZE else "above"
+            regimes[regime] += 1
+            evaluations.clear()
+            assert polyring.product(factors) == tree_product(factors)
+            sizes = [terms * bits for terms, bits in evaluations]
+            if regime == "inside":
+                assert sizes == [size]
+            else:  # nothing below the band is evaluated, and above it only parts within the band
+                assert all(polyring.EVAL_MIN_SIZE <= part <= polyring.EVAL_MAX_SIZE for part in sizes)
+                assert regime == "above" or sizes == []
+        assert min(regimes["tree"], regimes["inside"], regimes["above"]) >= 10, regimes
+
+    @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+    @pytest.mark.parametrize("edge", ["min", "max"])
+    def test_both_sides_of_each_edge(self, evaluations, edge, signed):
+        low, high = polyring.EVAL_MIN_SIZE, polyring.EVAL_MAX_SIZE
+        inside, outside = (low, low - 1) if edge == "min" else (high, high + 1)
+        for size, evaluated in ((inside, True), (outside, False)):
+            factors = sized(size, signed)
+            assert product_size(factors) == size
+            evaluations.clear()
+            assert polyring.product(factors) == tree_product(factors)
+            assert len(evaluations) == evaluated, size
+
+    def test_a_lone_factor_is_its_power(self, evaluations):
+        p = homogeneous(60, [3**40 - i for i in range(31)])
+        assert product_size([(p, 4)]) > polyring.EVAL_MAX_SIZE
+        assert polyring.product([(p, 4), (S, 0)]) == p**4 == tree_product([(p, 4)])
+        assert polyring.product([]) == polyring.product([(p, 0)]) == Poly2.one()
+        assert evaluations == []
+
+    def test_a_monomial_coefficient_reaches_the_bound(self, evaluations):
+        # Every coefficient of a product is at most the product of the l1 norms; a monomial's reaches it.
+        for c in (2**40 - 1, 2**40, -(2**40 - 1), -(2**40)):
+            factors = [(Poly2.monomial(1, 12, c), 3), (Poly2.monomial(0, 20, 2**30 + 1), 2), (homogeneous(8, [1, -1]), 0)]
+            value = polyring.product(factors)
+            assert value == tree_product(factors) == Poly2.monomial(3, 76, c**3 * (2**30 + 1) ** 2)
+        assert len(evaluations) == 4
+
+    @pytest.mark.parametrize("lo, hi", [(2, 3), (3, 2)], ids=["squared-cubed", "cubed-squared"])
+    def test_every_atom_to_120(self, lo, hi):
+        atoms = [lucas_atom(d) for d in range(2, 121)]
+        for p, q in zip(atoms, atoms[1:]):
+            assert polyring.product([(p, lo), (q, hi)]) == tree_product([(p, lo), (q, hi)])
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="negative power"):
+            polyring.product([(S, 1), (T, -1)])
+        for p in (Poly2.zero(), S + T):
+            with pytest.raises(NotWeightedHomogeneous):
+                polyring.product([(S, 1), (p, 1)])
+
+    def test_only_outside_the_band_multiplies_polynomials(self, monkeypatch):
+        inside = [(lucas_atom(d), e) for d, e in atom_exponents(*lucasnomial_indices(30, 15, 1)).items()]
+        past = [(lucas_atom(d), e) for d, e in atom_exponents(*lucasnomial_indices(60, 30, 1)).items()]
+        assert polyring.EVAL_MIN_SIZE <= product_size(inside) <= polyring.EVAL_MAX_SIZE < product_size(past)
+        products, mul_ = [], Poly2.__mul__
+        monkeypatch.setattr(Poly2, "__mul__", lambda a, b: products.append((a, b)) or mul_(a, b))
+        assert polyring.product(inside) == lucasnomial(30, 15)
+        assert products == []
+        value = polyring.product(past)
+        # The last product is the top one, of the two halves: their weights add up to the whole's.
+        (a, b) = products[-1]
+        assert mul_(a, b) == value == lucasnomial(60, 30)
+        assert a.weighted_profile()[0] + b.weighted_profile()[0] == 30 * 30
 
 
 class TestPower:

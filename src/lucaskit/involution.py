@@ -322,7 +322,7 @@ class InvolutionReport:
     ``method`` names how it was made: ``"levels"`` when iota was proved on
     the type and its mirror level by level (``levels.holds``) and each
     class's partials summed to {n brace k}, ``"exhaustive"`` when iota was
-    traced on every member (``_verify_pair``).  Both give the same
+    traced on every member (``_traced_pair``).  Both give the same
     fields, so ``to_json_dict`` leaves the method out.  Frozen, with
     ``failures`` a tuple: ``verify_involution`` hands the same cached report
     to every caller.
@@ -366,7 +366,7 @@ def verify_involution(n: int, k: int, r: int) -> InvolutionReport:
     verified together, once, and a later call for either returns its cached
     report.  The pair is proved level by level (``levels.proves``),
     with no member traced; only when a level fails, or a class sum misses its
-    symmetry side, is every member traced (``_verify_pair``), so that the
+    symmetry side, is every member traced (``_traced_pair``), so that the
     report names what failed; past ``MAX_TRACED_MEMBERS`` members, counted
     as its symmetry sides at s = t = 1, the pair raises ValueError.  Both
     methods give the same report.
@@ -403,7 +403,8 @@ def _checked_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionRepor
     nonzero factors (r <= k), so ``levels.proves`` compares the first
     factors.  The sums are then ``symmetry_sides(n, k_lo, r)``, swapped for
     the mirror; a class's size, which the fallback's bound counts, is its sum
-    at s = t = 1, where every member weighs 1.
+    at s = t = 1, where every member weighs 1.  The fallback's reports are
+    checked against the same sides, so a pair computes them once.
     """
     lhs, rhs = symmetry_sides(n, k_lo, r)
     size, target_size = lhs.evaluate(1, 1), rhs.evaluate(1, 1)
@@ -413,7 +414,7 @@ def _checked_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionRepor
     if (members := size + target_size * (k_hi != k_lo)) > MAX_TRACED_MEMBERS:
         pair = f"{members} extended tilings in ({n},{k_lo},{r}) and its mirror"
         raise ValueError(f"{pair}; the exhaustive check traces at most {MAX_TRACED_MEMBERS}")
-    return _verify_pair(n, k_lo, k_hi, r)
+    return _traced_pair(n, k_lo, k_hi, r, lhs, rhs)
 
 
 # iota's image with its case letters: the key of a member of the mirror
@@ -426,7 +427,14 @@ _Traced = dict[Key, tuple[Monomial, _Image | Malformed]]
 
 @functools.lru_cache(maxsize=None)
 def _verify_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionReport, InvolutionReport]:
-    """The reports of the mirror types (n, k_lo, r) and (n, k_hi, r).
+    """``_traced_pair`` with the pair's symmetry sides, for a caller that has not computed them."""
+    return _traced_pair(n, k_lo, k_hi, r, *symmetry_sides(n, k_lo, r))
+
+
+def _traced_pair(
+    n: int, k_lo: int, k_hi: int, r: int, lhs: Poly2, rhs: Poly2
+) -> tuple[InvolutionReport, InvolutionReport]:
+    """The reports of the mirror types (n, k_lo, r) and (n, k_hi, r), every member traced.
 
     Each class is enumerated once as bare keys, and iota runs once on each
     member's bare rows, with no ``ExtendedTiling`` built.  An image is valid
@@ -436,15 +444,16 @@ def _verify_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionReport
     class's images.  Members that differ only in what the recursion has
     peeled off make the same recursive call, so both classes share one
     memo of iota's subcalls, and each subcall runs once per pair.  The
-    memo, the keys and the images are dropped when the pair returns; this
-    cache holds only the reports, so it grows with the number of types
-    verified, not with their class sizes.  The row arithmetic iota repeats
+    memo, the keys and the images are dropped when the pair returns; the
+    pair caches (``_checked_pair``, ``_verify_pair``) hold only the reports,
+    so they grow with the number of types verified, not with their class
+    sizes.  The row arithmetic iota repeats
     (bottom-row classifications, first cuts) is in bounded caches of its
     own, which hold no member and no image.
     The classes, their traces and their reports are keyed by k, low k first,
     so when k_lo = k_hi the two classes are one, and so are the reports.
-    The pair's symmetry sides are computed once: each report checks its
-    class sums against its own, the mirror's swapped.
+    ``lhs`` and ``rhs`` are the pair's ``symmetry_sides(n, k_lo, r)``: each
+    report checks its class sums against its own, the mirror's swapped.
     """
     memo: _Memo = {}
     classes = {k: dict(_class_keys(n, k, r)) for k in dict.fromkeys((k_lo, k_hi))}
@@ -452,7 +461,6 @@ def _verify_pair(n: int, k_lo: int, k_hi: int, r: int) -> tuple[InvolutionReport
         k: {key: (counts, _trace_key(n, k, key, classes[n - k + r], memo)) for key, counts in members.items()}
         for k, members in classes.items()
     }
-    lhs, rhs = symmetry_sides(n, k_lo, r)
     sides = {k_hi: (rhs, lhs), k_lo: (lhs, rhs)}
     reports = {k: _class_report(n, k, r, source, traced[n - k + r], *sides[k]) for k, source in traced.items()}
     return reports[k_lo], reports[k_hi]

@@ -21,6 +21,11 @@ with its weight.  ``verify_block_partition`` needs no block's identity, so it
 merges blocks into classes by walk state and *free product*, the weight of
 the tilings of a block's blank cells; every block weighs its fixed monomial
 times its free product, so one check per class covers every tiling exactly.
+A row's groups depend only on its length, the walk state, d and, on row 1 of
+a Fuss variant, n, never on the variant or the class being folded, so the
+verification reads them, merged by what it checks, from one cached table that
+every variant shares (``_row_classes``): each distinct row state is listed
+once per process.
 Every tally is a ``polyring`` coefficient sequence (entry k counts tilings
 with k dominoes), added and multiplied on polyring's kernels.
 """
@@ -581,25 +586,33 @@ def path_from_tiling(tiling: Tiling, variant: Variant) -> LatticePath:
     return partial_from_tiling(tiling, variant).path
 
 
+def _fuss_rule(variant: Variant, r: int) -> int | None:
+    """The n of the Fuss first-row rule when it fixes row r of the variant, else None.
+
+    This is the one place a row's fixed runs read the variant: row 1 of a
+    ``FussCatalan`` with n >= 1.
+    """
+    return variant.n if r == 1 and isinstance(variant, FussCatalan) and variant.n >= 1 else None
+
+
 def _fixed_row(variant: Variant, r: int, tiles: Tiles, x: int, label: str) -> tuple[Run, ...]:
     """Fixed runs of row r crossed at x: left of NI, right of NL, or the Fuss first-row rule."""
     bounds = _row_data(tiles)[1]
-    if r == 1 and isinstance(variant, FussCatalan) and variant.n >= 1:
-        return _fuss_first_row(variant, tiles, bounds) if label == "NL" else ()
+    if (n := _fuss_rule(variant, r)) is not None:
+        return _fuss_first_row(n, tiles, bounds) if label == "NL" else ()
     cut = bounds[x]
     if label == "NI":
         return ((1, tiles[:cut]),) if cut else ()
     return ((x + 1, tiles[cut:]),) if cut < len(tiles) else ()
 
 
-def _fuss_first_row(variant: FussCatalan, tiles: Tiles, bounds) -> tuple[Run, ...]:
+def _fuss_first_row(n: int, tiles: Tiles, bounds) -> tuple[Run, ...]:
     """First-row fixing when the Fuss path opens with a west step.
 
     m is the least index whose block of n columns ends without a spanning
     domino; columns mn+1 .. (m+1)n - 1 then go blank while the rest right of
     the deflecting domino stays fixed.
     """
-    n = variant.n
     blocked = _row_data(tiles)[0]
     length = sum(tiles)
     m = 1
@@ -707,6 +720,35 @@ def _row_groups(
     return groups
 
 
+# The 637 variants ``tilings partition`` accepts (rows of at most ``cli.MAX_PARTITION_ROW`` = 23
+# cells) reach 1,603 walk states in all, 8,304 entries and about 2.4 MB of table; the test suite's
+# large variants with Catalan(11), Catalan(12) and Binomial(24, 12) reach 437 (Python 3.11).
+# So the bound holds that whole reach, and no state is listed twice in a process.
+_ROW_CLASSES = 2048
+
+
+@lru_cache(maxsize=_ROW_CLASSES)
+def _row_classes(
+    row_len: int, x: int, used: frozenset[int], mod_d: int | None, fuss_n: int | None
+) -> tuple[tuple, ...]:
+    """A row's groups from walk state (x, used), merged by what the verification fold reads.
+
+    Each entry is (x2, used2, fixed cells, fixed dominoes, free tally,
+    multiplicity): that many groups of ``_row_groups`` cross at x2, leave
+    the -1 lines used2, fix those cells and dominoes, and leave that free
+    tally (the tally with the fixed dominoes shifted out).  An entry sits
+    where its first group does.  The groups read the variant only through
+    ``fuss_n`` (``_fuss_rule``), so Catalan(fuss_n or 0) stands in for
+    every variant that reaches the state.
+    """
+    merged: dict[tuple, int] = {}
+    for (x2, _, used2, runs), tally in _row_groups(Catalan(fuss_n or 0), 1, row_len, x, used, mod_d).items():
+        monos, doms = tile_counts(tiles for _, tiles in runs)
+        key = (x2, used2, monos + 2 * doms, doms, tuple(tally[doms:]))
+        merged[key] = merged.get(key, 0) + 1
+    return tuple((*key, mult) for key, mult in merged.items())
+
+
 def block_partition(variant: Variant) -> dict[PartialTiling, Poly2]:
     """Group all tilings of the variant's shape by their partial tiling.
 
@@ -774,6 +816,11 @@ def verify_block_partition(variant: Variant) -> BlockPartitionReport:
     times the class's block count summed against the tiling count for (c).
     That is still exact over every tiling.  Each class carries the path and
     fixed dominoes of its first block as the witness a failure names.
+    A row's groups come from ``_row_classes``, one listing per walk state
+    that every class and variant shares.  Groups that differ only in where
+    their fixed runs lie reach the same class, so each entry adds its
+    multiplicity times the shifted block tally; it sits where its first
+    group does, so every class keeps its witness and its place.
     """
     shape = variant.shape()
     start, mod_d = variant.start_x(), variant.mod_d()
@@ -782,12 +829,12 @@ def verify_block_partition(variant: Variant) -> BlockPartitionReport:
     for r in range(1, variant.terminal() + 1):
         row_len = shape.cells(r) if r <= shape.n_rows else 0
         successors: dict[tuple, list] = {}
+        fuss_n = _fuss_rule(variant, r)
         for (x, used, free_cells, free), (blocks, (xs, wd)) in frontier.items():
-            for (x2, _, used2, runs), row_tally in _row_groups(variant, r, row_len, x, used, mod_d).items():
-                monos, doms = tile_counts(tiles for _, tiles in runs)
-                key = (x2, used2, free_cells + row_len - monos - 2 * doms, tuple(_convolve(free, row_tally[doms:])))
+            for x2, used2, fixed_cells, doms, free_tally, mult in _row_classes(row_len, x, used, mod_d, fuss_n):
+                key = (x2, used2, free_cells + row_len - fixed_cells, tuple(_convolve(free, free_tally)))
                 dest = successors.setdefault(key, [(), (xs + (x2,), wd + doms)])
-                dest[0] = _add(dest[0], (0,) * doms + blocks)
+                dest[0] = _add(dest[0], (0,) * doms + tuple(mult * c for c in blocks))
         frontier = successors
 
     cells = sum(shape.cells(r) for r in range(1, shape.n_rows + 1))

@@ -848,9 +848,9 @@ class TestLevels:
         calls = []
         monkeypatch.setattr(involution, "symmetry_sides", lambda *t: calls.append(t) or symmetry_sides(*t))
         if falls_back:
-            # The pair is sized from the same sides; the tracing itself is stubbed out.
+            # The pair is sized from the same sides and traced against them; the tracing itself is stubbed out.
             monkeypatch.setattr(levels, "proves", lambda *pair: False)
-            monkeypatch.setattr(involution, "_verify_pair", lambda *pair: ("traced", pair))
+            monkeypatch.setattr(involution, "_traced_pair", lambda *pair: ("traced", pair))
         for n in range(7):
             for k_lo in range(n + 1):
                 for r in range(k_lo + 1):
@@ -860,13 +860,13 @@ class TestLevels:
                         calls.clear()
                         reports = involution._checked_pair(n, k_lo, k_hi, r)
                         if falls_back:
-                            assert reports == ("traced", (n, k_lo, k_hi, r))
+                            assert reports == ("traced", (n, k_lo, k_hi, r, *symmetry_sides(n, k_lo, r)))
                         else:
                             assert [report.method for report in reports] == ["levels", "levels"]
                         assert calls == [(n, k_lo, r)]
 
     def test_the_fallback_reports_reuse_the_pair_sides(self, monkeypatch, fresh_pairs):
-        # Sized by _checked_pair, then computed once more by _verify_pair for both reports:
+        # Computed once, by _checked_pair, which sizes the pair and hands them to the tracing:
         # no class report computes its own, and the mirror's sides are the pair's swapped.
         calls = []
 
@@ -877,7 +877,7 @@ class TestLevels:
         monkeypatch.setattr(involution, "symmetry_sides", recording)
         monkeypatch.setattr(levels, "proves", lambda *pair: False)
         report, mirror = verify_involution(6, 2, 1), verify_involution(6, 5, 1)
-        assert calls == [((6, 2, 1), "_checked_pair"), ((6, 2, 1), "_verify_pair")]
+        assert calls == [((6, 2, 1), "_checked_pair")]
         assert report.method == mirror.method == "exhaustive"
         assert report.ok and mirror.ok
         assert (mirror.lhs, mirror.rhs) == (report.rhs, report.lhs) == symmetry_sides(6, 5, 1)

@@ -22,6 +22,8 @@ from lucaskit.shapes_tilings import (
     RectangleTiling,
     Shape,
     Tiling,
+    _fuss_rule,
+    _row_classes,
     _row_groups,
     _variant_to_json,
     block_partition,
@@ -683,8 +685,8 @@ class TestBlockPartition:
 ROW_GROUP_VARIANTS = (Binomial(6, 3), Catalan(4), FussCatalan(3, 2), DDivisible(4, 2, 3))
 
 
-def reached_row_groups(variant):
-    """(row length, row groups) for every walk state the fold reaches, row by row."""
+def reached_row_states(variant):
+    """(row, row length, x, used, row groups) for every walk state the fold reaches, row by row."""
     shape = variant.shape()
     states = {(variant.start_x(), frozenset())}
     for r in range(1, variant.terminal() + 1):
@@ -692,9 +694,15 @@ def reached_row_groups(variant):
         successors = set()
         for x, used in states:
             groups = _row_groups(variant, r, row_len, x, used, variant.mod_d())
-            yield row_len, groups
+            yield r, row_len, x, used, groups
             successors |= {(x2, used2) for x2, _, used2, _ in groups}
         states = successors
+
+
+def reached_row_groups(variant):
+    """(row length, row groups) for every walk state the fold reaches, row by row."""
+    for _, row_len, _, _, groups in reached_row_states(variant):
+        yield row_len, groups
 
 
 class TestRowGroups:
@@ -725,6 +733,66 @@ class TestRowGroups:
         assert states > variant.terminal()
 
 
+def merged_row_groups(groups) -> list[tuple]:
+    """Row groups merged by (x2, used2, fixed cells, fixed dominoes, free tally), with their
+    multiplicities, in the order each first occurs."""
+    merged: dict[tuple, int] = {}
+    for (x2, _, used2, runs), tally in groups.items():
+        tiles = [t for _, run in runs for t in run]
+        doms = tiles.count(DOMINO)
+        key = (x2, used2, sum(tiles), doms, tuple(tally[doms:]))
+        merged[key] = merged.get(key, 0) + 1
+    return [(*key, mult) for key, mult in merged.items()]
+
+
+def table_keys(variant):
+    """The row-class table's key for every walk state the fold reaches, walked through the table."""
+    shape = variant.shape()
+    states = {(variant.start_x(), frozenset())}
+    for r in range(1, variant.terminal() + 1):
+        row_len = shape.cells(r) if r <= shape.n_rows else 0
+        keys = [(row_len, x, used, variant.mod_d(), _fuss_rule(variant, r)) for x, used in states]
+        yield from keys
+        states = {(x2, used2) for key in keys for x2, used2, *_ in _row_classes(*key)}
+
+
+# Four variants whose first rows have 7 cells: the Catalan and Fuss rows read n, and each
+# Binomial row enters at the same x as one of them, so only the Fuss key tells the rows apart.
+SEVEN_CELL_ROWS = [Catalan(4), FussCatalan(2, 3), Binomial(8, 3), Binomial(8, 1)]
+
+
+class TestRowClasses:
+    """The verification fold's row-class table: one entry per walk state, shared by every variant."""
+
+    @pytest.mark.parametrize("variant", CRITERIA_VARIANTS + BEYOND_BRUTE_FORCE, ids=repr)
+    def test_table_is_the_merged_listing(self, variant):
+        for r, row_len, x, used, groups in reached_row_states(variant):
+            entry = _row_classes(row_len, x, used, variant.mod_d(), _fuss_rule(variant, r))
+            assert list(entry) == merged_row_groups(groups), (r, x, used)
+
+    @pytest.mark.parametrize("order", [SEVEN_CELL_ROWS, SEVEN_CELL_ROWS[::-1]], ids=["forward", "reversed"])
+    def test_the_fuss_key_keeps_variants_apart(self, order):
+        assert {variant.shape().cells(1) for variant in order} == {7}
+        assert {variant.start_x() for variant in order} == {3, 1}
+        expected = {variant: materialised_verify(variant).to_json_dict() for variant in order}
+        _row_classes.cache_clear()
+        for table in ("cold", "warm"):
+            for variant in order:
+                assert verify_block_partition(variant).to_json_dict() == expected[variant], (table, variant)
+
+    def test_the_table_holds_every_large_state(self):
+        _row_classes.cache_clear()
+        for variant in LARGE_VARIANTS:
+            verify_block_partition(variant)
+        filled = _row_classes.cache_info()
+        # nothing was evicted, and walking every reached state again lists none
+        assert filled.currsize == filled.misses <= filled.maxsize
+        for variant in LARGE_VARIANTS:
+            for key in table_keys(variant):
+                _row_classes(*key)
+        assert _row_classes.cache_info().misses == filled.misses
+
+
 def assert_canonical(p: Poly2) -> None:
     """p equals, and hashes like, the Poly2 built afresh from its terms."""
     rebuilt = Poly2(dict(p.terms()))
@@ -752,18 +820,22 @@ WRONG_DIVISORS = {
 }
 
 
+BAD_CLASS_VARIANTS = [Binomial(5, 2), Catalan(3), FussCatalan(2, 2), DDivisible(4, 2, 2), DDivisible(3, 1, 3)]
+
+
+def wrong_divisor(monkeypatch, variant, mutation) -> None:
+    right = type(variant).divisor
+    monkeypatch.setattr(type(variant), "divisor", lambda self: mutation(right(self)))
+
+
 class TestBadClass:
     """A wrong divisor fails its class, which names one real block as the witness."""
 
     @pytest.mark.parametrize("mutation", WRONG_DIVISORS.values(), ids=list(WRONG_DIVISORS))
-    @pytest.mark.parametrize(
-        "variant",
-        [Binomial(5, 2), Catalan(3), FussCatalan(2, 2), DDivisible(4, 2, 2), DDivisible(3, 1, 3)],
-        ids=repr,
-    )
+    @pytest.mark.parametrize("variant", BAD_CLASS_VARIANTS, ids=repr)
     def test_wrong_divisor_names_a_real_block(self, monkeypatch, variant, mutation):
-        right = type(variant).divisor
-        monkeypatch.setattr(type(variant), "divisor", lambda self: mutation(right(self)))
+        _row_classes.cache_clear()
+        wrong_divisor(monkeypatch, variant, mutation)
         report = verify_block_partition(variant)
         assert not report.ok
         paths = {partial.path.steps for partial in enumerate_partials(variant)}
@@ -773,7 +845,19 @@ class TestBadClass:
             assert failure.removeprefix("block of path ").split(":")[0] in paths
             # the witness's line is the one the block-by-block check prints for it
             assert failure in blockwise
+        # the second run reads the row-class table the first one filled
         assert verify_block_partition(variant).failures == report.failures
+
+    @pytest.mark.parametrize("mutation", WRONG_DIVISORS.values(), ids=list(WRONG_DIVISORS))
+    @pytest.mark.parametrize("variant", BAD_CLASS_VARIANTS, ids=repr)
+    def test_a_warm_table_gives_the_cold_failures(self, monkeypatch, variant, mutation):
+        # The row-class table never reads the divisor: filled under the right one, it fails the same classes.
+        _row_classes.cache_clear()
+        assert verify_block_partition(variant).ok
+        wrong_divisor(monkeypatch, variant, mutation)
+        warm = verify_block_partition(variant).failures
+        _row_classes.cache_clear()
+        assert warm and warm == verify_block_partition(variant).failures
 
 
 class TestRectangleModel:
